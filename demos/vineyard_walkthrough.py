@@ -39,7 +39,7 @@ def main() -> int:
     print(f"  {len(cloud)} rays, {int(cloud.contact.sum())} contacts -> {scan_path}")
 
     print("running pipeline...")
-    manifest = run_pipeline(scan_path, out, PipelineConfig(seed=7))
+    manifest = run_pipeline(scan_path, out, PipelineConfig())
     rows_meta = json.loads((out / "rows.json").read_text())
     print(f"  estimated row direction: ({rows_meta['direction'][0]:+.3f}, "
           f"{rows_meta['direction'][1]:+.3f})")

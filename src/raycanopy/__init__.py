@@ -6,6 +6,9 @@ ray accumulation, a debiased censored-exponential density estimator, spatial
 integration and Monte Carlo validation of the statistical model.
 """
 
+# set before the submodule imports: the pipeline keys its cache on it
+__version__ = "0.1.0"
+
 from .density import (DensityField, GammaPosterior, canopy_density, debias_factor,
                       estimate_field, lambda_stats, load_field, posterior,
                       save_field, uncensored_lambda)
@@ -25,6 +28,5 @@ from .simulate import (LeafScene, NormalDistributionSpec, RayDistribution,
 from .synthetic import VineyardSpec, simulate_scan, terrain_height
 from .voxels import VoxelGrid, VoxelStats, accumulate, build_grid, expand_undersampled, traverse
 
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,9 @@
 """Command-line interface for the canopy density toolkit.
 
-Single-stage subcommands mirror the pipeline stages for inspection and
-debugging; `pipeline` runs everything; `simulate` dispatches the Monte Carlo
-validation experiments; `compare` reports repeatability between two runs.
+Each pipeline stage is a subcommand, `raycanopy <stage> SCAN OUT_DIR`, that
+runs the pipeline up to and including that stage; `pipeline` runs every
+stage. `simulate` dispatches the Monte Carlo validation experiments;
+`compare` reports repeatability between two runs.
 """
 
 from __future__ import annotations
@@ -13,13 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import density as density_mod
-from . import ground as ground_mod
 from . import report as report_mod
-from . import rows as rows_mod
 from . import simulate as simulate_mod
-from . import voxels as voxels_mod
-from .pipeline import PipelineConfig, apply_overrides, load_config, run_pipeline
+from .pipeline import (STAGE_NAMES, STAGES, PipelineConfig, apply_overrides,
+                       load_config, run_pipeline)
 from .raycloud import load_raycloud, save_raycloud
 
 EXPERIMENTS = ("turbid-bias", "triangle-bias", "error-surface", "trawl-vs-spin")
@@ -35,7 +33,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--panel-length", type=float)
     p.add_argument("--row-spacing", type=float)
     p.add_argument("--max-density", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--estimator", choices=("mean", "mode"))
     p.add_argument("--sum", action="store_true",
                    help="aggregate panels by sum instead of mean")
@@ -46,8 +43,8 @@ def _build_config(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     overrides = {}
     for key in ("voxel_width", "n_min", "g", "curvature", "bin_width",
-                "panel_length", "row_spacing", "max_density", "seed",
-                "estimator", "direction"):
+                "panel_length", "row_spacing", "max_density", "estimator",
+                "direction"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -65,35 +62,13 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("input")
     s.add_argument("output")
 
-    s = sub.add_parser("ground", help="extract ground mesh and flatten the cloud")
-    s.add_argument("input")
-    s.add_argument("output_dir")
-    _add_config_flags(s)
-
-    s = sub.add_parser("rows", help="estimate row direction and split per row")
-    s.add_argument("input")
-    s.add_argument("output_dir")
-    _add_config_flags(s)
-
-    s = sub.add_parser("voxelize", help="accumulate per-voxel ray statistics")
-    s.add_argument("input", help="row-frame ray cloud (from `rows`)")
-    s.add_argument("output", help="voxel statistics CSV")
-    _add_config_flags(s)
-
-    s = sub.add_parser("density", help="estimate a density field from voxel stats")
-    s.add_argument("input", help="voxel statistics CSV")
-    s.add_argument("output", help="density field file (.rcdf)")
-    _add_config_flags(s)
-
-    s = sub.add_parser("integrate", help="images, series and panels from a field")
-    s.add_argument("input", help="density field file (.rcdf)")
-    s.add_argument("output_dir")
-    _add_config_flags(s)
-
-    s = sub.add_parser("pipeline", help="run every stage end to end")
-    s.add_argument("input")
-    s.add_argument("output_dir")
-    _add_config_flags(s)
+    runs = {st.name: f"{st.run.__doc__}, after the stages before it" for st in STAGES}
+    runs["pipeline"] = "run every stage end to end"
+    for name, text in runs.items():
+        s = sub.add_parser(name, help=text)
+        s.add_argument("input", help="ray cloud of the scan")
+        s.add_argument("output_dir")
+        _add_config_flags(s)
 
     s = sub.add_parser("simulate", help="Monte Carlo validation experiments")
     s.add_argument("experiment", choices=EXPERIMENTS)
@@ -124,86 +99,10 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_ground(args) -> int:
-    config = _build_config(args)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cloud = load_raycloud(args.input)
-    cloud.validate()
-    mesh = ground_mod.extract_ground(cloud, k=config.curvature)
-    flat, dropped = ground_mod.subtract_ground(mesh, cloud)
-    ground_mod.export_obj(mesh, out / "ground_mesh.obj")
-    save_raycloud(flat, out / "flattened.ply")
-    print(f"{len(mesh.triangles)} ground triangles; {dropped} rays outside footprint")
-    return 0
-
-
-def _cmd_rows(args) -> int:
-    config = _build_config(args)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cloud = load_raycloud(args.input)
-    if config.direction is not None:
-        direction = np.asarray(config.direction) / np.linalg.norm(config.direction)
-    else:
-        traj = rows_mod.Trajectory.from_raycloud(cloud)
-        traj.validate()
-        direction = rows_mod.row_direction(traj)
-    stem = Path(args.input).stem
-    segments = rows_mod.split_rows(cloud, direction, bin_width=config.bin_width)
-    for seg in segments:
-        row_cloud = rows_mod.to_row_coordinates(seg)
-        save_raycloud(row_cloud, out / f"{stem}_row{seg.index}.ply")
-    print(f"direction ({direction[0]:.4f}, {direction[1]:.4f}); "
-          f"{len(segments)} rows -> {out}")
-    return 0
-
-
-def _cmd_voxelize(args) -> int:
-    config = _build_config(args)
-    cloud = load_raycloud(args.input)
-    grid = voxels_mod.build_grid(cloud, voxel_width=config.voxel_width)
-    stats = voxels_mod.accumulate(cloud, grid)
-    full = voxels_mod.expand_undersampled(stats, grid, n_min=config.n_min)
-    voxels_mod.dump_stats_csv(full, grid, args.output)
-    print(f"grid {grid.dims}, {len(stats)} voxels crossed -> {args.output}")
-    return 0
-
-
-def _cmd_density(args) -> int:
-    config = _build_config(args)
-    stats, grid = voxels_mod.load_stats_csv(args.input)
-    field = density_mod.estimate_field(stats, grid, g=config.g,
-                                       estimator=config.estimator)
-    density_mod.save_field(field, args.output)
-    print(f"total one-sided leaf area {field.total_leaf_area():.3f} m^2 -> {args.output}")
-    return 0
-
-
-def _cmd_integrate(args) -> int:
-    config = _build_config(args)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    field = density_mod.load_field(args.input)
-    tag = Path(args.input).stem
-    image = report_mod.integrate_axis(field, "x")
-    report_mod.render_colormap(image, config.max_density, out / f"{tag}_side.png")
-    series = report_mod.along_row_series(field)
-    report_mod.export_series_csv(series, out / f"{tag}_series.csv")
-    panels = report_mod.panel_aggregate(series, config.panel_length,
-                                        mode=config.panel_mode)
-    if config.row_spacing is not None:
-        panels = report_mod.with_lai(panels, config.panel_length, config.row_spacing)
-    report_mod.export_panels_csv(panels, out / f"{tag}_panels.csv",
-                                 row_index=field.grid.row_index)
-    print(f"{len(panels)} panels -> {out}")
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    config = _build_config(args)
-    manifest = run_pipeline(args.input, args.output_dir, config)
-    print(f"{len(manifest['stages'])} stages complete -> {args.output_dir}")
+def _cmd_run(args) -> int:
+    until = STAGE_NAMES[-1] if args.command == "pipeline" else args.command
+    run_pipeline(args.input, args.output_dir, _build_config(args), until=until)
+    print(f"stages up to {until} complete -> {args.output_dir}")
     return 0
 
 
@@ -268,10 +167,9 @@ def _cmd_compare(args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handlers = {"ingest": _cmd_ingest, "ground": _cmd_ground, "rows": _cmd_rows,
-                "voxelize": _cmd_voxelize, "density": _cmd_density,
-                "integrate": _cmd_integrate, "pipeline": _cmd_pipeline,
-                "simulate": _cmd_simulate, "compare": _cmd_compare}
+    handlers = {"ingest": _cmd_ingest, "pipeline": _cmd_run,
+                "simulate": _cmd_simulate, "compare": _cmd_compare,
+                **{name: _cmd_run for name in STAGE_NAMES}}
     try:
         return handlers[args.command](args)
     except Exception as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -66,8 +67,8 @@ def canopy_density(stats: VoxelStats, g: float = DEFAULT_G,
     """
     if stats.n == 0:
         return None
-    if stats.m > 0:
-        assert stats.sum_x > 0, "contact with zero penetration is impossible"
+    if stats.m > 0 and not stats.sum_x > 0:
+        raise DensityError("contact with zero penetration is impossible")
     if stats.m == 0:
         return 0.0, 0.0
     mean, mode, var = lambda_stats(posterior(stats))
@@ -132,51 +133,40 @@ def estimate_field(stats_map: dict, grid: VoxelGrid, g: float = DEFAULT_G,
 # variance planes and a packed observed bitmask.
 
 _MAGIC = b"RCDF\x01"
+_HEADER = struct.Struct("<3id3ddi")   # dims, voxel width, origin, g, row index
 
 
 def save_field(f: DensityField, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<3i", *f.grid.dims))
-        fh.write(struct.pack("<d", f.grid.voxel_width))
-        fh.write(struct.pack("<3d", *f.grid.origin))
-        fh.write(struct.pack("<d", f.g))
-        fh.write(struct.pack("<i", f.grid.row_index))
+        fh.write(_HEADER.pack(*f.grid.dims, f.grid.voxel_width, *f.grid.origin,
+                              f.g, f.grid.row_index))
         fh.write(f.density.astype("<f4").tobytes())
         fh.write(f.variance.astype("<f4").tobytes())
         fh.write(np.packbits(f.observed.reshape(-1)).tobytes())
 
 
 def load_field(path) -> DensityField:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise DensityError(f"{path}: not a density field file")
-        dims = struct.unpack("<3i", fh.read(12))
-        width, = struct.unpack("<d", fh.read(8))
-        origin = np.array(struct.unpack("<3d", fh.read(24)))
-        g, = struct.unpack("<d", fh.read(8))
-        row_index, = struct.unpack("<i", fh.read(4))
-        count = int(np.prod(dims))
-        density = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(float).reshape(dims)
-        variance = np.frombuffer(fh.read(4 * count), dtype="<f4").astype(float).reshape(dims)
-        nbytes = (count + 7) // 8
-        observed = np.unpackbits(np.frombuffer(fh.read(nbytes), dtype=np.uint8),
-                                 count=count).astype(bool).reshape(dims)
-    grid = VoxelGrid(origin=origin, voxel_width=width, dims=tuple(dims),
-                     row_index=row_index)
+    data = Path(path).read_bytes()
+    if not data.startswith(_MAGIC):
+        raise DensityError(f"{path}: not a density field file")
+    start = len(_MAGIC) + _HEADER.size
+    if len(data) < start:
+        raise DensityError(f"{path}: truncated header ({len(data)} bytes)")
+    *dims, width, ox, oy, oz, g, row_index = _HEADER.unpack_from(data, len(_MAGIC))
+    if min(dims) < 0:
+        raise DensityError(f"{path}: negative grid dims {tuple(dims)}")
+    count = int(np.prod(dims))
+    expected = start + 8 * count + (count + 7) // 8
+    if len(data) != expected:
+        raise DensityError(f"{path}: {len(data)} bytes where grid {tuple(dims)} "
+                           f"needs {expected}: truncated or corrupt")
+    planes = np.frombuffer(data, dtype="<f4", count=2 * count, offset=start)
+    density = planes[:count].astype(float).reshape(dims)
+    variance = planes[count:].astype(float).reshape(dims)
+    bits = np.frombuffer(data, dtype=np.uint8, offset=start + 8 * count)
+    observed = np.unpackbits(bits, count=count).astype(bool).reshape(dims)
+    grid = VoxelGrid(origin=np.array([ox, oy, oz]), voxel_width=width,
+                     dims=tuple(dims), row_index=row_index)
     return DensityField(grid=grid, density=density, variance=variance,
                         observed=observed, g=g)
-
-
-def export_csv(f: DensityField, stats_map: dict, path) -> None:
-    """Per-voxel CSV: indices, density, variance and the raw counts."""
-    with open(path, "w") as fh:
-        fh.write("i,j,k,density,variance,n,m\n")
-        for i in range(f.grid.dims[0]):
-            for j in range(f.grid.dims[1]):
-                for k in range(f.grid.dims[2]):
-                    s = stats_map.get((i, j, k))
-                    n = s.n if s else 0
-                    m = s.m if s else 0
-                    fh.write(f"{i},{j},{k},{f.density[i, j, k]:.9g},"
-                             f"{f.variance[i, j, k]:.9g},{n},{m}\n")

@@ -1,9 +1,13 @@
 """End-to-end pipeline: ray cloud in, per-row density products out.
 
-Stages: ground -> rows -> voxelize -> density -> integrate. Each stage's
-outputs are cached under a content hash of the input file and the config
-subset it depends on, so reruns skip unchanged upstream stages. A failed
-stage aborts with its name and removes its partial outputs.
+`STAGES` is the one table of stages: ground -> rows -> voxelize -> density ->
+integrate. Each entry names the config fields the stage reads; each stage
+reads its input back from the files of the stage before it. A stage's
+outputs are cached under a hash of the input file, the package version and
+the fields of that stage and every stage before it, so reruns skip unchanged
+upstream stages. manifest.json vouches only for files that a finished stage
+wrote: before a stage runs, its entry and every later one are removed from
+it. A failed stage aborts with its name and removes its new partial outputs.
 """
 
 from __future__ import annotations
@@ -15,17 +19,17 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from . import density as density_mod
 from . import ground as ground_mod
 from . import report as report_mod
 from . import rows as rows_mod
 from . import voxels as voxels_mod
 from .raycloud import RayCloud, load_raycloud, save_raycloud
-
-STAGES = ("ground", "rows", "voxelize", "density", "integrate")
 
 
 class PipelineError(RuntimeError):
@@ -37,7 +41,7 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All tunables of the pipeline; every simulation seed derives from `seed`."""
+    """All tunables of the pipeline; each is read by exactly one stage."""
 
     voxel_width: float = 0.12
     n_min: int = 10
@@ -47,7 +51,6 @@ class PipelineConfig:
     panel_length: float = 7.0
     row_spacing: float | None = None
     max_density: float = 10.4
-    seed: int = 0
     estimator: str = "mean"
     panel_mode: str = "mean"
     direction: tuple[float, float] | None = None   # fixed row direction override
@@ -61,6 +64,10 @@ class PipelineConfig:
             raise ValueError("n_min must be >= 1")
         if self.row_spacing is not None and self.row_spacing <= 0:
             raise ValueError("row_spacing must be positive")
+        if self.estimator not in ("mean", "mode"):
+            raise ValueError(f"estimator must be 'mean' or 'mode', not {self.estimator!r}")
+        if self.panel_mode not in ("mean", "sum"):
+            raise ValueError(f"panel_mode must be 'mean' or 'sum', not {self.panel_mode!r}")
 
 
 def load_config(path) -> PipelineConfig:
@@ -81,7 +88,7 @@ def load_config(path) -> PipelineConfig:
 def apply_overrides(config: PipelineConfig, values: dict) -> PipelineConfig:
     fields = {"voxel_width": float, "n_min": int, "g": float, "curvature": float,
               "bin_width": float, "panel_length": float, "row_spacing": float,
-              "max_density": float, "seed": int, "estimator": str, "panel_mode": str}
+              "max_density": float, "estimator": str, "panel_mode": str}
     kwargs = {}
     for key, raw in values.items():
         if key == "direction":
@@ -122,220 +129,207 @@ def _hash(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def _config_subset(config: PipelineConfig, stage: str) -> tuple:
-    c = config
-    deps = {
-        "ground": (c.curvature,),
-        "rows": (c.curvature, c.bin_width, c.direction),
-        "voxelize": (c.curvature, c.bin_width, c.direction, c.voxel_width, c.n_min),
-        "density": (c.curvature, c.bin_width, c.direction, c.voxel_width, c.n_min,
-                    c.g, c.estimator),
-        "integrate": (c.curvature, c.bin_width, c.direction, c.voxel_width, c.n_min,
-                      c.g, c.estimator, c.panel_length, c.row_spacing,
-                      c.panel_mode, c.max_density),
-    }
-    return deps[stage]
+def _ground(scan: Path, out: Path, c: PipelineConfig) -> list[str]:
+    """extract the ground mesh and flatten the cloud"""
+    cloud = load_raycloud(scan)
+    cloud.validate()
+    mesh = ground_mod.extract_ground(cloud, k=c.curvature)
+    flat, dropped = ground_mod.subtract_ground(mesh, cloud)
+    ground_mod.export_obj(mesh, out / "ground_mesh.obj")
+    save_raycloud(flat, out / "flattened.ply")
+    return ["ground_mesh.obj", "flattened.ply"]
 
 
-class _Runner:
-    """Holds pipeline state between stages and the cache bookkeeping."""
+def _load_ground(out: Path, outputs: list[str]) -> RayCloud:
+    return load_raycloud(out / "flattened.ply")
 
-    def __init__(self, input_path, out_dir, config: PipelineConfig):
-        self.input_path = Path(input_path)
-        self.out = Path(out_dir)
-        self.config = config
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.input_hash = _hash(self.input_path.read_bytes())
-        self.manifest = {"input": self.input_path.name, "config": asdict(config),
-                         "stages": {}}
-        self.timings: dict[str, float] = {}
-        old = self.out / "manifest.json"
-        self.previous = json.loads(old.read_text()) if old.exists() else {"stages": {}}
 
-    def stage_hash(self, stage: str) -> str:
-        return _hash(self.input_hash, stage, _config_subset(self.config, stage))
+def _rows(flat: RayCloud, out: Path, c: PipelineConfig) -> list[str]:
+    """estimate the row direction and split the cloud into row bands"""
+    if c.direction is not None:
+        direction = np.asarray(c.direction, dtype=float)
+        direction = direction / np.linalg.norm(direction)
+    else:
+        traj = rows_mod.Trajectory.from_raycloud(flat)
+        traj.validate()
+        direction = rows_mod.row_direction(traj)
+    segments = rows_mod.split_rows(flat, direction, bin_width=c.bin_width)
+    meta = {"direction": [float(direction[0]), float(direction[1])], "rows": []}
+    for seg in segments:
+        name = f"row{seg.index:02d}.ply"
+        save_raycloud(rows_mod.to_row_coordinates(seg), out / name)
+        meta["rows"].append({"index": seg.index, "file": name,
+                             "interval": [seg.lateral_interval[0],
+                                          seg.lateral_interval[1]],
+                             "fallback": seg.fallback})
+    (out / "rows.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+    return [m["file"] for m in meta["rows"]] + ["rows.json"]
 
-    def cached(self, stage: str) -> bool:
-        prev = self.previous["stages"].get(stage)
-        if prev is None or prev["hash"] != self.stage_hash(stage):
-            return False
-        return all((self.out / name).exists() for name in prev["outputs"])
 
-    def record(self, stage: str, outputs: list[str]) -> None:
-        self.manifest["stages"][stage] = {"hash": self.stage_hash(stage),
-                                          "outputs": sorted(outputs)}
+def _load_rows(out: Path, outputs: list[str]) -> list[tuple[dict, RayCloud]]:
+    rows = json.loads((out / "rows.json").read_text())["rows"]
+    return [(m, load_raycloud(out / m["file"])) for m in rows]
 
-    def run_stage(self, stage: str, fn) -> None:
-        start = time.perf_counter()
-        before = set(p.name for p in self.out.iterdir())
+
+def _voxelize(rows: list[tuple[dict, RayCloud]], out: Path, c: PipelineConfig) -> list[str]:
+    """accumulate per-voxel ray statistics for each row"""
+    def one(row):
+        meta, cloud = row
+        lo, hi = meta["interval"]
+        half = (hi - lo) / 2
         try:
-            outputs = fn()
-        except Exception as exc:
-            # drop partial outputs so a failed run leaves no half-written files
-            for p in self.out.iterdir():
-                if p.name not in before:
-                    p.unlink()
-            raise PipelineError(stage, exc) from exc
-        self.record(stage, outputs)
-        self.timings[stage] = time.perf_counter() - start
+            grid = voxels_mod.build_grid(cloud, voxel_width=c.voxel_width,
+                                         row_index=meta["index"],
+                                         lateral_bounds=(-half, half))
+        except voxels_mod.VoxelGridError:
+            return None   # band without canopy returns (lane or edge strip)
+        stats = voxels_mod.accumulate(cloud, grid)
+        return grid, voxels_mod.expand_undersampled(stats, grid, n_min=c.n_min)
+
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        results = [res for res in pool.map(one, rows) if res is not None]
+    if not results:
+        raise voxels_mod.VoxelGridError("no row produced a voxel grid")
+    outputs = []
+    for grid, full in results:
+        name = f"row{grid.row_index:02d}_voxels.csv"
+        voxels_mod.dump_stats_csv(full, grid, out / name)
+        outputs.append(name)
+    return outputs
 
 
-def run_pipeline(input_path, out_dir, config: PipelineConfig | None = None) -> dict:
-    """Run every stage over the input ray cloud; returns the manifest dict.
+def _load_voxels(out: Path, outputs: list[str]) -> list[tuple]:
+    return [voxels_mod.load_stats_csv(out / name) for name in outputs]
+
+
+def _density(voxels: list[tuple], out: Path, c: PipelineConfig) -> list[str]:
+    """estimate each row's density field from its voxel statistics"""
+    outputs = []
+    for stats, grid in voxels:
+        f = density_mod.estimate_field(stats, grid, g=c.g, estimator=c.estimator)
+        name = f"row{grid.row_index:02d}_density.rcdf"
+        density_mod.save_field(f, out / name)
+        outputs.append(name)
+    return outputs
+
+
+def _load_fields(out: Path, outputs: list[str]) -> list[density_mod.DensityField]:
+    return [density_mod.load_field(out / name) for name in outputs]
+
+
+def _integrate(fields: list[density_mod.DensityField], out: Path,
+               c: PipelineConfig) -> list[str]:
+    """images, along-row series and panels from each density field"""
+    outputs = []
+    for f in fields:
+        idx = f.grid.row_index
+        tag = f"row{idx:02d}"
+        image = report_mod.integrate_axis(f, "x")
+        report_mod.render_colormap(image, c.max_density, out / f"{tag}_side.png")
+        top = report_mod.integrate_axis(f, "z")
+        report_mod.render_colormap(top, c.max_density, out / f"{tag}_top.png")
+        series = report_mod.along_row_series(f)
+        report_mod.export_series_csv(series, out / f"{tag}_series.csv")
+        panels = report_mod.panel_aggregate(series, c.panel_length, mode=c.panel_mode)
+        if c.row_spacing is not None:
+            panels = report_mod.with_lai(panels, c.panel_length, c.row_spacing)
+        report_mod.export_panels_csv(panels, out / f"{tag}_panels.csv", row_index=idx)
+        outputs += [f"{tag}_side.png", f"{tag}_top.png",
+                    f"{tag}_series.csv", f"{tag}_panels.csv"]
+    return outputs
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage.
+
+    `run(inputs, out_dir, config)` writes the stage's outputs and returns
+    their file names. `inputs` is what the previous stage's
+    `load(out_dir, names)` reads back from that stage's outputs, or the
+    scan's path for the first stage.
+    """
+
+    name: str
+    fields: tuple[str, ...]   # the PipelineConfig fields it reads
+    run: Callable[[object, Path, PipelineConfig], list[str]]
+    load: Callable[[Path, list[str]], object] | None
+
+
+STAGES = (
+    Stage("ground", ("curvature",), _ground, _load_ground),
+    Stage("rows", ("bin_width", "direction"), _rows, _load_rows),
+    Stage("voxelize", ("voxel_width", "n_min"), _voxelize, _load_voxels),
+    Stage("density", ("g", "estimator"), _density, _load_fields),
+    Stage("integrate", ("panel_length", "row_spacing", "panel_mode", "max_density"),
+          _integrate, None),
+)
+STAGE_NAMES = tuple(s.name for s in STAGES)
+
+
+def _stage_keys(input_hash: str, config: PipelineConfig) -> list[str]:
+    """Cache key of each stage: input, version and the fields read up to it."""
+    keys, read = [], []
+    for stage in STAGES:
+        read += [(name, getattr(config, name)) for name in stage.fields]
+        keys.append(_hash(input_hash, __version__, stage.name, read))
+    return keys
+
+
+def run_pipeline(input_path, out_dir, config: PipelineConfig | None = None,
+                 until: str = "integrate") -> dict:
+    """Run the stages up to and including `until`; returns the manifest dict.
 
     Output files land in out_dir: ground mesh and flattened cloud, per-row
     clouds and density fields, integrated images, series and panel CSVs,
     manifest.json (deterministic) and timings.txt (wall-clock, separate so the
-    manifest stays byte-identical across reruns).
+    manifest stays byte-identical across reruns). Each stage reads its input
+    back from the previous stage's files, so a run that reuses cached stages,
+    or runs them one at a time, writes the same bytes as a fresh run.
     """
     config = config or PipelineConfig()
-    r = _Runner(input_path, out_dir, config)
-    state: dict = {}
+    if until not in STAGE_NAMES:
+        raise ValueError(f"unknown stage {until!r}; expected one of {STAGE_NAMES}")
+    stages = STAGES[:STAGE_NAMES.index(until) + 1]
+    input_path, out = Path(input_path), Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / "manifest.json"
+    previous = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    manifest = {"input": input_path.name, "config": asdict(config),
+                "stages": previous.get("stages", {})}
+    keys = _stage_keys(_hash(input_path.read_bytes()), config)
 
-    def ground_stage():
-        cloud = load_raycloud(r.input_path)
-        cloud.validate()
-        mesh = ground_mod.extract_ground(cloud, k=config.curvature)
-        flat, dropped = ground_mod.subtract_ground(mesh, cloud)
-        ground_mod.export_obj(mesh, r.out / "ground_mesh.obj")
-        save_raycloud(flat, r.out / "flattened.ply")
-        state["flat"] = flat
-        return ["ground_mesh.obj", "flattened.ply"]
+    def cached(stage: Stage, key: str) -> bool:
+        entry = manifest["stages"].get(stage.name)
+        return (entry is not None and entry["hash"] == key
+                and all((out / name).exists() for name in entry["outputs"]))
 
-    def ground_load():
-        state["flat"] = load_raycloud(r.out / "flattened.ply")
+    def save_manifest() -> None:
+        manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
-    def rows_stage():
-        flat = state["flat"]
-        if config.direction is not None:
-            direction = np.asarray(config.direction, dtype=float)
-            direction = direction / np.linalg.norm(direction)
-        else:
-            traj = rows_mod.Trajectory.from_raycloud(flat)
-            traj.validate()
-            direction = rows_mod.row_direction(traj)
-        segments = rows_mod.split_rows(flat, direction, bin_width=config.bin_width)
-        outputs = []
-        meta = {"direction": [float(direction[0]), float(direction[1])], "rows": []}
-        state["row_clouds"] = {}
-        for seg in segments:
-            row_cloud = rows_mod.to_row_coordinates(seg)
-            name = f"row{seg.index:02d}.ply"
-            save_raycloud(row_cloud, r.out / name)
-            meta["rows"].append({"index": seg.index, "file": name,
-                                 "interval": [seg.lateral_interval[0],
-                                              seg.lateral_interval[1]],
-                                 "fallback": seg.fallback})
-            state["row_clouds"][seg.index] = row_cloud
-            outputs.append(name)
-        (r.out / "rows.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
-        state["rows"] = meta["rows"]
-        return outputs + ["rows.json"]
-
-    def rows_load():
-        meta = json.loads((r.out / "rows.json").read_text())
-        state["rows"] = meta["rows"]
-        state["row_clouds"] = {m["index"]: load_raycloud(r.out / m["file"])
-                               for m in meta["rows"]}
-
-    def voxelize_stage():
-        outputs = []
-        state["stats"] = {}
-
-        def one(meta):
-            idx = meta["index"]
-            cloud = state["row_clouds"][idx]
-            lo, hi = meta["interval"]
-            half = (hi - lo) / 2
-            try:
-                grid = voxels_mod.build_grid(cloud, voxel_width=config.voxel_width,
-                                             row_index=idx, lateral_bounds=(-half, half))
-            except voxels_mod.VoxelGridError:
-                return idx, None   # band without canopy returns (lane or edge strip)
-            stats = voxels_mod.accumulate(cloud, grid)
-            full = voxels_mod.expand_undersampled(stats, grid, n_min=config.n_min)
-            return idx, (grid, full)
-
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            results = list(pool.map(one, state["rows"]))
-        for idx, payload in sorted(results):
-            if payload is None:
-                continue
-            grid, full = payload
-            name = f"row{idx:02d}_voxels.csv"
-            voxels_mod.dump_stats_csv(full, grid, r.out / name)
-            state["stats"][idx] = (grid, full)
-            outputs.append(name)
-        if not state["stats"]:
-            raise voxels_mod.VoxelGridError("no row produced a voxel grid")
-        return outputs
-
-    def voxelize_load():
-        state["stats"] = {}
-        for meta in state["rows"]:
-            path = r.out / f"row{meta['index']:02d}_voxels.csv"
-            if path.exists():
-                stats, grid = voxels_mod.load_stats_csv(path)
-                state["stats"][meta["index"]] = (grid, stats)
-
-    def density_stage():
-        outputs = []
-        state["fields"] = {}
-        for idx, (grid, stats) in sorted(state["stats"].items()):
-            field = density_mod.estimate_field(stats, grid, g=config.g,
-                                               estimator=config.estimator)
-            name = f"row{idx:02d}_density.rcdf"
-            density_mod.save_field(field, r.out / name)
-            state["fields"][idx] = field
-            outputs.append(name)
-        return outputs
-
-    def density_load():
-        state["fields"] = {}
-        for meta in state["rows"]:
-            path = r.out / f"row{meta['index']:02d}_density.rcdf"
-            if path.exists():
-                state["fields"][meta["index"]] = density_mod.load_field(path)
-
-    def integrate_stage():
-        outputs = []
-        for idx, field in sorted(state["fields"].items()):
-            tag = f"row{idx:02d}"
-            image = report_mod.integrate_axis(field, "x")
-            report_mod.render_colormap(image, config.max_density,
-                                       r.out / f"{tag}_side.png")
-            top = report_mod.integrate_axis(field, "z")
-            report_mod.render_colormap(top, config.max_density,
-                                       r.out / f"{tag}_top.png")
-            series = report_mod.along_row_series(field)
-            report_mod.export_series_csv(series, r.out / f"{tag}_series.csv")
-            panels = report_mod.panel_aggregate(series, config.panel_length,
-                                                mode=config.panel_mode)
-            if config.row_spacing is not None:
-                panels = report_mod.with_lai(panels, config.panel_length,
-                                             config.row_spacing)
-            report_mod.export_panels_csv(panels, r.out / f"{tag}_panels.csv",
-                                         row_index=idx)
-            outputs += [f"{tag}_side.png", f"{tag}_top.png",
-                        f"{tag}_series.csv", f"{tag}_panels.csv"]
-        return outputs
-
-    loaders = {"ground": ground_load, "rows": rows_load,
-               "voxelize": voxelize_load, "density": density_load,
-               "integrate": lambda: None}
-    runners = {"ground": ground_stage, "rows": rows_stage,
-               "voxelize": voxelize_stage, "density": density_stage,
-               "integrate": integrate_stage}
-    for stage in STAGES:
-        if r.cached(stage):
-            loaders[stage]()
-            r.manifest["stages"][stage] = r.previous["stages"][stage]
-            r.timings[stage] = 0.0
-        else:
-            r.run_stage(stage, runners[stage])
-
-    (r.out / "manifest.json").write_text(
-        json.dumps(r.manifest, indent=1, sort_keys=True) + "\n")
-    (r.out / "timings.txt").write_text(
-        "".join(f"{k}\t{v:.3f}s\n" for k, v in r.timings.items()))
-    return r.manifest
+    first = next((i for i, s in enumerate(stages) if not cached(s, keys[i])), len(stages))
+    timings = {s.name: 0.0 for s in stages[:first]}
+    if first < len(stages):
+        for stage in STAGES[first:]:
+            manifest["stages"].pop(stage.name, None)
+    save_manifest()
+    for i in range(first, len(stages)):
+        stage, before = stages[i], stages[i - 1] if i else None
+        start = time.perf_counter()
+        existing = {p.name for p in out.iterdir()}
+        try:
+            inputs = (before.load(out, manifest["stages"][before.name]["outputs"])
+                      if before else input_path)
+            outputs = stage.run(inputs, out, config)
+        except Exception as exc:
+            # drop new partial outputs; the manifest no longer vouches for
+            # any file this stage may have overwritten
+            for p in out.iterdir():
+                if p.name not in existing:
+                    p.unlink()
+            raise PipelineError(stage.name, exc) from exc
+        manifest["stages"][stage.name] = {"hash": keys[i], "outputs": sorted(outputs)}
+        save_manifest()
+        timings[stage.name] = time.perf_counter() - start
+    (out / "timings.txt").write_text(
+        "".join(f"{k}\t{v:.3f}s\n" for k, v in timings.items()))
+    return manifest

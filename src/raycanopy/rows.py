@@ -133,7 +133,7 @@ def _chord_direction(pos2: np.ndarray, i: int, j: int) -> np.ndarray:
     return chord / norm
 
 
-def _principle_peaks(counts: np.ndarray) -> list[int]:
+def _principal_peaks(counts: np.ndarray) -> list[int]:
     """Local peaks whose above-half-maximum neighbourhood holds no higher bin."""
     peaks = []
     n = len(counts)
@@ -176,7 +176,7 @@ def split_rows(cloud: RayCloud, direction: np.ndarray,
     nbins = max(int(np.ceil((lat_o.max() - lat_o.min()) / bin_width)), 1)
     counts, edges = np.histogram(lat_o, bins=nbins,
                                  range=(float(lat_o.min()), float(lat_o.min()) + nbins * bin_width))
-    peak_bins = _principle_peaks(counts)
+    peak_bins = _principal_peaks(counts)
     split_points = [0.5 * (edges[b] + edges[b + 1]) for b in peak_bins]
 
     # one peak carries no row information: the single drive line could sit

@@ -404,18 +404,28 @@ def load_stats_csv(path) -> tuple[dict[tuple[int, int, int], VoxelStats], VoxelG
     """Read a dump_stats_csv file back as aggregate statistics plus its grid."""
     with open(path) as f:
         header = f.readline().split()
-        if len(header) != 10 or header[:2] != ["#", "grid"]:
-            raise VoxelGridError(f"{path}: missing grid header")
-        origin = np.array([float(v) for v in header[2:5]])
-        width = float(header[5])
-        dims = tuple(int(v) for v in header[6:9])
-        grid = VoxelGrid(origin=origin, voxel_width=width, dims=dims,
-                         row_index=int(header[9]))
+        try:
+            if len(header) != 10 or header[:2] != ["#", "grid"]:
+                raise ValueError("missing grid header")
+            origin = np.array([float(v) for v in header[2:5]])
+            width = float(header[5])
+            dims = tuple(int(v) for v in header[6:9])
+            grid = VoxelGrid(origin=origin, voxel_width=width, dims=dims,
+                             row_index=int(header[9]))
+        except ValueError as exc:
+            raise VoxelGridError(f"{path}:1: {exc}") from None
         f.readline()   # column names
         stats = {}
-        for line in f:
-            parts = line.split(",")
-            key = (int(parts[1]), int(parts[2]), int(parts[3]))
-            stats[key] = VoxelStats.aggregate(int(parts[4]), int(parts[5]),
-                                              float(parts[6]), float(parts[7]))
+        di, dj, dk = dims
+        for lineno, line in enumerate(f, 3):
+            try:
+                _, i, j, k, n, m, sum_x, sum_y = line.split(",")
+                i, j, k, n, m = int(i), int(j), int(k), int(n), int(m)
+                if not (0 <= i < di and 0 <= j < dj and 0 <= k < dk):
+                    raise ValueError(f"voxel {(i, j, k)} outside grid {dims}")
+                if not 0 <= m <= n:
+                    raise ValueError(f"m={m} out of range for n={n}")
+                stats[i, j, k] = VoxelStats.aggregate(n, m, float(sum_x), float(sum_y))
+            except ValueError as exc:
+                raise VoxelGridError(f"{path}:{lineno}: {exc}") from None
     return stats, grid

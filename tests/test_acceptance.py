@@ -173,7 +173,7 @@ def vineyard_runs(tmp_path_factory):
         path = base / f"scan_{tag}.ply"
         save_raycloud(cloud, path)
         out = base / f"out_{tag}"
-        run_pipeline(path, out, PipelineConfig(seed=seed))
+        run_pipeline(path, out, PipelineConfig())
         runs[tag] = out
     return spec, runs
 
@@ -389,7 +389,7 @@ def test_criterion_9_determinism(tmp_path):
     for tag, threads in (("p1", "1"), ("p2", "1"), ("p3", "3")):
         os.environ["RAYCANOPY_THREADS"] = threads
         try:
-            run_pipeline(tmp_path / "scan.ply", tmp_path / tag, PipelineConfig(seed=4))
+            run_pipeline(tmp_path / "scan.ply", tmp_path / tag, PipelineConfig())
         finally:
             del os.environ["RAYCANOPY_THREADS"]
         outputs[tag] = {p.name: p.read_bytes() for p in sorted((tmp_path / tag).iterdir())

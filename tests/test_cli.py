@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes and output files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -42,8 +44,7 @@ def test_pipeline_two_row_vineyard(scan_file, tmp_path, capsys):
 
 def test_pipeline_rerun_byte_identical(scan_file, tmp_path):
     for tag in ("a", "b"):
-        assert main(["pipeline", str(scan_file), str(tmp_path / tag),
-                     "--seed", "3"]) == 0
+        assert main(["pipeline", str(scan_file), str(tmp_path / tag)]) == 0
     names_a = {p.name for p in (tmp_path / "a").iterdir()} - {"timings.txt"}
     for name in names_a:
         assert (tmp_path / "a" / name).read_bytes() == \
@@ -51,19 +52,14 @@ def test_pipeline_rerun_byte_identical(scan_file, tmp_path):
 
 
 def test_stagewise_matches_pipeline(scan_file, tmp_path):
-    out = tmp_path / "stages"
-    assert main(["ground", str(scan_file), str(out)]) == 0
-    assert main(["rows", str(out / "flattened.ply"), str(out)]) == 0
-    row_files = sorted(out.glob("flattened_row*.ply"))
-    assert len(row_files) >= 2
-    # take the densest row band through the remaining stages
-    best = max(row_files, key=lambda p: int(load_raycloud(p).contact.sum()))
-    assert main(["voxelize", str(best), str(out / "v.csv")]) == 0
-    assert main(["density", str(out / "v.csv"), str(out / "f.rcdf")]) == 0
-    assert main(["integrate", str(out / "f.rcdf"), str(out)]) == 0
-    assert (out / "f_series.csv").exists()
-    assert (out / "f_panels.csv").exists()
-    assert (out / "f_side.png").exists()
+    whole, stages = tmp_path / "whole", tmp_path / "stages"
+    assert main(["pipeline", str(scan_file), str(whole)]) == 0
+    for stage in ("ground", "rows", "voxelize", "density", "integrate"):
+        assert main([stage, str(scan_file), str(stages)]) == 0
+    names = {p.name for p in whole.iterdir()} - {"timings.txt"}
+    assert names == {p.name for p in stages.iterdir()} - {"timings.txt"}
+    for name in names:
+        assert (whole / name).read_bytes() == (stages / name).read_bytes(), name
 
 
 def test_unknown_experiment_is_usage_error(tmp_path, capsys):
@@ -113,4 +109,6 @@ def test_compare_reports_rrmse(tmp_path, capsys):
 def test_direction_override(scan_file, tmp_path):
     out = tmp_path / "rows"
     assert main(["rows", str(scan_file), str(out), "--direction", "0,1"]) == 0
-    assert len(list(out.glob("scan_row*.ply"))) >= 1
+    assert len(list(out.glob("row[0-9][0-9].ply"))) >= 1
+    assert not list(out.glob("*_voxels.csv"))   # stops after the rows stage
+    assert json.loads((out / "rows.json").read_text())["direction"] == [0.0, 1.0]

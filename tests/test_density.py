@@ -84,6 +84,10 @@ class TestCanopyDensity:
         with pytest.raises(DensityError):
             canopy_density(_stats(20, 5, 0.8), estimator="median")
 
+    def test_contact_without_penetration_rejected(self):
+        with pytest.raises(DensityError, match="zero penetration"):
+            canopy_density(_stats(20, 5, 0.0, 1.0))
+
 
 class TestDebiasFactor:
     def test_boundary_and_limit(self):
@@ -164,6 +168,14 @@ class TestFieldRoundTrip:
         (tmp_path / "f.rcdf").write_bytes(b"JUNK" * 20)
         with pytest.raises(DensityError):
             load_field(tmp_path / "f.rcdf")
+
+    def test_truncated_file_rejected(self, tmp_path, rng):
+        save_field(random_field(rng), tmp_path / "f.rcdf")
+        data = (tmp_path / "f.rcdf").read_bytes()
+        for size in (20, len(data) - 1):
+            (tmp_path / "t.rcdf").write_bytes(data[:size])
+            with pytest.raises(DensityError, match="t.rcdf.*truncated"):
+                load_field(tmp_path / "t.rcdf")
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,14 @@
 """End-to-end pipeline: staging, caching, determinism and failure handling."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from raycanopy.pipeline import (PipelineConfig, PipelineError, apply_overrides,
+from raycanopy import density
+from raycanopy.pipeline import (STAGES, PipelineConfig, PipelineError, apply_overrides,
                                 load_config, run_pipeline, save_config)
 from raycanopy.raycloud import save_raycloud
 from raycanopy.synthetic import VineyardSpec, simulate_scan
@@ -43,8 +45,8 @@ class TestConfig:
             apply_overrides(PipelineConfig(), {"voxel_size": "0.1"})
 
     def test_file_round_trip(self, tmp_path):
-        c = PipelineConfig(voxel_width=0.15, seed=42, row_spacing=2.5,
-                           direction=(1.0, 0.0))
+        c = PipelineConfig(voxel_width=0.15, row_spacing=2.5,
+                           direction=(1.0, 0.0), panel_mode="sum")
         save_config(c, tmp_path / "c.cfg")
         assert load_config(tmp_path / "c.cfg") == c
 
@@ -57,12 +59,20 @@ class TestConfig:
             PipelineConfig(voxel_width=-1.0)
         with pytest.raises(ValueError):
             PipelineConfig(n_min=0)
+        with pytest.raises(ValueError, match="estimator"):
+            PipelineConfig(estimator="bogus")
+        with pytest.raises(ValueError, match="panel_mode"):
+            PipelineConfig(panel_mode="median")
+
+    def test_every_field_read_by_one_stage(self):
+        read = [name for stage in STAGES for name in stage.fields]
+        assert sorted(read) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
 
 
 class TestRunPipeline:
     def test_full_run_produces_row_products(self, scan_file, tmp_path):
         spec, path = scan_file
-        manifest = run_pipeline(path, tmp_path / "out", PipelineConfig(seed=1))
+        manifest = run_pipeline(path, tmp_path / "out", PipelineConfig())
         assert set(manifest["stages"]) == {"ground", "rows", "voxelize",
                                            "density", "integrate"}
         out = tmp_path / "out"
@@ -89,7 +99,7 @@ class TestRunPipeline:
 
     def test_reruns_byte_identical(self, scan_file, tmp_path):
         _, path = scan_file
-        config = PipelineConfig(seed=9)
+        config = PipelineConfig()
         run_pipeline(path, tmp_path / "a", config)
         run_pipeline(path, tmp_path / "b", config)
         a = _output_bytes(tmp_path / "a")
@@ -131,6 +141,36 @@ class TestRunPipeline:
                 del os.environ["RAYCANOPY_THREADS"]
             outputs[threads] = _output_bytes(tmp_path / f"t{threads}")
         assert outputs["1"] == outputs["3"]
+
+    def test_failed_run_leaves_no_stale_cache(self, scan_file, tmp_path, monkeypatch):
+        _, path = scan_file
+        out = tmp_path / "out"
+        run_pipeline(path, out, PipelineConfig())
+
+        def fail(*args, **kwargs):
+            raise density.DensityError("estimator failed")
+
+        # the failed run overwrites row*_voxels.csv with a 0.2 m grid
+        with monkeypatch.context() as m:
+            m.setattr(density, "estimate_field", fail)
+            with pytest.raises(PipelineError) as err:
+                run_pipeline(path, out, PipelineConfig(voxel_width=0.2))
+        assert err.value.stage == "density"
+        run_pipeline(path, out, PipelineConfig(g=1.0))
+        run_pipeline(path, tmp_path / "fresh", PipelineConfig(g=1.0))
+        fields = sorted(p.name for p in out.glob("row*_density.rcdf"))
+        assert fields
+        for name in fields:
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_partial_run_stops_after_stage(self, scan_file, tmp_path):
+        _, path = scan_file
+        out = tmp_path / "out"
+        manifest = run_pipeline(path, out, PipelineConfig(), until="rows")
+        assert set(manifest["stages"]) == {"ground", "rows"}
+        assert not list(out.glob("row*_voxels.csv"))
+        with pytest.raises(ValueError, match="unknown stage"):
+            run_pipeline(path, out, PipelineConfig(), until="voxels")
 
     def test_failed_stage_cleans_partial_outputs(self, tmp_path):
         # three contact endpoints: ground extraction cannot build a hull

@@ -338,6 +338,26 @@ class TestStatsCsv:
             assert loaded[key].sum_x == pytest.approx(stats[key].sum_x, rel=1e-8)
             assert loaded[key].sum_y == pytest.approx(stats[key].sum_y, rel=1e-8)
 
+    @pytest.mark.parametrize("line, fault", [
+        ("3,0,0,0,5,2,0.1\n", "expected 8"),
+        ("3,0,0,x,5,2,0.1,0.2\n", "invalid literal"),
+        ("3,0,0,9,5,2,0.1,0.2\n", "outside grid"),
+        ("3,0,0,0,2,5,0.1,0.2\n", "m=5 out of range for n=2"),
+    ])
+    def test_malformed_line_rejected(self, tmp_path, line, fault):
+        grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(2, 2, 2), row_index=3)
+        dump_stats_csv({(1, 1, 1): VoxelStats.aggregate(4, 1, 0.1, 0.2)}, grid,
+                       tmp_path / "s.csv")
+        with open(tmp_path / "s.csv", "a") as f:
+            f.write(line)
+        with pytest.raises(VoxelGridError, match=f"s.csv:4: .*{fault}"):
+            load_stats_csv(tmp_path / "s.csv")
+
+    def test_truncated_header_rejected(self, tmp_path):
+        (tmp_path / "s.csv").write_text("# grid 0 0 0 0.1 2\n")
+        with pytest.raises(VoxelGridError, match="s.csv:1: missing grid header"):
+            load_stats_csv(tmp_path / "s.csv")
+
 
 class TestVoxelStats:
     def test_validate_rejects_m_above_n(self):
