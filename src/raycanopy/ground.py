@@ -142,7 +142,8 @@ def _height_from_candidates(mesh: GroundMesh, x: float, y: float,
 
 
 def heights_at(mesh: GroundMesh, xy: np.ndarray) -> np.ndarray:
-    """Vectorised convenience wrapper: NaN where the footprint does not cover."""
+    """height_at for each (x, y) row, one query at a time: NaN where the
+    footprint does not cover."""
     out = np.full(len(xy), np.nan)
     for idx, (x, y) in enumerate(xy):
         h = height_at(mesh, float(x), float(y))
@@ -184,23 +185,37 @@ def export_obj(mesh: GroundMesh, path) -> None:
 
 def import_obj(path) -> GroundMesh:
     """Read a mesh written by export_obj."""
-    verts, tris = [], []
+    verts, tris, face_lines = [], [], []
     bin_size = None
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "#" and len(parts) == 3 and parts[1] == "bin_size":
-                bin_size = float(parts[2])
-            elif parts[0] == "v":
-                verts.append([float(p) for p in parts[1:4]])
-            elif parts[0] == "f":
-                tris.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
+            try:
+                if not parts:
+                    continue
+                if parts[0] == "#" and len(parts) == 3 and parts[1] == "bin_size":
+                    bin_size = float(parts[2])
+                elif parts[0] in ("v", "f"):
+                    if len(parts) < 4:
+                        raise ValueError(f"{parts[0]!r} needs 3 entries")
+                    if parts[0] == "v":
+                        verts.append([float(p) for p in parts[1:4]])
+                    else:
+                        tris.append([int(p.split("/")[0]) for p in parts[1:4]])
+                        face_lines.append(lineno)
+            except ValueError as exc:
+                raise GroundExtractionError(f"{path}:{lineno}: {exc}") from None
     if not verts or not tris:
         raise GroundExtractionError(f"{path}: no mesh data")
     verts = np.asarray(verts, dtype=float)
     tris = np.asarray(tris, dtype=int)
+    bad = np.any((tris < 1) | (tris > len(verts)), axis=1)
+    if np.any(bad):
+        first = int(np.argmax(bad))
+        raise GroundExtractionError(
+            f"{path}:{face_lines[first]}: face {tris[first].tolist()} indexes outside "
+            f"vertices 1..{len(verts)}")
+    tris -= 1   # OBJ indices are 1-based
     if bin_size is None:
         edges = verts[:, :2][tris]
         loop = np.concatenate([edges, edges[:, :1]], axis=1)

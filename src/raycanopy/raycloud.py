@@ -274,20 +274,26 @@ def _load_ply(path: Path) -> RayCloud:
     max_range = None
     frame_id = "map"
     props: list[tuple[str, str]] = []
-    for ln, line in enumerate(header_lines):
+    for ln, line in enumerate(header_lines, 1):
         parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "format" and parts[1] != "binary_little_endian":
-            raise RayCloudParseError(f"{path}: unsupported format {parts[1]} (line {ln})")
-        elif parts[0] == "comment" and len(parts) >= 3 and parts[1] == "max_range":
-            max_range = float(parts[2])
-        elif parts[0] == "comment" and len(parts) >= 3 and parts[1] == "frame_id":
-            frame_id = parts[2]
-        elif parts[0] == "element" and parts[1] == "vertex":
-            count = int(parts[2])
-        elif parts[0] == "property":
-            props.append((parts[1], parts[2]))
+        try:
+            if not parts:
+                continue
+            if parts[0] == "format" and parts[1:2] != ["binary_little_endian"]:
+                raise ValueError(f"unsupported format {' '.join(parts[1:]) or '(none)'}")
+            elif parts[0] == "comment" and len(parts) >= 3 and parts[1] == "max_range":
+                max_range = float(parts[2])
+            elif parts[0] == "comment" and len(parts) >= 3 and parts[1] == "frame_id":
+                frame_id = parts[2]
+            elif parts[0] == "element" and parts[1] == "vertex":
+                count, count_ln = int(parts[2]), ln
+                if count < 0:
+                    raise ValueError(f"negative vertex count {count}")
+            elif parts[0] == "property":
+                props.append((parts[1], parts[2]))
+        except (ValueError, IndexError) as exc:
+            detail = exc if isinstance(exc, ValueError) else "missing field"
+            raise RayCloudParseError(f"{path}:{ln}: {line!r}: {detail}") from None
     if count is None:
         raise RayCloudParseError(f"{path}: no vertex element in header")
     if max_range is None:
@@ -299,8 +305,12 @@ def _load_ply(path: Path) -> RayCloud:
     nbytes = count * _PLY_DTYPE.itemsize
     if len(body) < nbytes:
         raise RayCloudParseError(
-            f"{path}: truncated body, record {len(body) // _PLY_DTYPE.itemsize} of {count}")
-    rec = np.frombuffer(body[:nbytes], dtype=_PLY_DTYPE)
+            f"{path}:{count_ln}: truncated body, record {len(body) // _PLY_DTYPE.itemsize}"
+            f" of {count}")
+    if len(body) > nbytes:
+        raise RayCloudParseError(
+            f"{path}:{count_ln}: {len(body) - nbytes} bytes after the {count} declared records")
+    rec = np.frombuffer(body, dtype=_PLY_DTYPE)
     return _from_records(rec, max_range, frame_id)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -193,15 +194,19 @@ def colormap_rgb(values: np.ndarray, max_value: float,
 
 def render_colormap(image: DensityImage, max_value: float = DEFAULT_MAX_DENSITY,
                     path=None) -> np.ndarray:
-    """Colour-map the image; write PPM (P6) or PNG when a path is given."""
+    """Colour-map the image; when a path is given, write it as PNG or PPM (P6)
+    as its suffix says (.png or .ppm, in either letter case)."""
     # image rows: second array axis rendered top-down
     rgb = colormap_rgb(image.values.T[::-1], max_value,
                        None if image.observed is None else image.observed.T[::-1])
     if path is not None:
-        if str(path).endswith(".png"):
+        suffix = Path(path).suffix.lower()
+        if suffix == ".png":
             write_png(rgb, path)
-        else:
+        elif suffix == ".ppm":
             write_ppm(rgb, path)
+        else:
+            raise ReportError(f"{path}: unknown image suffix {suffix!r}, expected .png or .ppm")
     return rgb
 
 

@@ -6,18 +6,18 @@ trawling (push-broom) versus spinning lidar ray distributions over
 anisotropic leaf-normal ellipsoids.
 
 The triangular-leaf experiments are flattened across trials: all scenes of a
-cell are generated as one triangle array, clipped in one pass, and ray/leaf
-intersection runs over a single (ray, triangle) pair list.
+cell are generated as one triangle array and clipped in one pass
+(`_leaf_scenes`), and ray/leaf intersection runs over a single (ray,
+triangle) pair list (`_first_hits`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .density import debias_factor
-from .voxels import VoxelStats
 
 DEFAULT_G = 2.0
 SPIN_MAX_ANGLE_DEG = 70.0
@@ -83,20 +83,6 @@ class RayDistribution:
     def __post_init__(self):
         if self.kind not in ("uniform-random", "trawling", "spinning"):
             raise SimulationError(f"unknown ray distribution {self.kind!r}")
-
-
-@dataclass
-class LeafScene:
-    """Equilateral-triangle leaves inside one cubic voxel."""
-
-    triangles: np.ndarray      # (T, 3, 3) vertex coordinates
-    voxel_width: float
-    true_density: float        # clipped one-sided area / voxel volume, m^2/m^3
-
-    def validate(self) -> None:
-        rho = clipped_area(self.triangles, self.voxel_width).sum() / self.voxel_width ** 3
-        if abs(rho - self.true_density) > 1e-9:
-            raise SimulationError("stored true_density disagrees with geometry")
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +211,6 @@ def clipped_area(triangles: np.ndarray, w: float) -> np.ndarray:
     return 0.5 * np.linalg.norm(cross_sum, axis=1)
 
 
-def gen_leaf_scene(w: float, side: float, area_target: float,
-                   normals: NormalDistributionSpec, rng: np.random.Generator) -> LeafScene:
-    """Sample a leaf scene with the requested expected total leaf area.
-
-    The leaf count is Poisson around area_target / triangle area (a spatial
-    Poisson process implies Poisson counts); the realised density is measured
-    from the clipped geometry, so the sampling choice cannot bias validation.
-    """
-    if w <= 0 or side <= 0 or area_target < 0:
-        raise SimulationError("scene parameters must be positive")
-    mean_count = area_target / (TRIANGLE_AREA_FACTOR * side ** 2)
-    count = int(rng.poisson(mean_count)) if mean_count > 0 else 0
-    if count == 0:
-        return LeafScene(np.zeros((0, 3, 3)), w, 0.0)
-    centres = rng.uniform(0.0, w, size=(count, 3))
-    n_vec = normals.sample(count, rng)
-    phi = rng.uniform(0.0, 2 * np.pi, count)
-    tris = _triangle_vertices(centres, n_vec, phi, side)
-    rho = float(clipped_area(tris, w).sum() / w ** 3)
-    return LeafScene(tris, w, rho)
-
-
 def _moller(starts, dirs, v0, v1, v2):
     """Pairwise ray/triangle test; returns (hit mask, distance along ray)."""
     e1 = v1 - v0
@@ -348,38 +312,61 @@ def _make_rays(dist: RayDistribution, count: int, w: float, rng):
     return _rays_uniform_chords(count, w, rng)
 
 
-def cast_rays(scene: LeafScene, dist: RayDistribution, n: int,
-              rng: np.random.Generator) -> VoxelStats:
-    """Trace n rays through the scene's voxel and collect VoxelStats.
-
-    The unimpeded path y is the chord through the voxel; the nearest
-    ray/triangle intersection inside the voxel sets the penetration depth x
-    and counts as a contact.
-    """
-    starts, dirs, chord = _make_rays(dist, n, scene.voxel_width, rng)
-    x = chord.copy()
-    if len(scene.triangles):
-        n_tri = len(scene.triangles)
-        ray_idx = np.repeat(np.arange(n), n_tri)
-        tri_idx = np.tile(np.arange(n_tri), n)
-        hit, t = _moller(starts[ray_idx], dirs[ray_idx],
-                         scene.triangles[tri_idx, 0],
-                         scene.triangles[tri_idx, 1],
-                         scene.triangles[tri_idx, 2])
-        valid = hit & (t >= 0.0) & (t <= chord[ray_idx])
-        t_near = np.full(n, np.inf)
-        np.minimum.at(t_near, ray_idx, np.where(valid, t, np.inf))
-        hit_mask = t_near < chord
-        x = np.where(hit_mask, t_near, chord)
-    else:
-        hit_mask = np.zeros(n, dtype=bool)
-    stats = VoxelStats(n=n, m=int(hit_mask.sum()), x=x, y=chord)
-    stats.validate(scene.voxel_width)
-    return stats
-
-
 # ---------------------------------------------------------------------------
 # flattened multi-trial engine for the 3D experiments
+
+
+def _leaf_scenes(w: float, side: float, area: float, trials: int,
+                 normals: NormalDistributionSpec, rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leaf scenes of `trials` voxels with the requested expected leaf area.
+
+    Each trial's leaf count is Poisson around area / triangle area (a spatial
+    Poisson process implies Poisson counts). Returns the triangles of all
+    trials in trial order (T, 3, 3), the leaf count per trial and each
+    trial's true density: its clipped one-sided leaf area / voxel volume,
+    measured from the geometry so the sampling choice cannot bias validation.
+    """
+    mean_count = area / (TRIANGLE_AREA_FACTOR * side ** 2)
+    counts = rng.poisson(mean_count, trials)
+    total = int(counts.sum())
+    if not total:
+        return np.zeros((0, 3, 3)), counts, np.zeros(trials)
+    centres = rng.uniform(0.0, w, size=(total, 3))
+    n_vec = normals.sample(total, rng)
+    phi = rng.uniform(0.0, 2 * np.pi, total)
+    tris = _triangle_vertices(centres, n_vec, phi, side)
+    trial_of_tri = np.repeat(np.arange(trials), counts)
+    rho = np.bincount(trial_of_tri, weights=clipped_area(tris, w), minlength=trials) / w ** 3
+    return tris, counts, rho
+
+
+def _first_hits(starts: np.ndarray, dirs: np.ndarray, chord: np.ndarray,
+                tris: np.ndarray, counts: np.ndarray, trial_of_ray: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest leaf hit of each ray within its own trial's scene.
+
+    Ray i is tested against the counts[trial_of_ray[i]] triangles of its
+    trial's block of `tris`. Returns (hit mask, penetration depth x): x is the
+    distance to the nearest hit inside the voxel, or the chord if none.
+    """
+    n_rays = len(starts)
+    if not len(tris):
+        return np.zeros(n_rays, dtype=bool), chord.copy()
+    pairs_per_ray = counts[trial_of_ray]
+    ray_idx = np.repeat(np.arange(n_rays), pairs_per_ray)
+    tri_start = np.concatenate([[0], np.cumsum(counts)])[:-1]
+    # triangle ids of each pair: offsets within the ray's trial block
+    offs = np.arange(pairs_per_ray.sum()) - np.repeat(
+        np.concatenate([[0], np.cumsum(pairs_per_ray)])[:-1], pairs_per_ray)
+    tri_idx = tri_start[trial_of_ray[ray_idx]] + offs
+    hit, t = _moller(starts[ray_idx], dirs[ray_idx],
+                     tris[tri_idx, 0], tris[tri_idx, 1], tris[tri_idx, 2])
+    valid = hit & (t >= 0.0) & (t <= chord[ray_idx])
+    t_near = np.full(n_rays, np.inf)
+    np.minimum.at(t_near, ray_idx, np.where(valid, t, np.inf))
+    hit_mask = t_near < chord
+    return hit_mask, np.where(hit_mask, t_near, chord)
 
 
 def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
@@ -387,44 +374,10 @@ def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
                    rng: np.random.Generator, g: float = DEFAULT_G,
                    debias: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (estimated density, true density) for one experiment cell."""
-    mean_count = area / (TRIANGLE_AREA_FACTOR * side ** 2)
-    counts = rng.poisson(mean_count, trials)
-    total = int(counts.sum())
-    trial_of_tri = np.repeat(np.arange(trials), counts)
-
-    if total:
-        centres = rng.uniform(0.0, w, size=(total, 3))
-        n_vec = normals.sample(total, rng)
-        phi = rng.uniform(0.0, 2 * np.pi, total)
-        tris = _triangle_vertices(centres, n_vec, phi, side)
-        area_clipped = clipped_area(tris, w)
-        rho = np.bincount(trial_of_tri, weights=area_clipped, minlength=trials) / w ** 3
-    else:
-        tris = np.zeros((0, 3, 3))
-        rho = np.zeros(trials)
-
-    n_rays = trials * n
-    starts, dirs, chord = _make_rays(dist, n_rays, w, rng)
+    tris, counts, rho = _leaf_scenes(w, side, area, trials, normals, rng)
+    starts, dirs, chord = _make_rays(dist, trials * n, w, rng)
     trial_of_ray = np.repeat(np.arange(trials), n)
-
-    x = chord.copy()
-    if total:
-        pairs_per_ray = counts[trial_of_ray]
-        ray_idx = np.repeat(np.arange(n_rays), pairs_per_ray)
-        tri_start = np.concatenate([[0], np.cumsum(counts)])[:-1]
-        # triangle ids of each pair: offsets within the ray's trial block
-        offs = np.arange(pairs_per_ray.sum()) - np.repeat(
-            np.concatenate([[0], np.cumsum(pairs_per_ray)])[:-1], pairs_per_ray)
-        tri_idx = tri_start[trial_of_ray[ray_idx]] + offs
-        hit, t = _moller(starts[ray_idx], dirs[ray_idx],
-                         tris[tri_idx, 0], tris[tri_idx, 1], tris[tri_idx, 2])
-        valid = hit & (t >= 0.0) & (t <= chord[ray_idx])
-        t_near = np.full(n_rays, np.inf)
-        np.minimum.at(t_near, ray_idx, np.where(valid, t, np.inf))
-        hit_mask = t_near < chord
-        x = np.where(hit_mask, t_near, chord)
-    else:
-        hit_mask = np.zeros(n_rays, dtype=bool)
+    hit_mask, x = _first_hits(starts, dirs, chord, tris, counts, trial_of_ray)
 
     m = np.bincount(trial_of_ray, weights=hit_mask.astype(float), minlength=trials)
     sum_x = np.bincount(trial_of_ray, weights=x, minlength=trials)

@@ -1,14 +1,15 @@
 """Per-row voxel grid, ray traversal and sufficient-statistic accumulation.
 
-Each voxel records the entering-ray count n, the contact count m, and the
-per-ray penetration depths x_i and unimpeded path lengths y_i that feed the
-density estimator. Voxel intervals are half-open: a point exactly on a face
-belongs to the voxel with the larger index.
+Each voxel records four numbers, the sufficient statistics of the density
+estimator: the entering-ray count n, the contact count m, the summed
+penetration depths sum_x and the summed unimpeded path lengths sum_y. Voxel
+intervals are half-open: a point exactly on a face belongs to the voxel with
+the larger index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +46,6 @@ class VoxelGrid:
         ijk = np.floor((np.asarray(point) - self.origin) / self.voxel_width).astype(int)
         return tuple(int(v) for v in ijk)
 
-    def linear(self, ijk) -> int:
-        i, j, k = ijk
-        return (i * self.dims[1] + j) * self.dims[2] + k
-
     def unlinear(self, lin: int) -> tuple[int, int, int]:
         k = lin % self.dims[2]
         j = (lin // self.dims[2]) % self.dims[1]
@@ -61,59 +58,12 @@ class VoxelGrid:
 
 @dataclass
 class VoxelStats:
-    """Sufficient statistics of the rays crossing one voxel.
+    """Sufficient statistics of the rays crossing one voxel."""
 
-    The per-ray lists x and y are None for aggregate-only statistics (merged
-    neighbourhoods), where only the counts and sums are meaningful.
-    """
-
-    n: int = 0
-    m: int = 0
-    x: np.ndarray | None = field(default_factory=lambda: np.zeros(0))  # penetration depths
-    y: np.ndarray | None = field(default_factory=lambda: np.zeros(0))  # unimpeded chords
-    _sum_x: float | None = None
-    _sum_y: float | None = None
-
-    @property
-    def sum_x(self) -> float:
-        return float(self.x.sum()) if self.x is not None else self._sum_x
-
-    @property
-    def sum_y(self) -> float:
-        return float(self.y.sum()) if self.y is not None else self._sum_y
-
-    @staticmethod
-    def aggregate(n: int, m: int, sum_x: float, sum_y: float) -> "VoxelStats":
-        return VoxelStats(n=n, m=m, x=None, y=None, _sum_x=sum_x, _sum_y=sum_y)
-
-    def validate(self, voxel_width: float | None = None) -> None:
-        if not (0 <= self.m <= self.n):
-            raise VoxelGridError(f"m={self.m} out of range for n={self.n}")
-        if self.x is None:
-            if not (0 <= self._sum_x <= self._sum_y + 1e-9):
-                raise VoxelGridError("aggregate sums must satisfy 0 <= sum_x <= sum_y")
-            return
-        if len(self.x) != self.n or len(self.y) != self.n:
-            raise VoxelGridError("depth/path list lengths must equal n")
-        if np.any(self.x < -_EPS) or np.any(self.x > self.y + 1e-9):
-            raise VoxelGridError("penetration depths must satisfy 0 <= x_i <= y_i")
-        if voxel_width is not None and np.any(self.y > np.sqrt(3) * voxel_width + 1e-9):
-            raise VoxelGridError("path length exceeds voxel diagonal")
-
-    @staticmethod
-    def merged(parts: list["VoxelStats"]) -> "VoxelStats":
-        if any(p.x is None for p in parts):
-            return VoxelStats.aggregate(
-                n=sum(p.n for p in parts), m=sum(p.m for p in parts),
-                sum_x=sum(p.sum_x for p in parts), sum_y=sum(p.sum_y for p in parts))
-        xs = [p.x for p in parts if p.n]
-        ys = [p.y for p in parts if p.n]
-        return VoxelStats(
-            n=sum(p.n for p in parts),
-            m=sum(p.m for p in parts),
-            x=np.concatenate(xs) if xs else np.zeros(0),
-            y=np.concatenate(ys) if ys else np.zeros(0),
-        )
+    n: int = 0          # rays entering the voxel
+    m: int = 0          # rays ending in a contact inside it
+    sum_x: float = 0.0  # summed penetration depths, m
+    sum_y: float = 0.0  # summed unimpeded chords, m
 
 
 def build_grid(row_cloud: RayCloud, voxel_width: float = DEFAULT_VOXEL_WIDTH,
@@ -217,11 +167,11 @@ def traverse(ray, grid: VoxelGrid) -> list[tuple[tuple[int, int, int], float, fl
 def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int], VoxelStats]:
     """Accumulate per-voxel statistics for every ray of the cloud.
 
-    For each voxel a ray enters: n += 1 and y is the unimpeded chord through
-    the voxel. x equals y except in the voxel where the ray ends, where it is
-    the entry-to-end length; a contact ending inside the voxel increments m.
-    The walk is batch-vectorised across rays; output is independent of ray
-    processing order.
+    For each voxel a ray enters: n += 1, its unimpeded chord y through the
+    voxel adds to sum_y and its penetration depth x adds to sum_x. x equals y
+    except in the voxel where the ray ends, where it is the entry-to-end
+    length; a contact ending inside the voxel increments m. The walk is
+    batch-vectorised across rays; each voxel sums its rays in ray order.
     """
     n_rays = len(row_cloud)
     if n_rays == 0:
@@ -299,7 +249,9 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
         end_lin[in_grid] = (eijk[:, 0] * dims[1] + eijk[:, 1]) * dims[2] + eijk[:, 2]
     hits = row_cloud.contact[ray_id] & (vox == end_lin[ray_id])
 
-    order = np.argsort(vox, kind="stable")  # stable: per-voxel lists keep ray order
+    # stable, so each voxel sums its rays in ray order; the slice sums below
+    # (not bincount) keep numpy's pairwise grouping and hence every sum bit
+    order = np.argsort(vox, kind="stable")
     vox, ray_id = vox[order], ray_id[order]
     x, y, hits = x[order], y[order], hits[order]
     stats: dict[tuple[int, int, int], VoxelStats] = {}
@@ -308,16 +260,8 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
     for u, s0, s1 in zip(uniq, bounds[:-1], bounds[1:]):
         stats[grid.unlinear(int(u))] = VoxelStats(
             n=int(s1 - s0), m=int(hits[s0:s1].sum()),
-            x=x[s0:s1].copy(), y=y[s0:s1].copy())
+            sum_x=float(x[s0:s1].sum()), sum_y=float(y[s0:s1].sum()))
     return stats
-
-
-def _shell_offsets(radius: int) -> np.ndarray:
-    """Integer offsets at exactly Chebyshev distance `radius`."""
-    rng = np.arange(-radius, radius + 1)
-    grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    cheb = np.abs(grid).max(axis=1)
-    return grid[cheb == radius]
 
 
 def _window_sums(prefix: np.ndarray, radius: int, dims) -> np.ndarray:
@@ -382,8 +326,7 @@ def expand_undersampled(stats: dict, grid: VoxelGrid,
         if wn == 0:
             out[key] = VoxelStats()   # unobserved even after full expansion
         else:
-            out[key] = VoxelStats.aggregate(int(round(wn)), int(round(wm)),
-                                            float(wsx), float(wsy))
+            out[key] = VoxelStats(int(round(wn)), int(round(wm)), float(wsx), float(wsy))
     return out
 
 
@@ -401,7 +344,7 @@ def dump_stats_csv(stats: dict, grid: VoxelGrid, path) -> None:
 
 
 def load_stats_csv(path) -> tuple[dict[tuple[int, int, int], VoxelStats], VoxelGrid]:
-    """Read a dump_stats_csv file back as aggregate statistics plus its grid."""
+    """Read a dump_stats_csv file back as statistics plus its grid."""
     with open(path) as f:
         header = f.readline().split()
         try:
@@ -425,7 +368,7 @@ def load_stats_csv(path) -> tuple[dict[tuple[int, int, int], VoxelStats], VoxelG
                     raise ValueError(f"voxel {(i, j, k)} outside grid {dims}")
                 if not 0 <= m <= n:
                     raise ValueError(f"m={m} out of range for n={n}")
-                stats[i, j, k] = VoxelStats.aggregate(n, m, float(sum_x), float(sum_y))
+                stats[i, j, k] = VoxelStats(n, m, float(sum_x), float(sum_y))
             except ValueError as exc:
                 raise VoxelGridError(f"{path}:{lineno}: {exc}") from None
     return stats, grid

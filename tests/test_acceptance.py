@@ -37,6 +37,7 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> bool:
 # 1. raw-estimator bias tracks 1/(n-1) across leaf configurations
 
 
+@pytest.mark.slow
 def test_criterion_1_raw_bias_curve():
     start = time.perf_counter()
     res = triangle_bias_experiment(trials=4000, seed=101)
@@ -193,6 +194,7 @@ def _trim_to_canopy(values: np.ndarray, step: float) -> RowSeries:
     return RowSeries(values=values[above[0]:above[-1] + 1], step=step)
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_vineyard(vineyard_runs):
     spec, runs = vineyard_runs
     d_a, fields_a = _run_fields(runs["a"])
@@ -357,6 +359,7 @@ def test_criterion_8_leaf_area_conservation(rng):
 # 9. determinism: byte-identical reruns, thread-count independence
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(tmp_path):
     from raycanopy.cli import main
 

@@ -42,6 +42,7 @@ def test_pipeline_two_row_vineyard(scan_file, tmp_path, capsys):
     assert len(sorted(out.glob("row*_series.csv"))) == 2
 
 
+@pytest.mark.slow
 def test_pipeline_rerun_byte_identical(scan_file, tmp_path):
     for tag in ("a", "b"):
         assert main(["pipeline", str(scan_file), str(tmp_path / tag)]) == 0
@@ -51,6 +52,7 @@ def test_pipeline_rerun_byte_identical(scan_file, tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+@pytest.mark.slow
 def test_stagewise_matches_pipeline(scan_file, tmp_path):
     whole, stages = tmp_path / "whole", tmp_path / "stages"
     assert main(["pipeline", str(scan_file), str(whole)]) == 0

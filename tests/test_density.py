@@ -15,7 +15,7 @@ from conftest import random_field
 
 
 def _stats(n, m, sum_x, sum_y=None):
-    return VoxelStats.aggregate(n, m, sum_x, sum_y if sum_y is not None else sum_x)
+    return VoxelStats(n, m, sum_x, sum_y if sum_y is not None else sum_x)
 
 
 class TestPosterior:
@@ -147,8 +147,8 @@ class TestEstimateField:
             n = 4000
             draws = rng.exponential(1.0 / lam, n)
             x = np.minimum(draws, 1.0)
-            stats[key] = VoxelStats(n=n, m=int((draws <= 1.0).sum()), x=x,
-                                    y=np.ones(n))
+            stats[key] = VoxelStats(n=n, m=int((draws <= 1.0).sum()),
+                                    sum_x=float(x.sum()), sum_y=float(n))
         field = estimate_field(stats, grid, g=g)
         assert field.density.mean() == pytest.approx(g * lam, rel=0.05)
 

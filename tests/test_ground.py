@@ -166,6 +166,17 @@ class TestObjRoundTrip:
         np.testing.assert_allclose(heights_at(loaded, queries), heights_at(mesh, queries),
                                    rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("face, fault", [
+        ("f 0 1 2", r"g\.obj:5: face \[0, 1, 2\] indexes outside vertices 1\.\.3"),
+        ("f 1 2 4", r"g\.obj:5: face \[1, 2, 4\] indexes outside vertices 1\.\.3"),
+        ("f 1 two 3", r"g\.obj:5: invalid literal"),
+    ])
+    def test_bad_face_rejected(self, tmp_path, face, fault):
+        (tmp_path / "g.obj").write_text(
+            "# bin_size 1.0\nv 0 0 0\nv 1 0 0\nv 0 1 0\n" + face + "\n")
+        with pytest.raises(GroundExtractionError, match=fault):
+            import_obj(tmp_path / "g.obj")
+
     def test_import_empty_rejected(self, tmp_path):
         (tmp_path / "g.obj").write_text("# nothing\n")
         with pytest.raises(GroundExtractionError):

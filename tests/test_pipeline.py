@@ -97,6 +97,7 @@ class TestRunPipeline:
         d = np.asarray(rows["direction"])
         assert abs(abs(d @ np.array([0.0, 1.0])) - 1.0) < 5e-3   # rows run along y
 
+    @pytest.mark.slow
     def test_reruns_byte_identical(self, scan_file, tmp_path):
         _, path = scan_file
         config = PipelineConfig()
@@ -130,6 +131,7 @@ class TestRunPipeline:
         assert timings["voxelize"] == "0.000s"
         assert timings["density"] != "0.000s"     # g feeds the estimator
 
+    @pytest.mark.slow
     def test_thread_count_does_not_change_output(self, scan_file, tmp_path):
         _, path = scan_file
         outputs = {}
@@ -142,6 +144,7 @@ class TestRunPipeline:
             outputs[threads] = _output_bytes(tmp_path / f"t{threads}")
         assert outputs["1"] == outputs["3"]
 
+    @pytest.mark.slow
     def test_failed_run_leaves_no_stale_cache(self, scan_file, tmp_path, monkeypatch):
         _, path = scan_file
         out = tmp_path / "out"

@@ -188,6 +188,27 @@ class TestFileRoundTrip:
         with pytest.raises(RayCloudParseError, match="max_range"):
             load_raycloud(tmp_path / "t.ply")
 
+    @pytest.mark.parametrize("old, new, fault", [
+        (b"comment max_range 100.0", b"comment max_range abc", r":3: .*could not convert"),
+        (b"element vertex 1", b"element vertex -3", r":5: .*negative vertex count -3"),
+        (b"format binary_little_endian 1.0", b"format", r":2: .*unsupported format"),
+    ])
+    def test_bad_header_line_rejected(self, tmp_path, old, new, fault):
+        save_raycloud(make_cloud([[0, 0, 0]], [[1, 0, 0]], max_range=100.0),
+                      tmp_path / "c.ply")
+        data = (tmp_path / "c.ply").read_bytes()
+        assert data.count(old) == 1
+        (tmp_path / "t.ply").write_bytes(data.replace(old, new))
+        with pytest.raises(RayCloudParseError, match=r"t\.ply" + fault):
+            load_raycloud(tmp_path / "t.ply")
+
+    def test_trailing_body_bytes_rejected(self, tmp_path, rng):
+        save_raycloud(random_cloud(rng, n=10), tmp_path / "c.ply")
+        (tmp_path / "t.ply").write_bytes((tmp_path / "c.ply").read_bytes() + b"\0" * 3)
+        with pytest.raises(RayCloudParseError,
+                           match=r"t\.ply:5: 3 bytes after the 10 declared records"):
+            load_raycloud(tmp_path / "t.ply")
+
     def test_load_rejects_overlong_ray(self, tmp_path):
         cloud = make_cloud([[0, 0, 0]], [[9, 0, 0]], max_range=100.0)
         save_raycloud(cloud, tmp_path / "c.ply")

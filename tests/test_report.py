@@ -157,6 +157,17 @@ class TestColormap:
         render_colormap(img, 10.0, tmp_path / "i.ppm")
         assert (tmp_path / "i.ppm").read_bytes().startswith(b"P6\n2 2\n255\n")
 
+    def test_uppercase_png_suffix_writes_png(self, tmp_path):
+        img = DensityImage(values=np.ones((2, 2)), axis="x", pixel_size=0.1)
+        render_colormap(img, 10.0, tmp_path / "i.PNG")
+        assert (tmp_path / "i.PNG").read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
+
+    def test_unknown_suffix_rejected(self, tmp_path):
+        img = DensityImage(values=np.ones((2, 2)), axis="x", pixel_size=0.1)
+        with pytest.raises(ReportError, match=r"i\.jpg: unknown image suffix '\.jpg'"):
+            render_colormap(img, 10.0, tmp_path / "i.jpg")
+        assert not (tmp_path / "i.jpg").exists()
+
     def test_png_decodes_back(self, tmp_path):
         try:
             from PIL import Image

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from raycanopy.density import debias_factor
-from raycanopy.simulate import (LeafScene, NormalDistributionSpec, RayDistribution,
-                                SimulationError, TurbidConfig, _simulate_cell,
-                                bias_curves, cast_rays, clipped_area, gen_leaf_scene,
-                                make_rng, sample_turbid, trawl_vs_spin,
+from raycanopy.simulate import (NormalDistributionSpec, RayDistribution, SimulationError,
+                                TurbidConfig, _first_hits, _leaf_scenes, _rays_trawling,
+                                _rays_uniform_chords, _simulate_cell, bias_curves,
+                                clipped_area, make_rng, sample_turbid, trawl_vs_spin,
                                 triangle_bias_experiment)
 
 
@@ -92,25 +92,33 @@ class TestClippedArea:
 
 
 class TestLeafScene:
-    def test_generated_scene_is_consistent(self, rng):
-        scene = gen_leaf_scene(0.1, 0.05, 0.01, NormalDistributionSpec(), make_rng(9))
-        scene.validate()
-        assert scene.true_density >= 0
+    def test_generated_scene_is_consistent(self):
+        w, trials = 0.1, 50
+        tris, counts, rho = _leaf_scenes(w, 0.05, 0.01, trials, NormalDistributionSpec(),
+                                         make_rng(9))
+        assert counts.shape == rho.shape == (trials,)
+        assert len(tris) == counts.sum()
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        for t in range(trials):
+            block = tris[bounds[t]:bounds[t + 1]]
+            assert rho[t] == pytest.approx(clipped_area(block, w).sum() / w ** 3,
+                                           rel=1e-12, abs=1e-12)
+        assert np.all(rho >= 0)
 
     def test_zero_area_gives_empty_scene(self):
-        scene = gen_leaf_scene(0.1, 0.05, 0.0, NormalDistributionSpec(), make_rng(0))
-        assert len(scene.triangles) == 0 and scene.true_density == 0.0
+        tris, counts, rho = _leaf_scenes(0.1, 0.05, 0.0, 5, NormalDistributionSpec(),
+                                         make_rng(0))
+        assert tris.shape == (0, 3, 3)
+        assert not counts.any() and not rho.any()
 
     def test_mean_density_tracks_target(self):
         # realised mean over many scenes approaches target / volume
         w, area = 0.1, 0.02
-        rng = make_rng(4)
-        dens = [gen_leaf_scene(w, 0.04, area, NormalDistributionSpec(), rng).true_density
-                for _ in range(400)]
+        _, _, rho = _leaf_scenes(w, 0.04, area, 400, NormalDistributionSpec(), make_rng(4))
         # clipping removes leaf parts outside the box, so the mean sits below
         # the unclipped target but well within a factor of ~0.5
         target = area / w ** 3
-        assert 0.4 * target < np.mean(dens) < 1.05 * target
+        assert 0.4 * target < rho.mean() < 1.05 * target
 
     def test_normal_spec_rejects_nonpositive(self):
         with pytest.raises(SimulationError):
@@ -118,51 +126,61 @@ class TestLeafScene:
 
 
 class TestCastRays:
+    """Ray casting through leaf scenes with `_first_hits`."""
+
     def test_empty_scene_no_hits(self):
-        scene = LeafScene(np.zeros((0, 3, 3)), 0.1, 0.0)
-        stats = cast_rays(scene, RayDistribution("uniform-random"), 200, make_rng(1))
-        assert stats.n == 200 and stats.m == 0
-        np.testing.assert_allclose(stats.x, stats.y)
+        starts, dirs, chord = _rays_uniform_chords(200, 0.1, make_rng(1))
+        hit, x = _first_hits(starts, dirs, chord, np.zeros((0, 3, 3)),
+                             np.zeros(1, dtype=np.int64), np.zeros(200, dtype=np.int64))
+        assert not hit.any()
+        np.testing.assert_array_equal(x, chord)
 
     def test_midplane_wall_intercepts_trawling_rays(self):
         w = 0.1
         big = np.array([[[w / 2, -10.0, -10.0], [w / 2, 20.0, -10.0],
                          [w / 2, 0.0, 30.0]]])
-        scene = LeafScene(big, w, float(clipped_area(big, w)[0] / w ** 3))
-        scene.validate()
-        stats = cast_rays(scene, RayDistribution("trawling"), 100, make_rng(2))
-        assert stats.m == 100
-        np.testing.assert_allclose(stats.x, w / 2, atol=1e-12)
-        np.testing.assert_allclose(stats.y, w, atol=1e-12)
+        starts, dirs, chord = _rays_trawling(100, w, make_rng(2))
+        hit, x = _first_hits(starts, dirs, chord, big, np.array([1]),
+                             np.zeros(100, dtype=np.int64))
+        assert hit.all()
+        np.testing.assert_allclose(x, w / 2, atol=1e-12)
+        np.testing.assert_allclose(chord, w, atol=1e-12)
 
     def test_dense_scene_intercepts_almost_everything(self):
-        scene = gen_leaf_scene(0.1, 0.05, 0.6, NormalDistributionSpec(), make_rng(3))
-        stats = cast_rays(scene, RayDistribution("uniform-random"), 500, make_rng(4))
-        assert stats.m / stats.n > 0.95
+        tris, counts, _ = _leaf_scenes(0.1, 0.05, 0.6, 1, NormalDistributionSpec(),
+                                       make_rng(3))
+        starts, dirs, chord = _rays_uniform_chords(500, 0.1, make_rng(4))
+        hit, _ = _first_hits(starts, dirs, chord, tris, counts,
+                             np.zeros(500, dtype=np.int64))
+        assert hit.mean() > 0.95
 
     def test_matches_per_ray_bruteforce(self, rng):
+        # several trials with unequal leaf counts, one of them empty, and rays
+        # assigned to trials in no particular order: each ray must meet only
+        # its own trial's block of triangles
         w = 0.1
-        scene = gen_leaf_scene(w, 0.05, 0.03, NormalDistributionSpec(), make_rng(6))
-        n = 1000
-        seed = 17
-        stats = cast_rays(scene, RayDistribution("uniform-random"), n, make_rng(seed))
-        starts, dirs, chord = _regen_rays(n, w, seed)
-        for i in range(n):
+        tris, counts, _ = _leaf_scenes(w, 0.05, 0.03, 5, NormalDistributionSpec(),
+                                       make_rng(6))
+        counts = np.insert(counts, 2, 0)
+        assert len(set(counts.tolist())) > 2 and counts[2] == 0
+        n_rays = 900
+        starts, dirs, chord = _rays_uniform_chords(n_rays, w, make_rng(17))
+        trial_of_ray = rng.integers(0, len(counts), n_rays)
+        hit, x = _first_hits(starts, dirs, chord, tris, counts, trial_of_ray)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        for i in range(n_rays):
+            t_trial = trial_of_ray[i]
             t_best = chord[i]
-            hit = False
-            for tri in scene.triangles:
+            hit_o = False
+            for tri in tris[bounds[t_trial]:bounds[t_trial + 1]]:
                 t = _ray_tri(starts[i], dirs[i], tri)
                 if t is not None and 0.0 <= t <= chord[i] and t < t_best:
                     t_best = t
-                    hit = True
-            assert bool(hit) == bool(stats.x[i] < stats.y[i])
-            assert stats.x[i] == pytest.approx(t_best, abs=1e-9)
-        assert stats.m == int((stats.x < stats.y).sum())
-
-
-def _regen_rays(n, w, seed):
-    from raycanopy.simulate import _rays_uniform_chords
-    return _rays_uniform_chords(n, w, make_rng(seed))
+                    hit_o = True
+            assert bool(hit[i]) == hit_o
+            assert x[i] == pytest.approx(t_best, abs=1e-9)
+        assert not hit[trial_of_ray == 2].any()
+        assert hit.any()
 
 
 def _ray_tri(start, d, tri):

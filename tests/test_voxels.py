@@ -153,12 +153,12 @@ class TestAccumulate:
         cloud = make_cloud([[-1.0, 0.5, 0.5]], [[2.4, 0.5, 0.5]], contact=[True])
         stats = accumulate(cloud, grid)
         assert stats[(0, 0, 0)].n == 1 and stats[(0, 0, 0)].m == 0
-        assert stats[(0, 0, 0)].x[0] == pytest.approx(1.0)
-        assert stats[(0, 0, 0)].y[0] == pytest.approx(1.0)
+        assert stats[(0, 0, 0)].sum_x == pytest.approx(1.0)
+        assert stats[(0, 0, 0)].sum_y == pytest.approx(1.0)
         assert stats[(1, 0, 0)].m == 0
         assert stats[(2, 0, 0)].m == 1
-        assert stats[(2, 0, 0)].x[0] == pytest.approx(0.4)
-        assert stats[(2, 0, 0)].y[0] == pytest.approx(1.0)
+        assert stats[(2, 0, 0)].sum_x == pytest.approx(0.4)
+        assert stats[(2, 0, 0)].sum_y == pytest.approx(1.0)
 
     def test_noncontact_ray_full_crossing(self):
         grid = _grid(w=1.0, dims=(4, 1, 1))
@@ -168,7 +168,7 @@ class TestAccumulate:
         for i in range(4):
             s = stats[(i, 0, 0)]
             assert s.n == 1 and s.m == 0
-            assert s.x[0] == pytest.approx(s.y[0]) == pytest.approx(1.0)
+            assert s.sum_x == pytest.approx(s.sum_y) == pytest.approx(1.0)
 
     def test_nothing_beyond_endpoint(self):
         grid = _grid(w=1.0, dims=(4, 1, 1))
@@ -226,7 +226,6 @@ class TestAccumulate:
             assert s.n == n_o and s.m == m_o
             assert s.sum_x == pytest.approx(sx_o, abs=1e-9)
             assert s.sum_y == pytest.approx(sy_o, abs=1e-9)
-            s.validate(grid.voxel_width)
 
 
 def _voxel_exit(o, d, key, grid):
@@ -239,10 +238,9 @@ def _voxel_exit(o, d, key, grid):
 
 
 class TestExpand:
-    def test_well_sampled_voxel_unchanged(self, rng):
+    def test_well_sampled_voxel_unchanged(self):
         grid = _grid(dims=(3, 3, 3))
-        stats = {(1, 1, 1): VoxelStats(n=15, m=4, x=rng.uniform(0, 1, 15),
-                                       y=np.ones(15))}
+        stats = {(1, 1, 1): VoxelStats(n=15, m=4, sum_x=7.5, sum_y=15.0)}
         out = expand_undersampled(stats, grid, n_min=10)
         assert out[(1, 1, 1)] is stats[(1, 1, 1)]
 
@@ -251,7 +249,7 @@ class TestExpand:
         stats = {}
         for key in np.ndindex(3, 3, 3):
             if key != (1, 1, 1):
-                stats[key] = VoxelStats(n=1, m=1, x=np.array([0.2]), y=np.array([0.5]))
+                stats[key] = VoxelStats(n=1, m=1, sum_x=0.2, sum_y=0.5)
         out = expand_undersampled(stats, grid, n_min=10)
         assert out[(1, 1, 1)].n == 26
         assert out[(1, 1, 1)].m == 26
@@ -269,7 +267,8 @@ class TestExpand:
                 m = int(rng.integers(0, n + 1))
                 y = rng.uniform(0.1, 1.0, n)
                 x = y * rng.uniform(0, 1, n)
-                stats[key] = VoxelStats(n=n, m=m, x=x, y=y)
+                stats[key] = VoxelStats(n=n, m=m, sum_x=float(x.sum()),
+                                        sum_y=float(y.sum()))
         n_min = 10
         out = expand_undersampled(stats, grid, n_min=n_min)
         for key in np.ndindex(*dims):
@@ -295,8 +294,7 @@ class TestExpand:
     def test_expansion_never_decreases_n(self, rng):
         dims = (4, 4, 4)
         grid = _grid(dims=dims)
-        stats = {(0, 0, 0): VoxelStats(n=2, m=1, x=np.array([0.1, 0.2]),
-                                       y=np.array([0.3, 0.3]))}
+        stats = {(0, 0, 0): VoxelStats(n=2, m=1, sum_x=0.3, sum_y=0.6)}
         out = expand_undersampled(stats, grid, n_min=10)
         assert out[(0, 0, 0)].n >= 2
         # grid holds only 2 rays in total: expansion exhausts it
@@ -326,7 +324,8 @@ class TestStatsCsv:
             n = int(rng.integers(1, 9))
             y = rng.uniform(0.01, 0.2, n)
             stats[key] = VoxelStats(n=n, m=int(rng.integers(0, n + 1)),
-                                    x=y * rng.uniform(0, 1, n), y=y)
+                                    sum_x=float((y * rng.uniform(0, 1, n)).sum()),
+                                    sum_y=float(y.sum()))
         dump_stats_csv(stats, grid, tmp_path / "s.csv")
         loaded, g2 = load_stats_csv(tmp_path / "s.csv")
         assert g2.dims == grid.dims and g2.row_index == 3
@@ -346,7 +345,7 @@ class TestStatsCsv:
     ])
     def test_malformed_line_rejected(self, tmp_path, line, fault):
         grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(2, 2, 2), row_index=3)
-        dump_stats_csv({(1, 1, 1): VoxelStats.aggregate(4, 1, 0.1, 0.2)}, grid,
+        dump_stats_csv({(1, 1, 1): VoxelStats(4, 1, 0.1, 0.2)}, grid,
                        tmp_path / "s.csv")
         with open(tmp_path / "s.csv", "a") as f:
             f.write(line)
@@ -357,23 +356,6 @@ class TestStatsCsv:
         (tmp_path / "s.csv").write_text("# grid 0 0 0 0.1 2\n")
         with pytest.raises(VoxelGridError, match="s.csv:1: missing grid header"):
             load_stats_csv(tmp_path / "s.csv")
-
-
-class TestVoxelStats:
-    def test_validate_rejects_m_above_n(self):
-        with pytest.raises(VoxelGridError):
-            VoxelStats(n=1, m=2, x=np.array([0.1]), y=np.array([0.2])).validate()
-
-    def test_validate_rejects_x_above_y(self):
-        with pytest.raises(VoxelGridError):
-            VoxelStats(n=1, m=0, x=np.array([0.5]), y=np.array([0.2])).validate()
-
-    def test_merged_concatenates(self):
-        a = VoxelStats(n=2, m=1, x=np.array([0.1, 0.2]), y=np.array([0.3, 0.3]))
-        b = VoxelStats(n=1, m=0, x=np.array([0.4]), y=np.array([0.4]))
-        c = VoxelStats.merged([a, b])
-        assert c.n == 3 and c.m == 1
-        np.testing.assert_allclose(c.x, [0.1, 0.2, 0.4])
 
 
 @settings(max_examples=40, deadline=None)
