@@ -9,9 +9,7 @@ integration and Monte Carlo validation of the statistical model.
 # set before the submodule imports: the pipeline keys its cache on it
 __version__ = "0.1.0"
 
-from .density import (DensityField, GammaPosterior, canopy_density, debias_factor,
-                      estimate_field, lambda_stats, load_field, posterior,
-                      save_field, uncensored_lambda)
+from .density import DensityField, debias_factor, estimate_field, load_field, save_field
 from .ground import (GroundMesh, extract_ground, height_at, heights_at,
                      subtract_ground)
 from .pipeline import PipelineConfig, run_pipeline

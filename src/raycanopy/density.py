@@ -1,10 +1,12 @@
 """Canopy density estimation from per-voxel ray statistics.
 
-The interception model is censored-exponential: hit count m over total
-penetration depth sum(x_i) gives the Gamma-posterior leaf density, and the
-debias factor (n-1)/n corrects the finite-sample, bounded-voxel bias. The
-scale factor g (2 for a spherical leaf-angle distribution) converts
-interception density to one-sided leaf area per cubic metre.
+The interception model is censored-exponential. Under a flat prior, a
+voxel's n entering rays, m contacts and summed penetration depths sum(x_i)
+give a Gamma distribution of leaf density, with mean m / sum(x_i) and
+variance m / sum(x_i)^2. The debias factor (n-1)/n corrects the finite-sample,
+bounded-voxel bias. The scale factor g (2 for a spherical leaf-angle
+distribution) converts interception density to one-sided leaf area per cubic
+metre. `estimate_field` applies this to whole grids of n, m and sum_x at once.
 """
 
 from __future__ import annotations
@@ -24,77 +26,8 @@ class DensityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GammaPosterior:
-    """Conjugate Gamma posterior over leaf density lambda."""
-
-    alpha: float   # shape
-    beta: float    # rate, metres
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise DensityError("Gamma parameters must be non-negative")
-
-
-def posterior(stats: VoxelStats, prior_alpha: float = 0.0,
-              prior_beta: float = 0.0) -> GammaPosterior:
-    """Conjugate update: shape += m, rate += sum of penetration depths."""
-    return GammaPosterior(prior_alpha + stats.m, prior_beta + stats.sum_x)
-
-
-def lambda_stats(p: GammaPosterior) -> tuple[float, float, float]:
-    """(mean, mode, variance) of the posterior; requires beta > 0."""
-    if p.beta <= 0:
-        raise DensityError("lambda statistics undefined for beta = 0")
-    mean = p.alpha / p.beta
-    mode = max((p.alpha - 1.0) / p.beta, 0.0)
-    var = p.alpha / p.beta ** 2
-    return mean, mode, var
-
-
 def debias_factor(n: int) -> float:
     return (n - 1) / n if n > 0 else 0.0
-
-
-def canopy_density(stats: VoxelStats, g: float = DEFAULT_G,
-                   estimator: str = "mean") -> tuple[float, float] | None:
-    """Debiased per-voxel canopy density and its variance, in (m^2/m^3) units.
-
-    density = g * d(n) * m / sum(x_i) with d(n) = (n-1)/n; the variance is the
-    posterior Var[lambda] propagated through the same deterministic scale
-    factors. Returns None for an unobserved voxel (n = 0). `estimator`
-    selects the posterior mean (default) or mode for m / sum(x_i).
-    """
-    if stats.n == 0:
-        return None
-    if stats.m > 0 and not stats.sum_x > 0:
-        raise DensityError("contact with zero penetration is impossible")
-    if stats.m == 0:
-        return 0.0, 0.0
-    mean, mode, var = lambda_stats(posterior(stats))
-    if estimator == "mean":
-        lam = mean
-    elif estimator == "mode":
-        lam = mode
-    else:
-        raise DensityError(f"unknown estimator {estimator!r}")
-    scale = g * debias_factor(stats.n)
-    return scale * lam, scale ** 2 * var
-
-
-def uncensored_lambda(x: np.ndarray) -> tuple[float, float | None]:
-    """Unbiased density estimate (n-1)/sum(x) for uncensored interception depths.
-
-    Also returns the estimator's standard deviation lambda_hat/sqrt(n-2), or
-    None at the n = 2 boundary where it is undefined.
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n < 2:
-        raise DensityError("uncensored estimator needs at least 2 samples")
-    lam = (n - 1) / float(x.sum())
-    std = lam / np.sqrt(n - 2) if n > 2 else None
-    return lam, std
 
 
 @dataclass
@@ -112,20 +45,34 @@ class DensityField:
         return float(self.density.sum() * self.grid.voxel_width ** 3)
 
 
-def estimate_field(stats_map: dict, grid: VoxelGrid, g: float = DEFAULT_G,
+def estimate_field(stats: VoxelStats, grid: VoxelGrid, g: float = DEFAULT_G,
                    estimator: str = "mean") -> DensityField:
-    """Apply the per-voxel estimator over the (already expanded) stats map."""
+    """Debiased density and variance of every voxel, from dense statistics.
+
+    `stats` holds arrays of the grid's shape. Where m > 0 the density is
+    g * ((n-1)/n) * m / sum(x_i), and the variance is the Gamma variance
+    m / sum(x_i)^2 times the square of the same scale factor. `estimator`
+    selects the Gamma mean (default) or its mode max((m-1)/sum(x_i), 0)
+    in place of m / sum(x_i). Voxels with m = 0 get 0 and 0; a voxel is
+    observed when n > 0.
+    """
+    if estimator not in ("mean", "mode"):
+        raise DensityError(f"unknown estimator {estimator!r}")
+    n, m, sum_x = stats.n, stats.m, stats.sum_x
+    hit = m > 0
+    impossible = hit & ~(sum_x > 0)
+    if impossible.any():
+        voxel = tuple(int(v) for v in np.argwhere(impossible)[0])
+        raise DensityError(f"voxel {voxel}: contact with zero penetration is impossible")
+    n, m, sum_x = n[hit], m[hit], sum_x[hit]
+    lam = m / sum_x if estimator == "mean" else np.maximum((m - 1) / sum_x, 0.0)
+    scale = g * ((n - 1) / n)
     density = np.zeros(grid.dims)
     variance = np.zeros(grid.dims)
-    observed = np.zeros(grid.dims, dtype=bool)
-    for key, stats in stats_map.items():
-        result = canopy_density(stats, g=g, estimator=estimator)
-        if result is None:
-            continue
-        density[key], variance[key] = result
-        observed[key] = True
+    density[hit] = scale * lam
+    variance[hit] = scale ** 2 * (m / sum_x ** 2)
     return DensityField(grid=grid, density=density, variance=variance,
-                        observed=observed, g=g)
+                        observed=stats.n > 0, g=g)
 
 
 # ---------------------------------------------------------------------------

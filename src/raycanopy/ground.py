@@ -39,15 +39,11 @@ class GroundMesh:
     vertices: np.ndarray              # (V, 3) float64
     triangles: np.ndarray             # (T, 3) int vertex indices
     bin_size: float
-    bin_origin: np.ndarray = field(default=None)   # (2,) min corner of bin grid
-    bin_dims: tuple[int, int] = field(default=None)
-    bin_grid: dict = field(default=None)            # (i, j) -> int array of triangle ids
+    bin_origin: np.ndarray = field(init=False)   # (2,) min corner of bin grid
+    bin_dims: tuple[int, int] = field(init=False)
+    bin_grid: dict = field(init=False)            # (i, j) -> int array of triangle ids
 
     def __post_init__(self):
-        if self.bin_grid is None:
-            self._build_bins()
-
-    def _build_bins(self):
         v2 = self.vertices[:, :2]
         tri2 = v2[self.triangles]                     # (T, 3, 2)
         self.bin_origin = v2.min(axis=0)

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -113,14 +111,6 @@ def save_config(config: PipelineConfig, path) -> None:
             f.write(f"{key}={value}\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RAYCANOPY_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
-
-
 def _hash(*parts) -> str:
     h = hashlib.sha256()
     for p in parts:
@@ -173,8 +163,8 @@ def _load_rows(out: Path, outputs: list[str]) -> list[tuple[dict, RayCloud]]:
 
 def _voxelize(rows: list[tuple[dict, RayCloud]], out: Path, c: PipelineConfig) -> list[str]:
     """accumulate per-voxel ray statistics for each row"""
-    def one(row):
-        meta, cloud = row
+    outputs = []
+    for meta, cloud in rows:
         lo, hi = meta["interval"]
         half = (hi - lo) / 2
         try:
@@ -182,19 +172,14 @@ def _voxelize(rows: list[tuple[dict, RayCloud]], out: Path, c: PipelineConfig) -
                                          row_index=meta["index"],
                                          lateral_bounds=(-half, half))
         except voxels_mod.VoxelGridError:
-            return None   # band without canopy returns (lane or edge strip)
+            continue   # band without canopy returns (lane or edge strip)
         stats = voxels_mod.accumulate(cloud, grid)
-        return grid, voxels_mod.expand_undersampled(stats, grid, n_min=c.n_min)
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = [res for res in pool.map(one, rows) if res is not None]
-    if not results:
-        raise voxels_mod.VoxelGridError("no row produced a voxel grid")
-    outputs = []
-    for grid, full in results:
+        full = voxels_mod.expand_undersampled(stats, grid, n_min=c.n_min)
         name = f"row{grid.row_index:02d}_voxels.csv"
         voxels_mod.dump_stats_csv(full, grid, out / name)
         outputs.append(name)
+    if not outputs:
+        raise voxels_mod.VoxelGridError("no row produced a voxel grid")
     return outputs
 
 

@@ -319,26 +319,25 @@ def _load_csv(path: Path) -> RayCloud:
     frame_id = "map"
     rows = []
     with open(path, "r") as f:
-        for ln, line in enumerate(f):
+        for ln, line in enumerate(f, 1):
             line = line.strip()
-            if not line:
+            if not line or line.replace(" ", "").lower().startswith("x,"):
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if "max_range" in parts:
-                    max_range = float(parts[parts.index("max_range") + 1])
-                if "frame_id" in parts:
-                    frame_id = parts[parts.index("frame_id") + 1]
-                continue
-            if line.replace(" ", "").lower().startswith("x,"):
-                continue
-            vals = line.split(",")
-            if len(vals) != 8:
-                raise RayCloudParseError(f"{path}: line {ln + 1}: expected 8 columns")
             try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if "max_range" in parts:
+                        max_range = float(parts[parts.index("max_range") + 1])
+                    if "frame_id" in parts:
+                        frame_id = parts[parts.index("frame_id") + 1]
+                    continue
+                vals = line.split(",")
+                if len(vals) != 8:
+                    raise ValueError(f"expected 8 columns, got {len(vals)}")
                 rows.append([float(v) for v in vals])
-            except ValueError as exc:
-                raise RayCloudParseError(f"{path}: line {ln + 1}: {exc}") from exc
+            except (ValueError, IndexError) as exc:
+                detail = exc if isinstance(exc, ValueError) else "missing field"
+                raise RayCloudParseError(f"{path}:{ln}: {line!r}: {detail}") from None
     rec = np.zeros(len(rows), dtype=_PLY_DTYPE)
     if rows:
         arr = np.asarray(rows)

@@ -58,12 +58,13 @@ class VoxelGrid:
 
 @dataclass
 class VoxelStats:
-    """Sufficient statistics of the rays crossing one voxel."""
+    """Sufficient statistics of the rays crossing one voxel, or, as arrays of
+    a grid's shape, of every voxel of the grid."""
 
-    n: int = 0          # rays entering the voxel
-    m: int = 0          # rays ending in a contact inside it
-    sum_x: float = 0.0  # summed penetration depths, m
-    sum_y: float = 0.0  # summed unimpeded chords, m
+    n: int | np.ndarray = 0          # rays entering the voxel
+    m: int | np.ndarray = 0          # rays ending in a contact inside it
+    sum_x: float | np.ndarray = 0.0  # summed penetration depths, m
+    sum_y: float | np.ndarray = 0.0  # summed unimpeded chords, m
 
 
 def build_grid(row_cloud: RayCloud, voxel_width: float = DEFAULT_VOXEL_WIDTH,
@@ -343,8 +344,14 @@ def dump_stats_csv(stats: dict, grid: VoxelGrid, path) -> None:
                     f"{s.sum_x:.9g},{s.sum_y:.9g}\n")
 
 
-def load_stats_csv(path) -> tuple[dict[tuple[int, int, int], VoxelStats], VoxelGrid]:
-    """Read a dump_stats_csv file back as statistics plus its grid."""
+def load_stats_csv(path) -> tuple[VoxelStats, VoxelGrid]:
+    """Read a dump_stats_csv file back as dense statistics plus its grid.
+
+    The statistics are one VoxelStats whose fields are arrays of the grid's
+    shape: n and m int64, sum_x and sum_y float64, zero at every voxel the
+    file does not list. Each line is checked as it is read; a fault raises
+    VoxelGridError naming file:line.
+    """
     with open(path) as f:
         header = f.readline().split()
         try:
@@ -355,10 +362,11 @@ def load_stats_csv(path) -> tuple[dict[tuple[int, int, int], VoxelStats], VoxelG
             dims = tuple(int(v) for v in header[6:9])
             grid = VoxelGrid(origin=origin, voxel_width=width, dims=dims,
                              row_index=int(header[9]))
-        except ValueError as exc:
+            stats = VoxelStats(np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
+                               np.zeros(dims), np.zeros(dims))
+        except ValueError as exc:   # includes negative dims
             raise VoxelGridError(f"{path}:1: {exc}") from None
         f.readline()   # column names
-        stats = {}
         di, dj, dk = dims
         for lineno, line in enumerate(f, 3):
             try:
@@ -368,7 +376,8 @@ def load_stats_csv(path) -> tuple[dict[tuple[int, int, int], VoxelStats], VoxelG
                     raise ValueError(f"voxel {(i, j, k)} outside grid {dims}")
                 if not 0 <= m <= n:
                     raise ValueError(f"m={m} out of range for n={n}")
-                stats[i, j, k] = VoxelStats(n, m, float(sum_x), float(sum_y))
-            except ValueError as exc:
+                stats.n[i, j, k], stats.m[i, j, k] = n, m
+                stats.sum_x[i, j, k], stats.sum_y[i, j, k] = float(sum_x), float(sum_y)
+            except (ValueError, OverflowError) as exc:   # overflow: a count past int64
                 raise VoxelGridError(f"{path}:{lineno}: {exc}") from None
     return stats, grid

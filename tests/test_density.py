@@ -1,92 +1,80 @@
-"""Debiased censored-exponential density estimator and its Gamma posterior."""
+"""Debiased censored-exponential density estimator over dense voxel statistics."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raycanopy.density import (DensityError, DensityField, GammaPosterior,
-                               canopy_density, debias_factor, estimate_field,
-                               lambda_stats, load_field, posterior, save_field,
-                               uncensored_lambda)
+from raycanopy.density import (DensityError, debias_factor, estimate_field, load_field,
+                               save_field)
 from raycanopy.voxels import VoxelGrid, VoxelStats
 
 from conftest import random_field
 
 
-def _stats(n, m, sum_x, sum_y=None):
-    return VoxelStats(n, m, sum_x, sum_y if sum_y is not None else sum_x)
+def _grid(dims):
+    return VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=dims)
 
 
-class TestPosterior:
-    def test_flat_prior_no_hits(self):
-        p = posterior(_stats(3, 0, 1.2))
-        assert (p.alpha, p.beta) == (0.0, 1.2)
-
-    def test_informative_prior_adds(self):
-        p = posterior(_stats(5, 3, 2.0), prior_alpha=1.0, prior_beta=1.0)
-        assert (p.alpha, p.beta) == (4.0, 3.0)
-
-    def test_flat_prior_mean_is_hits_over_depth(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(1, 40))
-            m = int(rng.integers(1, n + 1))
-            sum_x = float(rng.uniform(0.01, 5.0))
-            mean, _, _ = lambda_stats(posterior(_stats(n, m, sum_x)))
-            assert mean == pytest.approx(m / sum_x)
-
-    def test_negative_parameters_rejected(self):
-        with pytest.raises(DensityError):
-            GammaPosterior(-1.0, 0.0)
+def _dense(n, m, sum_x):
+    """Dense VoxelStats from arrays (or scalars, for a one-voxel grid)."""
+    n, m, sum_x = (np.asarray(a).reshape(np.shape(a) or (1, 1, 1)) for a in (n, m, sum_x))
+    return VoxelStats(n.astype(np.int64), m.astype(np.int64),
+                      sum_x.astype(float), sum_x.astype(float))
 
 
-class TestLambdaStats:
-    def test_worked_values(self):
-        mean, mode, var = lambda_stats(GammaPosterior(4.0, 2.0))
-        assert (mean, mode, var) == (2.0, 1.5, 1.0)
-
-    def test_mode_clamped_at_zero(self):
-        _, mode, _ = lambda_stats(GammaPosterior(1.0, 5.0))
-        assert mode == 0.0
-
-    def test_empty_evidence(self):
-        mean, mode, var = lambda_stats(GammaPosterior(0.0, 1.0))
-        assert (mean, mode, var) == (0.0, 0.0, 0.0)
-
-    def test_zero_beta_rejected(self):
-        with pytest.raises(DensityError):
-            lambda_stats(GammaPosterior(2.0, 0.0))
+def _one(n, m, sum_x, **kwargs):
+    """(density, variance, observed) of a one-voxel grid."""
+    field = estimate_field(_dense(n, m, sum_x), _grid((1, 1, 1)), **kwargs)
+    return field.density[0, 0, 0], field.variance[0, 0, 0], field.observed[0, 0, 0]
 
 
 class TestCanopyDensity:
     def test_worked_value(self):
-        d, v = canopy_density(_stats(20, 5, 0.8), g=2.0)
-        assert d == pytest.approx(2 * (19 / 20) * 5 / 0.8)   # 11.875
+        d, v, observed = _one(20, 5, 0.8, g=2.0)
+        assert d == pytest.approx(11.875)   # 2 * (19/20) * 5/0.8
         assert v == pytest.approx((2 * 19 / 20) ** 2 * 5 / 0.8 ** 2)
+        assert observed
 
     def test_single_ray_gives_zero(self):
-        d, v = canopy_density(_stats(1, 1, 0.05))
+        d, v, _ = _one(1, 1, 0.05)
         assert d == 0.0 and v == 0.0   # d(1) = 0
 
     def test_no_hits_gives_zero(self):
-        d, v = canopy_density(_stats(20, 0, 3.0))
+        d, v, observed = _one(20, 0, 3.0)
         assert d == 0.0 and v == 0.0
+        assert observed
 
-    def test_unobserved_is_none(self):
-        assert canopy_density(VoxelStats()) is None
+    def test_no_rays_leaves_voxel_unobserved(self):
+        d, v, observed = _one(0, 0, 0.0)
+        assert d == 0.0 and v == 0.0
+        assert not observed
 
     def test_mode_estimator(self):
-        d_mean, _ = canopy_density(_stats(20, 5, 0.8), estimator="mean")
-        d_mode, _ = canopy_density(_stats(20, 5, 0.8), estimator="mode")
-        assert d_mode == pytest.approx(d_mean * 4 / 5)
+        for m in (1, 5):   # m = 1: the mode is 0
+            d_mean, _, _ = _one(20, m, 0.8, estimator="mean")
+            d_mode, _, _ = _one(20, m, 0.8, estimator="mode")
+            assert d_mode == pytest.approx(d_mean * (m - 1) / m)
 
     def test_unknown_estimator_rejected(self):
-        with pytest.raises(DensityError):
-            canopy_density(_stats(20, 5, 0.8), estimator="median")
+        with pytest.raises(DensityError, match="unknown estimator 'median'"):
+            _one(20, 5, 0.8, estimator="median")
 
     def test_contact_without_penetration_rejected(self):
-        with pytest.raises(DensityError, match="zero penetration"):
-            canopy_density(_stats(20, 5, 0.0, 1.0))
+        n = np.full((2, 3, 2), 20)
+        sum_x = np.full((2, 3, 2), 1.0)
+        sum_x[1, 2, 0] = sum_x[1, 2, 1] = 0.0
+        with pytest.raises(DensityError, match=r"voxel \(1, 2, 0\): .*zero penetration"):
+            estimate_field(_dense(n, np.full((2, 3, 2), 5), sum_x), _grid((2, 3, 2)))
+
+
+class TestPosterior:
+    def test_flat_prior_mean_is_hits_over_depth(self, rng):
+        n = rng.integers(2, 40, size=(50, 1, 1))
+        m = rng.integers(1, n + 1)
+        sum_x = rng.uniform(0.01, 5.0, size=n.shape)
+        field = estimate_field(_dense(n, m, sum_x), _grid(n.shape), g=1.0)
+        np.testing.assert_allclose(field.density / ((n - 1) / n), m / sum_x, rtol=1e-12)
 
 
 class TestDebiasFactor:
@@ -99,19 +87,6 @@ class TestDebiasFactor:
 
 
 class TestUncensored:
-    def test_two_samples(self):
-        lam, std = uncensored_lambda([1.0, 1.0])
-        assert lam == 0.5
-        assert std is None   # n - 2 = 0: undefined
-
-    def test_std_formula(self):
-        lam, std = uncensored_lambda([0.5, 0.5, 1.0])
-        assert std == pytest.approx(lam / 1.0)
-
-    def test_too_few_rejected(self):
-        with pytest.raises(DensityError):
-            uncensored_lambda([1.0])
-
     def test_unbiased_monte_carlo(self, rng):
         lam_true = 3.0
         batches, n = 100_000, 50
@@ -124,32 +99,44 @@ class TestUncensored:
 
 class TestEstimateField:
     def test_empty_grid_all_unobserved(self):
-        grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(2, 2, 2))
-        field = estimate_field({}, grid)
+        zeros = np.zeros((2, 2, 2))
+        field = estimate_field(_dense(zeros, zeros, zeros), _grid((2, 2, 2)))
         assert not field.observed.any()
         assert field.total_leaf_area() == 0.0
 
-    def test_single_voxel_matches_direct_estimate(self):
-        grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(1, 1, 1))
-        s = _stats(30, 9, 0.9)
-        field = estimate_field({(0, 0, 0): s}, grid, g=2.0)
-        d, v = canopy_density(s, g=2.0)
-        assert field.density[0, 0, 0] == pytest.approx(d)
-        assert field.variance[0, 0, 0] == pytest.approx(v)
-        assert field.observed[0, 0, 0]
+    @pytest.mark.parametrize("estimator", ["mean", "mode"])
+    def test_matches_scalar_formula(self, rng, estimator):
+        # unlisted (n = 0), m = 0 and n = 1 voxels among ordinary ones
+        dims, g = (6, 5, 4), 2.0
+        n = rng.integers(0, 30, size=dims)
+        n[0, 0, :] = 0
+        n[1, 0, :] = 1
+        m = rng.integers(0, n + 1)
+        m[2, 0, :] = 0
+        sum_x = np.where(n > 0, rng.uniform(0.01, 3.0, size=dims), 0.0)
+        field = estimate_field(_dense(n, m, sum_x), _grid(dims), g=g, estimator=estimator)
+        density, variance = np.zeros(dims), np.zeros(dims)
+        for key in np.ndindex(*dims):
+            ni, mi, sx = int(n[key]), int(m[key]), float(sum_x[key])
+            if mi == 0:
+                continue
+            lam = mi / sx if estimator == "mean" else max((mi - 1) / sx, 0.0)
+            scale = g * ((ni - 1) / ni)
+            density[key] = scale * lam
+            variance[key] = scale ** 2 * (mi / sx ** 2)
+        assert {0, 1} <= set(n.ravel()) and (m[n > 0] == 0).any()
+        np.testing.assert_array_equal(field.density, density)
+        np.testing.assert_array_max_ulp(field.variance, variance, maxulp=1)
+        np.testing.assert_array_equal(field.observed, n > 0)
 
     def test_turbid_scene_recovers_density(self, rng):
         # exponential interception at known lambda in unit-depth voxels
-        lam, g = 2.5, 2.0
+        lam, g, n = 2.5, 2.0, 4000
+        draws = rng.exponential(1.0 / lam, size=(4, 4, 4, n))
+        sum_x = np.minimum(draws, 1.0).sum(axis=-1)
+        m = (draws <= 1.0).sum(axis=-1)
         grid = VoxelGrid(origin=np.zeros(3), voxel_width=1.0, dims=(4, 4, 4))
-        stats = {}
-        for key in np.ndindex(4, 4, 4):
-            n = 4000
-            draws = rng.exponential(1.0 / lam, n)
-            x = np.minimum(draws, 1.0)
-            stats[key] = VoxelStats(n=n, m=int((draws <= 1.0).sum()),
-                                    sum_x=float(x.sum()), sum_y=float(n))
-        field = estimate_field(stats, grid, g=g)
+        field = estimate_field(_dense(np.full((4, 4, 4), n), m, sum_x), grid, g=g)
         assert field.density.mean() == pytest.approx(g * lam, rel=0.05)
 
 
@@ -183,8 +170,8 @@ class TestFieldRoundTrip:
        sum_x=st.floats(1e-3, 1e3), c=st.floats(1e-3, 1e3))
 def test_scale_invariance(n, m, sum_x, c):
     m = min(m, n)
-    d1, _ = canopy_density(_stats(n, m, sum_x))
-    d2, _ = canopy_density(_stats(n, m, sum_x * c))
+    d1, _, _ = _one(n, m, sum_x)
+    d2, _, _ = _one(n, m, sum_x * c)
     assert d2 * c == pytest.approx(d1, rel=1e-9)
 
 
@@ -193,7 +180,7 @@ def test_scale_invariance(n, m, sum_x, c):
        sum_x=st.floats(1e-3, 1e3), delta=st.floats(0, 1e3))
 def test_extra_noncontact_ray_monotonicity(n, m, sum_x, delta):
     m = min(m, n)
-    d1, _ = canopy_density(_stats(n, m, sum_x))
-    d2, _ = canopy_density(_stats(n + 1, m, sum_x + delta))
+    d1, _, _ = _one(n, m, sum_x)
+    d2, _, _ = _one(n + 1, m, sum_x + delta)
     bound = d1 * debias_factor(n + 1) / debias_factor(n)
     assert d2 <= bound * (1 + 1e-12)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
@@ -130,19 +129,6 @@ class TestRunPipeline:
         assert timings["rows"] == "0.000s"
         assert timings["voxelize"] == "0.000s"
         assert timings["density"] != "0.000s"     # g feeds the estimator
-
-    @pytest.mark.slow
-    def test_thread_count_does_not_change_output(self, scan_file, tmp_path):
-        _, path = scan_file
-        outputs = {}
-        for threads in ("1", "3"):
-            os.environ["RAYCANOPY_THREADS"] = threads
-            try:
-                run_pipeline(path, tmp_path / f"t{threads}", PipelineConfig())
-            finally:
-                del os.environ["RAYCANOPY_THREADS"]
-            outputs[threads] = _output_bytes(tmp_path / f"t{threads}")
-        assert outputs["1"] == outputs["3"]
 
     @pytest.mark.slow
     def test_failed_run_leaves_no_stale_cache(self, scan_file, tmp_path, monkeypatch):

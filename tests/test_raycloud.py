@@ -202,6 +202,21 @@ class TestFileRoundTrip:
         with pytest.raises(RayCloudParseError, match=r"t\.ply" + fault):
             load_raycloud(tmp_path / "t.ply")
 
+    @pytest.mark.parametrize("old, new, fault", [
+        ("# max_range 100.0 frame_id map", "# max_range abc", r":1: .*could not convert"),
+        ("# max_range 100.0 frame_id map", "# frame_id map max_range", r":1: .*missing field"),
+        ("1,0,0,-1,0,0,0,1", "1,0,0,-1,0,0,0", r":3: .*expected 8 columns, got 7"),
+        ("1,0,0,-1,0,0,0,1", "1,x,0,-1,0,0,0,1", r":3: .*could not convert"),
+    ])
+    def test_bad_csv_line_rejected(self, tmp_path, old, new, fault):
+        save_raycloud(make_cloud([[0, 0, 0]], [[1, 0, 0]], max_range=100.0),
+                      tmp_path / "c.csv")
+        text = (tmp_path / "c.csv").read_text()
+        assert text.count(old) == 1
+        (tmp_path / "t.csv").write_text(text.replace(old, new))
+        with pytest.raises(RayCloudParseError, match=r"t\.csv" + fault):
+            load_raycloud(tmp_path / "t.csv")
+
     def test_trailing_body_bytes_rejected(self, tmp_path, rng):
         save_raycloud(random_cloud(rng, n=10), tmp_path / "c.ply")
         (tmp_path / "t.ply").write_bytes((tmp_path / "c.ply").read_bytes() + b"\0" * 3)

@@ -330,18 +330,24 @@ class TestStatsCsv:
         loaded, g2 = load_stats_csv(tmp_path / "s.csv")
         assert g2.dims == grid.dims and g2.row_index == 3
         np.testing.assert_allclose(g2.origin, grid.origin)
-        assert set(loaded) == set(stats)
-        for key in stats:
-            assert loaded[key].n == stats[key].n
-            assert loaded[key].m == stats[key].m
-            assert loaded[key].sum_x == pytest.approx(stats[key].sum_x, rel=1e-8)
-            assert loaded[key].sum_y == pytest.approx(stats[key].sum_y, rel=1e-8)
+        assert (loaded.n.dtype, loaded.m.dtype) == (np.int64, np.int64)
+        assert (loaded.sum_x.dtype, loaded.sum_y.dtype) == (np.float64, np.float64)
+        listed = np.zeros(grid.dims, dtype=bool)
+        for key, s in stats.items():
+            listed[key] = True
+            assert (loaded.n[key], loaded.m[key]) == (s.n, s.m)
+            assert loaded.sum_x[key] == pytest.approx(s.sum_x, rel=1e-8)
+            assert loaded.sum_y[key] == pytest.approx(s.sum_y, rel=1e-8)
+        for array in (loaded.n, loaded.m, loaded.sum_x, loaded.sum_y):
+            assert array.shape == grid.dims
+            assert not array[~listed].any()
 
     @pytest.mark.parametrize("line, fault", [
         ("3,0,0,0,5,2,0.1\n", "expected 8"),
         ("3,0,0,x,5,2,0.1,0.2\n", "invalid literal"),
         ("3,0,0,9,5,2,0.1,0.2\n", "outside grid"),
         ("3,0,0,0,2,5,0.1,0.2\n", "m=5 out of range for n=2"),
+        ("3,0,0,0,99999999999999999999,2,0.1,0.2\n", "too large"),
     ])
     def test_malformed_line_rejected(self, tmp_path, line, fault):
         grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(2, 2, 2), row_index=3)
@@ -355,6 +361,11 @@ class TestStatsCsv:
     def test_truncated_header_rejected(self, tmp_path):
         (tmp_path / "s.csv").write_text("# grid 0 0 0 0.1 2\n")
         with pytest.raises(VoxelGridError, match="s.csv:1: missing grid header"):
+            load_stats_csv(tmp_path / "s.csv")
+
+    def test_negative_dims_rejected(self, tmp_path):
+        (tmp_path / "s.csv").write_text("# grid 0 0 0 0.1 2 -1 2 3\n")
+        with pytest.raises(VoxelGridError, match="s.csv:1: negative dimensions"):
             load_stats_csv(tmp_path / "s.csv")
 
 
