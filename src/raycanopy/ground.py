@@ -19,12 +19,17 @@ from .raycloud import RayCloud
 log = logging.getLogger(__name__)
 
 DOWN_NORMAL_EPS = 1e-9
-HEIGHT_TOL = 1e-6
 DEFAULT_CURVATURE = 0.1  # 1/m, fits typical vineyard undulation
+HEIGHT_QUERY_BLOCK = 8192  # queries per batched pass of heights_at; bounds its pair arrays
 
 
 class GroundExtractionError(ValueError):
     """Degenerate input: the lower hull of the endpoints is undefined."""
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each c in counts, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 @dataclass
@@ -32,8 +37,10 @@ class GroundMesh:
     """Height-field triangle mesh lower-bounding the terrain.
 
     Triangles never overlap in horizontal projection, so a vertical query hits
-    at most one. Queries go through a horizontal bin grid holding candidate
-    triangle indices per cell.
+    at most one. Queries go through a horizontal grid of square bins of side
+    bin_size, stored in CSR form: the triangles whose bounding box overlaps
+    bin b are bin_tris[bin_start[b]:bin_start[b + 1]], in ascending id order.
+    Bin b is (i, j) with b = i * bin_dims[1] + j.
     """
 
     vertices: np.ndarray              # (V, 3) float64
@@ -41,7 +48,8 @@ class GroundMesh:
     bin_size: float
     bin_origin: np.ndarray = field(init=False)   # (2,) min corner of bin grid
     bin_dims: tuple[int, int] = field(init=False)
-    bin_grid: dict = field(init=False)            # (i, j) -> int array of triangle ids
+    bin_start: np.ndarray = field(init=False)    # (bins + 1,) offsets into bin_tris
+    bin_tris: np.ndarray = field(init=False)     # triangle ids, grouped by bin
 
     def __post_init__(self):
         v2 = self.vertices[:, :2]
@@ -49,14 +57,20 @@ class GroundMesh:
         self.bin_origin = v2.min(axis=0)
         span = v2.max(axis=0) - self.bin_origin
         self.bin_dims = tuple(int(np.floor(s / self.bin_size)) + 1 for s in span)
-        grid: dict[tuple[int, int], list[int]] = {}
-        lo = np.floor((tri2.min(axis=1) - self.bin_origin) / self.bin_size).astype(int)
-        hi = np.floor((tri2.max(axis=1) - self.bin_origin) / self.bin_size).astype(int)
-        for t in range(len(self.triangles)):
-            for i in range(lo[t, 0], hi[t, 0] + 1):
-                for j in range(lo[t, 1], hi[t, 1] + 1):
-                    grid.setdefault((i, j), []).append(t)
-        self.bin_grid = {k: np.asarray(v, dtype=int) for k, v in grid.items()}
+        lo = np.floor((tri2.min(axis=1) - self.bin_origin) / self.bin_size).astype(np.int64)
+        hi = np.floor((tri2.max(axis=1) - self.bin_origin) / self.bin_size).astype(np.int64)
+        # one entry per (triangle, bin of its bounding box), triangles in id order
+        ni, nj = (hi - lo + 1).T
+        per_tri = ni * nj
+        tri_id = np.repeat(np.arange(len(self.triangles)), per_tri)
+        k = _offsets(per_tri)
+        i = lo[tri_id, 0] + k // nj[tri_id]
+        j = lo[tri_id, 1] + k % nj[tri_id]
+        b = i * self.bin_dims[1] + j
+        order = np.argsort(b, kind="stable")          # stable: ids stay ascending per bin
+        self.bin_tris = tri_id[order]
+        counts = np.bincount(b, minlength=self.bin_dims[0] * self.bin_dims[1])
+        self.bin_start = np.concatenate([[0], np.cumsum(counts)])
 
 
 def _paraboloid(points: np.ndarray, k: float) -> np.ndarray:
@@ -100,51 +114,71 @@ def extract_ground(cloud: RayCloud, k: float = DEFAULT_CURVATURE) -> GroundMesh:
     verts[:, 2] -= k * (verts[:, 0] ** 2 + verts[:, 1] ** 2)
     verts[:, :2] += centre
     tris = remap[simplices]
+    return GroundMesh(vertices=verts, triangles=tris, bin_size=_bin_size(verts, tris))
 
-    edges = verts[:, :2][tris]
-    edge_len = np.linalg.norm(np.diff(np.concatenate([edges, edges[:, :1]], axis=1), axis=1),
-                              axis=2)
-    bin_size = float(np.clip(edge_len.max(), 0.25, 5.0))
-    return GroundMesh(vertices=verts, triangles=tris, bin_size=bin_size)
+
+def _bin_size(verts: np.ndarray, tris: np.ndarray) -> float:
+    """Median horizontal edge length, clipped to [0.25, 5] m.
+
+    The median, not the longest edge: the lower hull's boundary slivers can
+    be metres long, and bins that large give hundreds of candidates a query.
+    """
+    corners = verts[:, :2][tris]
+    loop = np.concatenate([corners, corners[:, :1]], axis=1)
+    edge_len = np.linalg.norm(np.diff(loop, axis=1), axis=2)
+    return float(np.clip(np.median(edge_len), 0.25, 5.0))
 
 
 def height_at(mesh: GroundMesh, x: float, y: float) -> float | None:
     """Terrain height under (x, y), or None outside the mesh footprint."""
-    i = int(np.floor((x - mesh.bin_origin[0]) / mesh.bin_size))
-    j = int(np.floor((y - mesh.bin_origin[1]) / mesh.bin_size))
-    cand = mesh.bin_grid.get((i, j))
-    if cand is None:
-        return None
-    return _height_from_candidates(mesh, x, y, cand)
-
-
-def _height_from_candidates(mesh: GroundMesh, x: float, y: float,
-                            cand: np.ndarray) -> float | None:
-    tri = mesh.vertices[mesh.triangles[cand]]  # (C, 3, 3)
-    a, b, c = tri[:, 0, :2], tri[:, 1, :2], tri[:, 2, :2]
-    d = np.array([x, y])
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    ok = np.abs(det) > 1e-18
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w1 = ((d[0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (d[1] - a[:, 1]) * (c[:, 0] - a[:, 0])) / det
-        w2 = ((b[:, 0] - a[:, 0]) * (d[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (d[0] - a[:, 0])) / det
-    eps = 1e-9
-    inside = ok & (w1 >= -eps) & (w2 >= -eps) & (w1 + w2 <= 1 + eps)
-    if not np.any(inside):
-        return None
-    t = int(np.argmax(inside))
-    z = tri[t, 0, 2] + w1[t] * (tri[t, 1, 2] - tri[t, 0, 2]) + w2[t] * (tri[t, 2, 2] - tri[t, 0, 2])
-    return float(z)
+    h = heights_at(mesh, np.array([[x, y]], dtype=float))[0]
+    return None if np.isnan(h) else float(h)
 
 
 def heights_at(mesh: GroundMesh, xy: np.ndarray) -> np.ndarray:
-    """height_at for each (x, y) row, one query at a time: NaN where the
-    footprint does not cover."""
+    """Terrain height under each (x, y) row, NaN where the footprint does not cover.
+
+    Each query tests the triangles of its bin in ascending id order and takes
+    the first whose barycentric coordinates lie within 1e-9 of the triangle.
+    All (query, candidate) pairs of HEIGHT_QUERY_BLOCK queries are tested in
+    one pass.
+    """
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     out = np.full(len(xy), np.nan)
-    for idx, (x, y) in enumerate(xy):
-        h = height_at(mesh, float(x), float(y))
-        if h is not None:
-            out[idx] = h
+    for s in range(0, len(xy), HEIGHT_QUERY_BLOCK):
+        block = slice(s, s + HEIGHT_QUERY_BLOCK)
+        out[block] = _heights_block(mesh, xy[block])
+    return out
+
+
+def _heights_block(mesh: GroundMesh, xy: np.ndarray) -> np.ndarray:
+    out = np.full(len(xy), np.nan)
+    ij = np.floor((xy - mesh.bin_origin) / mesh.bin_size)
+    on_grid = np.all((ij >= 0) & (ij < mesh.bin_dims), axis=1)
+    q = np.nonzero(on_grid)[0]
+    bins = ij[q, 0].astype(np.int64) * mesh.bin_dims[1] + ij[q, 1].astype(np.int64)
+    start = mesh.bin_start[bins]
+    count = mesh.bin_start[bins + 1] - start
+    # pairs grouped by query, each query's candidates in ascending id order
+    pq = np.repeat(q, count)
+    pt = mesh.bin_tris[np.repeat(start, count) + _offsets(count)]
+
+    t = mesh.vertices[mesh.triangles[pt]]   # (pairs, 3, 3)
+    a, b, c = t[:, 0, :2], t[:, 1, :2], t[:, 2, :2]
+    d = xy[pq]
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    ok = np.abs(det) > 1e-18
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w1 = ((d[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+              - (d[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])) / det
+        w2 = ((b[:, 0] - a[:, 0]) * (d[:, 1] - a[:, 1])
+              - (b[:, 1] - a[:, 1]) * (d[:, 0] - a[:, 0])) / det
+    eps = 1e-9
+    inside = np.nonzero(ok & (w1 >= -eps) & (w2 >= -eps) & (w1 + w2 <= 1 + eps))[0]
+    # first inside candidate of each query
+    hit = inside[np.diff(pq[inside], prepend=-1) != 0]
+    z = t[hit, :, 2]
+    out[pq[hit]] = z[:, 0] + w1[hit] * (z[:, 1] - z[:, 0]) + w2[hit] * (z[:, 2] - z[:, 0])
     return out
 
 
@@ -213,8 +247,5 @@ def import_obj(path) -> GroundMesh:
             f"vertices 1..{len(verts)}")
     tris -= 1   # OBJ indices are 1-based
     if bin_size is None:
-        edges = verts[:, :2][tris]
-        loop = np.concatenate([edges, edges[:, :1]], axis=1)
-        bin_size = float(np.clip(np.linalg.norm(np.diff(loop, axis=1), axis=2).max(),
-                                 0.25, 5.0))
+        bin_size = _bin_size(verts, tris)
     return GroundMesh(vertices=verts, triangles=tris, bin_size=bin_size)

@@ -34,18 +34,23 @@ class Trajectory:
 
     @classmethod
     def from_raycloud(cls, cloud: RayCloud, min_step: float = 0.05) -> "Trajectory":
-        """Down-sample ray origins: keep a position once it moved min_step."""
+        """Down-sample ray origins: keep a position once it moved min_step in x-y.
+
+        The step ignores z: subtract_ground shifts each ray by the terrain
+        height under its own endpoint, so on a flattened cloud the origins of
+        one sensor position differ in z from ray to ray.
+        """
         if len(cloud) == 0:
             raise RowSegmentationError("cannot build trajectory from empty cloud")
-        pos = cloud.origins
+        xy = cloud.origins[:, :2]
         times = cloud.times
         keep = [0]
-        last = pos[0]
-        for i in range(1, len(pos)):
-            if np.linalg.norm(pos[i] - last) >= min_step and times[i] > times[keep[-1]]:
+        last = xy[0]
+        for i in range(1, len(xy)):
+            if np.linalg.norm(xy[i] - last) >= min_step and times[i] > times[keep[-1]]:
                 keep.append(i)
-                last = pos[i]
-        return cls(pos[np.asarray(keep)], times[np.asarray(keep)])
+                last = xy[i]
+        return cls(cloud.origins[np.asarray(keep)], times[np.asarray(keep)])
 
     def validate(self) -> None:
         if np.any(np.diff(self.times) <= 0):

@@ -9,6 +9,7 @@ the larger index.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,6 @@ class VoxelGrid:
     def index_of(self, point: np.ndarray) -> tuple[int, int, int]:
         ijk = np.floor((np.asarray(point) - self.origin) / self.voxel_width).astype(int)
         return tuple(int(v) for v in ijk)
-
-    def unlinear(self, lin: int) -> tuple[int, int, int]:
-        k = lin % self.dims[2]
-        j = (lin // self.dims[2]) % self.dims[1]
-        i = lin // (self.dims[1] * self.dims[2])
-        return (int(i), int(j), int(k))
 
     def contains_index(self, ijk) -> bool:
         return all(0 <= v < d for v, d in zip(ijk, self.dims))
@@ -172,7 +167,9 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
     voxel adds to sum_y and its penetration depth x adds to sum_x. x equals y
     except in the voxel where the ray ends, where it is the entry-to-end
     length; a contact ending inside the voxel increments m. The walk is
-    batch-vectorised across rays; each voxel sums its rays in ray order.
+    batch-vectorised across rays, and the records are reduced per voxel in
+    array operations: sum_x and sum_y equal, bit for bit, ndarray.sum over
+    each voxel's x and y in ray order.
     """
     n_rays = len(row_cloud)
     if n_rays == 0:
@@ -250,29 +247,32 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
         end_lin[in_grid] = (eijk[:, 0] * dims[1] + eijk[:, 1]) * dims[2] + eijk[:, 2]
     hits = row_cloud.contact[ray_id] & (vox == end_lin[ray_id])
 
-    # stable, so each voxel sums its rays in ray order; the slice sums below
-    # (not bincount) keep numpy's pairwise grouping and hence every sum bit
+    # stable, so each voxel sums its rays in ray order
     order = np.argsort(vox, kind="stable")
-    vox, ray_id = vox[order], ray_id[order]
-    x, y, hits = x[order], y[order], hits[order]
-    stats: dict[tuple[int, int, int], VoxelStats] = {}
+    vox, x, y, hits = vox[order], x[order], y[order], hits[order]
     uniq, starts = np.unique(vox, return_index=True)
     bounds = np.append(starts, len(vox))
-    for u, s0, s1 in zip(uniq, bounds[:-1], bounds[1:]):
-        stats[grid.unlinear(int(u))] = VoxelStats(
-            n=int(s1 - s0), m=int(hits[s0:s1].sum()),
-            sum_x=float(x[s0:s1].sum()), sum_y=float(y[s0:s1].sum()))
-    return stats
+    n = np.diff(bounds)
+    m = np.add.reduceat(hits.astype(np.int64), starts)
+    # bincount adds left to right from 0.0, as ndarray.sum does below 8 items;
+    # from 8 up sum() switches to pairwise adds, so those voxels take it as is
+    seg = np.repeat(np.arange(len(uniq)), n)
+    sum_x = np.bincount(seg, weights=x)
+    sum_y = np.bincount(seg, weights=y)
+    for v in np.nonzero(n >= 8)[0]:
+        s0, s1 = bounds[v], bounds[v + 1]
+        sum_x[v], sum_y[v] = x[s0:s1].sum(), y[s0:s1].sum()
+    keys = zip(*(a.tolist() for a in np.unravel_index(uniq, grid.dims)))
+    return {key: VoxelStats(*row) for key, *row in
+            zip(keys, n.tolist(), m.tolist(), sum_x.tolist(), sum_y.tolist())}
 
 
-def _window_sums(prefix: np.ndarray, radius: int, dims) -> np.ndarray:
-    """Sum over the cube of Chebyshev radius `radius` around every voxel,
-    clamped to the grid, from an inclusive 3D prefix-sum array."""
-    idx = [np.arange(d) for d in dims]
-    lo = [np.clip(ix - radius, 0, d - 1) for ix, d in zip(idx, dims)]
-    hi = [np.clip(ix + radius, 0, d - 1) + 1 for ix, d in zip(idx, dims)]
-    L0, L1, L2 = np.ix_(lo[0], lo[1], lo[2])
-    H0, H1, H2 = np.ix_(hi[0], hi[1], hi[2])
+def _window_sums(prefix: np.ndarray, radius, dims, ijk) -> np.ndarray:
+    """Sum over the cube of Chebyshev radius `radius` around each voxel of
+    `ijk` (three index arrays), clamped to the grid, from an inclusive 3D
+    prefix-sum array. `radius` is a scalar or one radius per voxel."""
+    L0, L1, L2 = (np.clip(ix - radius, 0, d - 1) for ix, d in zip(ijk, dims))
+    H0, H1, H2 = (np.clip(ix + radius, 0, d - 1) + 1 for ix, d in zip(ijk, dims))
     return (prefix[H0, H1, H2] - prefix[L0, H1, H2] - prefix[H0, L1, H2]
             - prefix[H0, H1, L2] + prefix[L0, L1, H2] + prefix[L0, H1, L2]
             + prefix[H0, L1, L2] - prefix[L0, L1, L2])
@@ -285,50 +285,49 @@ def expand_undersampled(stats: dict, grid: VoxelGrid,
     The merged statistics replace the voxel's own for density estimation only;
     neighbours keep theirs. Covers every voxel of the grid, so unsampled
     voxels deep in the canopy borrow from their surroundings; voxels with
-    n = 0 after exhausting the grid stay empty (unobserved). The search uses
-    prefix sums, so cost is linear in grid size per radius step.
+    n = 0 after exhausting the grid stay empty (unobserved). Voxels with
+    n >= n_min keep the caller's own VoxelStats object. The search uses
+    prefix sums and, at each radius, evaluates only the voxels still short
+    of n_min.
     """
     dims = grid.dims
     n_arr = np.zeros(dims, dtype=np.int64)
     m_arr = np.zeros(dims, dtype=np.int64)
     sx = np.zeros(dims)
     sy = np.zeros(dims)
-    for key, s in stats.items():
-        n_arr[key] = s.n
-        m_arr[key] = s.m
-        sx[key] = s.sum_x
-        sy[key] = s.sum_y
+    if stats:
+        at = tuple(np.array(list(stats)).T)
+        n_arr[at] = [s.n for s in stats.values()]
+        m_arr[at] = [s.m for s in stats.values()]
+        sx[at] = [s.sum_x for s in stats.values()]
+        sy[at] = [s.sum_y for s in stats.values()]
 
     fields = [n_arr.astype(float), m_arr.astype(float), sx, sy]
     prefixes = [np.pad(f, (1, 0)).cumsum(0).cumsum(1).cumsum(2) for f in fields]
 
-    radius = np.full(dims, -1, dtype=np.int64)   # -1: not yet satisfied
-    radius[n_arr >= n_min] = 0
+    own = n_arr >= n_min
     max_radius = max(dims) - 1
-    for r in range(1, max_radius + 1):
-        pending = radius < 0
-        if not np.any(pending):
+    # whole grid, unless a smaller cube reaches n_min
+    radius = np.full(dims, max_radius, dtype=np.int64)
+    pending = np.flatnonzero(~own)
+    for r in range(1, max_radius):
+        if len(pending) == 0:
             break
-        enough = _window_sums(prefixes[0], r, dims) >= n_min
-        radius[pending & enough] = r
+        enough = _window_sums(prefixes[0], r, dims, np.unravel_index(pending, dims)) >= n_min
+        radius.flat[pending[enough]] = r
+        pending = pending[~enough]
 
-    out: dict[tuple[int, int, int], VoxelStats] = {}
-    merged_cache: dict[int, list[np.ndarray]] = {}
-    for key in np.ndindex(*dims):
-        r = int(radius[key])
-        if r == 0:
-            out[key] = stats[key]
-            continue
-        if r < 0:
-            r = max_radius   # whole grid still short of n_min: take everything
-        if r not in merged_cache:
-            merged_cache[r] = [_window_sums(p, r, dims) for p in prefixes]
-        wn, wm, wsx, wsy = (w[key] for w in merged_cache[r])
-        if wn == 0:
-            out[key] = VoxelStats()   # unobserved even after full expansion
-        else:
-            out[key] = VoxelStats(int(round(wn)), int(round(wm)), float(wsx), float(wsy))
-    return out
+    short = np.nonzero(~own)
+    wn, wm, wsx, wsy = (_window_sums(p, radius[short], dims, short) for p in prefixes)
+    merged = [np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
+              np.zeros(dims), np.zeros(dims)]
+    for dense, w in zip(merged, (np.rint(wn), np.rint(wm), wsx, wsy)):
+        dense[short] = w
+    # n == 0 even over the whole grid: unobserved
+    return {key: stats[key] if is_own else VoxelStats(n, m, x, y) if n else VoxelStats()
+            for key, is_own, n, m, x, y in zip(itertools.product(*map(range, dims)),
+                                               own.ravel().tolist(),
+                                               *(a.ravel().tolist() for a in merged))}
 
 
 def dump_stats_csv(stats: dict, grid: VoxelGrid, path) -> None:

@@ -125,6 +125,35 @@ class TestHeightAt:
             else:
                 assert abs(fast - slow) < 1e-9
 
+    def test_batched_query_matches_exhaustive_exactly(self, rng):
+        cloud = _random_terrain_cloud(rng, n=300)
+        mesh = extract_ground(cloud)
+        # the hull's boundary slivers span many of the median-edge bins
+        assert np.bincount(mesh.bin_tris).max() >= 9
+        tri = mesh.vertices[mesh.triangles][:, :, :2]
+        midpoints = (0.5 * (tri + np.roll(tri, -1, axis=1))).reshape(-1, 2)
+        lo = mesh.bin_origin
+        hi = lo + np.asarray(mesh.bin_dims) * mesh.bin_size
+        bx = lo[0] + np.arange(mesh.bin_dims[0] + 1) * mesh.bin_size
+        by = lo[1] + np.arange(mesh.bin_dims[1] + 1) * mesh.bin_size
+        queries = np.vstack([
+            rng.uniform(-11, 11, size=(2000, 2)),   # inside and outside the hull
+            mesh.vertices[:, :2],                   # shared vertices: lowest id wins
+            midpoints,                              # shared edges
+            midpoints + rng.normal(scale=1e-8, size=midpoints.shape),   # the 1e-9 tolerance
+            np.column_stack([bx, rng.uniform(lo[1], hi[1], len(bx))]),  # bin boundaries
+            np.column_stack([rng.uniform(lo[0], hi[0], len(by)), by]),
+            np.column_stack([rng.choice(bx, 100), rng.choice(by, 100)]),  # bin corners
+            [[lo[0] - 0.1, lo[1]], [hi[0] + 0.1, hi[1]], [100.0, 100.0]],  # off the grid
+        ])
+        got = heights_at(mesh, queries)
+        for (x, y), h in zip(queries, got):
+            expect = _exhaustive_height(mesh, float(x), float(y))
+            if expect is None:
+                assert np.isnan(h)
+            else:
+                assert h == expect
+
 
 class TestSubtractGround:
     def test_planar_subtraction_zeroes_ground(self, rng):
@@ -165,6 +194,21 @@ class TestObjRoundTrip:
         queries = rng.uniform(-8, 8, size=(200, 2))
         np.testing.assert_allclose(heights_at(loaded, queries), heights_at(mesh, queries),
                                    rtol=1e-6, atol=1e-6)
+
+    def test_bin_size_line_changes_no_height(self, tmp_path, rng):
+        mesh = extract_ground(_random_terrain_cloud(rng, n=150))
+        export_obj(mesh, tmp_path / "g.obj")
+        body = (tmp_path / "g.obj").read_text().split("\n", 1)[1]
+        (tmp_path / "wide.obj").write_text("# bin_size 5\n" + body)   # longest-edge rule
+        (tmp_path / "bare.obj").write_text(body)
+        loaded, wide, bare = (import_obj(tmp_path / f"{name}.obj")
+                              for name in ("g", "wide", "bare"))
+        assert wide.bin_size == 5.0
+        assert bare.bin_size == pytest.approx(mesh.bin_size, rel=1e-6)
+        queries = rng.uniform(-8, 8, size=(500, 2))
+        expect = heights_at(loaded, queries)
+        np.testing.assert_array_equal(heights_at(wide, queries), expect)
+        np.testing.assert_array_equal(heights_at(bare, queries), expect)
 
     @pytest.mark.parametrize("face, fault", [
         ("f 0 1 2", r"g\.obj:5: face \[0, 1, 2\] indexes outside vertices 1\.\.3"),

@@ -109,6 +109,19 @@ class TestTrajectory:
         steps = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
         assert np.all(steps >= 0.05 - 1e-12)
 
+    def test_ground_shift_keeps_positions(self, rng):
+        # subtract_ground shifts each ray by the terrain under its own endpoint
+        stops = np.column_stack([np.linspace(0, 10, 100), np.zeros(100), np.full(100, 1.5)])
+        origins = np.repeat(stops, 40, axis=0)
+        endpoints = origins + rng.normal(size=origins.shape)
+        times = np.arange(len(origins)) * 1e-3
+        dz = np.column_stack([np.zeros((len(origins), 2)), rng.uniform(-0.2, 0.2, len(origins))])
+        raw = Trajectory.from_raycloud(make_cloud(origins, endpoints, times=times))
+        flat = Trajectory.from_raycloud(make_cloud(origins + dz, endpoints + dz, times=times))
+        assert len(raw.positions) == 100
+        np.testing.assert_array_equal(flat.positions[:, :2], raw.positions[:, :2])
+        np.testing.assert_array_equal(flat.times, raw.times)
+
     def test_validate_rejects_jump(self):
         traj = _traj([[0, 0], [1, 0], [20, 0]])
         with pytest.raises(RowSegmentationError, match="jump"):

@@ -227,6 +227,36 @@ class TestAccumulate:
             assert s.sum_x == pytest.approx(sx_o, abs=1e-9)
             assert s.sum_y == pytest.approx(sy_o, abs=1e-9)
 
+    def test_sums_match_ndarray_sum_in_ray_order(self, rng):
+        # a fan of near-parallel rays along +x; coordinates and directions are
+        # binary fractions, so every traversal parameter is exact and each
+        # record's chords are known bit for bit
+        grid = _grid(w=0.25, dims=(16, 4, 4))
+        n = 160
+        origins = np.column_stack([np.full(n, -2.0), (2 * rng.integers(0, 32, (n, 2)) + 1) / 64])
+        run = rng.choice([4.0, 8.0], n)   # contacts end inside the grid, the rest beyond it
+        slopes = rng.choice([-1 / 16, -1 / 32, 0.0, 1 / 32, 1 / 16], (n, 2))
+        endpoints = origins + np.column_stack([run, slopes * run[:, None]])
+        cloud = make_cloud(origins, endpoints, contact=run == 4.0)
+        stats = accumulate(cloud, grid)
+
+        lengths = cloud.lengths
+        records: dict = {}
+        for i in range(n):
+            ray = cloud[i]
+            for key, t0, t1 in traverse(ray, grid):
+                t_exit = _voxel_exit(ray.origin, ray.endpoint - ray.origin, key, grid)
+                xs, ys = records.setdefault(key, ([], []))
+                xs.append((t1 - t0) * lengths[i])
+                ys.append((t_exit - t0) * lengths[i])
+        counts = [len(xs) for xs, _ in records.values()]
+        assert min(counts) == 1 and max(counts) >= 12   # both sides of sum()'s 8-item switch
+        assert set(stats) == set(records)
+        for key, (xs, ys) in records.items():
+            assert stats[key].n == len(xs)
+            assert stats[key].sum_x == np.array(xs).sum()
+            assert stats[key].sum_y == np.array(ys).sum()
+
 
 def _voxel_exit(o, d, key, grid):
     lo = grid.origin + np.asarray(key) * grid.voxel_width
@@ -301,6 +331,85 @@ class TestExpand:
         assert out[(0, 0, 0)].n == 2
         assert out[(3, 3, 3)].n == 2   # borrowed from across the grid
         assert out[(1, 1, 1)].n == 2
+
+    @pytest.mark.parametrize("n_min", [1, 5, 10, 50])
+    def test_matches_per_voxel_reference(self, rng, n_min):
+        for dims, fill in (((7, 5, 6), 0.3), ((9, 4, 3), 0.05), ((2, 6, 1), 0.5)):
+            stats = {}
+            for key in np.ndindex(*dims):
+                if rng.random() < fill:
+                    n = int(rng.integers(1, 25))
+                    y = rng.uniform(0.01, 0.2, n)
+                    stats[key] = VoxelStats(n=n, m=int(rng.integers(0, n + 1)),
+                                            sum_x=float((y * rng.uniform(0, 1, n)).sum()),
+                                            sum_y=float(y.sum()))
+            _assert_same_expansion(stats, _grid(dims=dims), n_min)
+
+    @pytest.mark.parametrize("n", [0, 3, 12])
+    def test_single_voxel_grid(self, n):
+        # max radius 0: a short voxel can only merge itself
+        stats = {(0, 0, 0): VoxelStats(n=n, m=min(n, 2), sum_x=0.1 * n, sum_y=0.3 * n)} if n else {}
+        _assert_same_expansion(stats, _grid(dims=(1, 1, 1)), 10)
+
+    def test_grid_short_of_n_min_merges_everything(self):
+        stats = {(0, 1, 2): VoxelStats(n=3, m=1, sum_x=0.25, sum_y=0.5),
+                 (3, 0, 0): VoxelStats(n=4, m=2, sum_x=0.5, sum_y=1.5)}
+        out = _assert_same_expansion(stats, _grid(dims=(4, 3, 3)), 10)
+        assert {(s.n, s.m) for s in out.values()} == {(7, 3)}
+
+
+def _expand_reference(stats, grid, n_min):
+    """The per-voxel np.ndindex loop that expand_undersampled replaced."""
+    dims = grid.dims
+    fields = [np.zeros(dims) for _ in range(4)]
+    for key, s in stats.items():
+        for f, v in zip(fields, (s.n, s.m, s.sum_x, s.sum_y)):
+            f[key] = v
+    prefixes = [np.pad(f, (1, 0)).cumsum(0).cumsum(1).cumsum(2) for f in fields]
+
+    def window_sums(prefix, radius):
+        idx = [np.arange(d) for d in dims]
+        lo = [np.clip(ix - radius, 0, d - 1) for ix, d in zip(idx, dims)]
+        hi = [np.clip(ix + radius, 0, d - 1) + 1 for ix, d in zip(idx, dims)]
+        L0, L1, L2 = np.ix_(*lo)
+        H0, H1, H2 = np.ix_(*hi)
+        return (prefix[H0, H1, H2] - prefix[L0, H1, H2] - prefix[H0, L1, H2]
+                - prefix[H0, H1, L2] + prefix[L0, L1, H2] + prefix[L0, H1, L2]
+                + prefix[H0, L1, L2] - prefix[L0, L1, L2])
+
+    radius = np.full(dims, -1)
+    radius[fields[0] >= n_min] = 0
+    max_radius = max(dims) - 1
+    for r in range(1, max_radius + 1):
+        pending = radius < 0
+        if not np.any(pending):
+            break
+        radius[pending & (window_sums(prefixes[0], r) >= n_min)] = r
+    out = {}
+    for key in np.ndindex(*dims):
+        r = int(radius[key])
+        if r == 0:
+            out[key] = stats[key]
+            continue
+        wn, wm, wsx, wsy = (window_sums(p, max_radius if r < 0 else r)[key] for p in prefixes)
+        out[key] = (VoxelStats() if wn == 0 else
+                    VoxelStats(int(round(wn)), int(round(wm)), float(wsx), float(wsy)))
+    return out
+
+
+def _assert_same_expansion(stats, grid, n_min):
+    out = expand_undersampled(stats, grid, n_min=n_min)
+    ref = _expand_reference(stats, grid, n_min)
+    assert list(out) == list(ref)
+    for key, s in out.items():
+        assert s == ref[key]   # n, m, sum_x, sum_y exactly
+        assert type(s.n) is int and type(s.m) is int and type(s.sum_x) is float
+        own = stats.get(key)
+        if own is not None and own.n >= n_min:
+            assert s is own
+        elif s.n == 0:
+            assert s == VoxelStats()
+    return out
 
 
 def _cheb_merge(stats, key, r, dims):
