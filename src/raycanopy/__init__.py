@@ -14,14 +14,12 @@ from .ground import (GroundMesh, extract_ground, height_at, heights_at,
                      subtract_ground)
 from .pipeline import PipelineConfig, run_pipeline
 from .raycloud import (Ray, RayCloud, RawMeasurement, classify_nonreturns,
-                       crop_box, load_raycloud, save_raycloud)
+                       load_raycloud, save_raycloud)
 from .report import (DensityImage, PanelSummary, RowSeries, along_row_series,
-                     end_on_profile, integrate_axis, panel_aggregate, panel_lai,
-                     render_colormap, rrmse)
+                     integrate_axis, panel_aggregate, panel_lai, render_colormap, rrmse)
 from .rows import RowSegment, Trajectory, row_direction, split_rows, to_row_coordinates
-from .simulate import (NormalDistributionSpec, RayDistribution, TurbidConfig,
-                       bias_curves, debiased_error_surface, sample_turbid,
-                       trawl_vs_spin, triangle_bias_experiment)
+from .simulate import (NormalDistributionSpec, bias_curves, debiased_error_surface,
+                       sample_turbid, trawl_vs_spin, triangle_bias_experiment)
 from .synthetic import VineyardSpec, simulate_scan, terrain_height
 from .voxels import VoxelGrid, VoxelStats, accumulate, build_grid, expand_undersampled, traverse
 

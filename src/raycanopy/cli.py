@@ -114,27 +114,28 @@ def _write_table(path, col_names, row_names, table) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    kw = {"seed": args.seed}
+    if args.trials is not None:   # otherwise each experiment's own default
+        if args.trials < 1:
+            raise simulate_mod.SimulationError("--trials must be at least 1")
+        kw["trials"] = args.trials
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.experiment == "turbid-bias":
         lam = [0.1, 0.2, 0.5, 1.0, 2.0, 3.0]
         ns = [2, 4, 8, 16, 32]
-        trials = args.trials or 100_000
         for estimator in ("ml-mode", "debiased"):
-            err, _ = simulate_mod.bias_curves(lam, ns, trials, estimator,
-                                              seed=args.seed)
+            err, _ = simulate_mod.bias_curves(lam, ns, estimator=estimator, **kw)
             _write_table(out / f"turbid_{estimator}.csv", ns, lam, err)
         print(f"turbid bias tables -> {out}")
     elif args.experiment == "triangle-bias":
-        res = simulate_mod.triangle_bias_experiment(trials=args.trials or 4000,
-                                                    seed=args.seed)
+        res = simulate_mod.triangle_bias_experiment(**kw)
         names = [f"l={l}_A={a}" for l, a in res["configs"]] + ["reference"]
         table = np.vstack([res["error"], res["reference"]])
         _write_table(out / "triangle_bias.csv", res["n_values"], names, table)
         print(f"triangle bias table -> {out}")
     elif args.experiment == "error-surface":
-        res = simulate_mod.debiased_error_surface(trials=args.trials or 1600,
-                                                  seed=args.seed)
+        res = simulate_mod.debiased_error_surface(**kw)
         _write_table(out / "error_surface.csv", np.round(res["a_values"], 4),
                      np.round(res["l_values"], 4), res["error"])
         img = report_mod.DensityImage(values=np.abs(res["error"]), axis="z",
@@ -142,7 +143,7 @@ def _cmd_simulate(args) -> int:
         report_mod.render_colormap(img, 0.10, out / "error_surface.png")
         print(f"error surface -> {out}")
     else:
-        res = simulate_mod.trawl_vs_spin(trials=args.trials or 400, seed=args.seed)
+        res = simulate_mod.trawl_vs_spin(**kw)
         names = ["-".join(str(v) for v in s) for s in res["normal_specs"]]
         _write_table(out / "trawl_vs_spin.csv", res["distributions"], names,
                      res["error_percent"])

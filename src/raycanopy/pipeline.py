@@ -54,14 +54,21 @@ class PipelineConfig:
     direction: tuple[float, float] | None = None   # fixed row direction override
 
     def __post_init__(self):
+        optional = () if self.row_spacing is None else ("row_spacing",)
         for name in ("voxel_width", "g", "curvature", "bin_width",
-                     "panel_length", "max_density"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                     "panel_length", "max_density") + optional:
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
+        if isinstance(self.n_min, bool) or not isinstance(self.n_min, (int, np.integer)):
+            raise ValueError(f"n_min must be an integer, not {self.n_min!r}")
         if self.n_min < 1:
             raise ValueError("n_min must be >= 1")
-        if self.row_spacing is not None and self.row_spacing <= 0:
-            raise ValueError("row_spacing must be positive")
+        if self.direction is not None:
+            d = np.asarray(self.direction, dtype=float)
+            if d.shape != (2,) or not np.all(np.isfinite(d)) or not np.any(d):
+                raise ValueError(f"direction must be two finite numbers, not both zero: "
+                                 f"{self.direction!r}")
         if self.estimator not in ("mean", "mode"):
             raise ValueError(f"estimator must be 'mean' or 'mode', not {self.estimator!r}")
         if self.panel_mode not in ("mean", "sum"):
@@ -90,10 +97,12 @@ def apply_overrides(config: PipelineConfig, values: dict) -> PipelineConfig:
     kwargs = {}
     for key, raw in values.items():
         if key == "direction":
-            parts = [float(v) for v in str(raw).replace(",", " ").split()]
+            parts = raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
             if len(parts) != 2:
                 raise ValueError("direction must be two numbers: dx,dy")
-            kwargs["direction"] = (parts[0], parts[1])
+            kwargs["direction"] = (float(parts[0]), float(parts[1]))
+        elif key == "n_min" and not isinstance(raw, str):
+            kwargs[key] = raw   # PipelineConfig rejects a non-integral count
         elif key in fields:
             kwargs[key] = fields[key](raw) if not isinstance(raw, fields[key]) else raw
         else:

@@ -176,20 +176,6 @@ def classify_nonreturns(measurements: list[RawMeasurement], max_range: float) ->
     return cloud
 
 
-def crop_box(cloud: RayCloud, box_min, box_max) -> RayCloud:
-    """Keep rays whose endpoint lies inside the axis-aligned box (inclusive).
-
-    Ray geometry is never modified here; rays are clipped later, during voxel
-    traversal.
-    """
-    lo = np.asarray(box_min, dtype=np.float64)
-    hi = np.asarray(box_max, dtype=np.float64)
-    if not np.all(lo < hi):
-        raise RayCloudError("degenerate crop box: min must be < max componentwise")
-    mask = np.all((cloud.endpoints >= lo) & (cloud.endpoints <= hi), axis=1)
-    return cloud.select(mask)
-
-
 # ---------------------------------------------------------------------------
 # File I/O: binary little-endian PLY with endpoint + ray-vector channels,
 # plus a CSV fallback accepted on load.

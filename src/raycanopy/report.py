@@ -87,14 +87,6 @@ def along_row_series(field: DensityField) -> RowSeries:
     return RowSeries(values=values, step=w)
 
 
-def end_on_profile(field: DensityField) -> DensityImage:
-    """Average cross-section density (m^2/m^3): along-row integral / row length."""
-    img = integrate_axis(field, "y")
-    length = field.grid.dims[1] * field.grid.voxel_width
-    return DensityImage(values=img.values / length, axis="y",
-                        pixel_size=img.pixel_size, observed=img.observed)
-
-
 def panel_aggregate(series: RowSeries, panel_length: float = DEFAULT_PANEL_LENGTH,
                     mode: str = "mean") -> list[PanelSummary]:
     """Aggregate the series into consecutive panel windows from y = 0.
@@ -194,27 +186,17 @@ def colormap_rgb(values: np.ndarray, max_value: float,
 
 def render_colormap(image: DensityImage, max_value: float = DEFAULT_MAX_DENSITY,
                     path=None) -> np.ndarray:
-    """Colour-map the image; when a path is given, write it as PNG or PPM (P6)
-    as its suffix says (.png or .ppm, in either letter case)."""
+    """Colour-map the image; when a path is given, write it as PNG (its
+    suffix must be .png, in either letter case)."""
     # image rows: second array axis rendered top-down
     rgb = colormap_rgb(image.values.T[::-1], max_value,
                        None if image.observed is None else image.observed.T[::-1])
     if path is not None:
         suffix = Path(path).suffix.lower()
-        if suffix == ".png":
-            write_png(rgb, path)
-        elif suffix == ".ppm":
-            write_ppm(rgb, path)
-        else:
-            raise ReportError(f"{path}: unknown image suffix {suffix!r}, expected .png or .ppm")
+        if suffix != ".png":
+            raise ReportError(f"{path}: unknown image suffix {suffix!r}, expected .png")
+        write_png(rgb, path)
     return rgb
-
-
-def write_ppm(rgb: np.ndarray, path) -> None:
-    h, w = rgb.shape[:2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(np.ascontiguousarray(rgb).tobytes())
 
 
 def write_png(rgb: np.ndarray, path) -> None:

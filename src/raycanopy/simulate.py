@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import debias_factor
+from .density import DEFAULT_G, debias_factor
 
-DEFAULT_G = 2.0
 SPIN_MAX_ANGLE_DEG = 70.0
 TRIANGLE_AREA_FACTOR = np.sqrt(3.0 / 4.0)   # area of unit-side equilateral triangle
 
@@ -41,21 +40,6 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class TurbidConfig:
-    """One cell of the 1D turbid-medium experiment."""
-
-    lam: float            # true density, 1/m
-    n: int                # rays per trial
-    y: float = 1.0        # constant voxel depth, m
-    trials: int = 10_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.n < 1 or self.y <= 0:
-            raise SimulationError("invalid turbid configuration")
-
-
-@dataclass(frozen=True)
 class NormalDistributionSpec:
     """Leaf-normal ellipsoid: draw from the axis-scaled sphere and normalise."""
 
@@ -73,35 +57,23 @@ class NormalDistributionSpec:
         return v
 
 
-@dataclass(frozen=True)
-class RayDistribution:
-    """Ray sampling model inside the voxel."""
-
-    kind: str = "uniform-random"         # or "trawling", "spinning"
-    max_half_angle_deg: float = SPIN_MAX_ANGLE_DEG
-
-    def __post_init__(self):
-        if self.kind not in ("uniform-random", "trawling", "spinning"):
-            raise SimulationError(f"unknown ray distribution {self.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # 1D turbid medium
 
 
-def sample_turbid(config: TurbidConfig, rng: np.random.Generator | None = None
+def sample_turbid(lam: float, n: int, y: float, trials: int, rng: np.random.Generator
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial interception counts m and depths x for the censored model.
 
-    Each ray draws an exponential(lambda) interception distance; draws longer
-    than the voxel depth y are censored at y. Returns (m, x) with shapes
-    (trials,) and (trials, n).
+    Each of n rays per trial draws an exponential(lam) interception distance;
+    draws longer than the voxel depth y are censored at y (`y = inf` censors
+    none). Returns (m, x) with shapes (trials,) and (trials, n).
     """
-    if rng is None:
-        rng = make_rng(config.seed)
-    draws = rng.exponential(1.0 / config.lam, size=(config.trials, config.n))
-    intercepted = draws <= config.y
-    x = np.where(intercepted, draws, config.y)
+    if not (lam > 0 and n >= 1 and y > 0):
+        raise SimulationError(f"invalid turbid cell: lam={lam}, n={n}, y={y}")
+    draws = rng.exponential(1.0 / lam, size=(trials, n))
+    intercepted = draws <= y
+    x = np.where(intercepted, draws, y)
     return intercepted.sum(axis=1), x
 
 
@@ -118,7 +90,7 @@ def _turbid_estimates(m: np.ndarray, x: np.ndarray, estimator: str) -> np.ndarra
     raise SimulationError(f"unknown estimator {estimator!r}")
 
 
-def bias_curves(lambda_grid, n_grid, trials: int, estimator: str,
+def bias_curves(lambda_grid, n_grid, trials: int = 100_000, estimator: str = "debiased",
                 y: float = 1.0, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Mean normalised error (est - lam)/lam per (lambda, n) cell, with its
     standard error. `y = inf` disables censoring (for the unbiased estimator).
@@ -130,12 +102,7 @@ def bias_curves(lambda_grid, n_grid, trials: int, estimator: str,
     rng = make_rng(seed)
     for a, lam in enumerate(lambda_grid):
         for b, n in enumerate(n_grid):
-            if np.isinf(y):
-                x = rng.exponential(1.0 / lam, size=(trials, n))
-                m = np.full(trials, n)
-            else:
-                m, x = sample_turbid(TurbidConfig(lam=lam, n=int(n), y=y, trials=trials),
-                                     rng=rng)
+            m, x = sample_turbid(lam, int(n), y, trials, rng)
             rel = (_turbid_estimates(m, x, estimator) - lam) / lam
             err[a, b] = rel.mean()
             se[a, b] = rel.std(ddof=1) / np.sqrt(trials)
@@ -264,52 +231,43 @@ def _rays_trawling(count: int, w: float, rng) -> tuple[np.ndarray, np.ndarray, n
     return starts, dirs, np.full(count, w)
 
 
-def _rays_spinning(count: int, w: float, rng,
-                   max_angle_deg: float = SPIN_MAX_ANGLE_DEG):
-    """Uniform field of horizontal rays, angle 0..max from the +x axis.
+def _rays_spinning(count: int, w: float, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform field of horizontal rays, angle 0..SPIN_MAX_ANGLE_DEG from +x.
 
     Each ray is a uniformly offset chord of the square cross-section (not a
     point on the inflow face), matching a distant scanner sweeping the voxel.
     """
-    theta = rng.uniform(0.0, np.deg2rad(max_angle_deg), count)
-    theta *= rng.choice((-1.0, 1.0), count)
-    d2 = np.column_stack([np.cos(theta), np.sin(theta)])
-    perp = np.column_stack([-d2[:, 1], d2[:, 0]])
     corners = np.array([[0.0, 0.0], [w, 0.0], [0.0, w], [w, w]])
-    proj = perp @ corners.T                      # (count, 4)
-    offset = rng.uniform(proj.min(axis=1), proj.max(axis=1))
-    p0 = offset[:, None] * perp
-    # clip the 2D line p0 + t*d2 to the square
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (0.0 - p0) / d2
-        t_hi = (w - p0) / d2
-    near = np.where(d2 != 0, np.minimum(t_lo, t_hi), -np.inf)
-    far = np.where(d2 != 0, np.maximum(t_lo, t_hi), np.inf)
-    t0 = near.max(axis=1)
-    t1 = far.min(axis=1)
-    chord = np.maximum(t1 - t0, 0.0)
-    degenerate = chord <= 1e-12
-    while np.any(degenerate):   # grazing offsets: resample
-        k = int(degenerate.sum())
-        s2, d2k, c2 = _rays_spinning(k, w, rng, max_angle_deg)
-        start2 = s2
-        p0[degenerate] = start2[:, :2] - 0.0
-        d2[degenerate] = d2k[:, :2]
-        t0[degenerate] = 0.0
-        chord[degenerate] = c2
-        degenerate = chord <= 1e-12
-    xy0 = p0 + t0[:, None] * d2
+
+    def chords(k):
+        theta = rng.uniform(0.0, np.deg2rad(SPIN_MAX_ANGLE_DEG), k)
+        theta *= rng.choice((-1.0, 1.0), k)
+        d2 = np.column_stack([np.cos(theta), np.sin(theta)])
+        perp = np.column_stack([-d2[:, 1], d2[:, 0]])
+        proj = perp @ corners.T                      # (k, 4)
+        offset = rng.uniform(proj.min(axis=1), proj.max(axis=1))
+        p0 = offset[:, None] * perp
+        # clip the 2D line p0 + t*d2 to the square
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_lo = (0.0 - p0) / d2
+            t_hi = (w - p0) / d2
+        near = np.where(d2 != 0, np.minimum(t_lo, t_hi), -np.inf)
+        far = np.where(d2 != 0, np.maximum(t_lo, t_hi), np.inf)
+        t0 = near.max(axis=1)
+        return p0 + t0[:, None] * d2, d2, np.maximum(far.min(axis=1) - t0, 0.0)
+
+    xy0, d2, chord = chords(count)
+    bad = chord <= 1e-12
+    while np.any(bad):   # offsets through a corner graze the square; redraw them
+        xy0[bad], d2[bad], chord[bad] = chords(int(bad.sum()))
+        bad = chord <= 1e-12
     starts = np.column_stack([xy0, rng.uniform(0.0, w, count)])
     dirs = np.column_stack([d2, np.zeros(count)])
     return starts, dirs, chord
 
 
-def _make_rays(dist: RayDistribution, count: int, w: float, rng):
-    if dist.kind == "trawling":
-        return _rays_trawling(count, w, rng)
-    if dist.kind == "spinning":
-        return _rays_spinning(count, w, rng, dist.max_half_angle_deg)
-    return _rays_uniform_chords(count, w, rng)
+RAY_MODELS = {"uniform-random": _rays_uniform_chords, "trawling": _rays_trawling,
+              "spinning": _rays_spinning}
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +328,14 @@ def _first_hits(starts: np.ndarray, dirs: np.ndarray, chord: np.ndarray,
 
 
 def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
-                   dist: RayDistribution, normals: NormalDistributionSpec,
+                   kind: str, normals: NormalDistributionSpec,
                    rng: np.random.Generator, g: float = DEFAULT_G,
                    debias: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (estimated density, true density) for one experiment cell."""
+    """Per-trial (estimated density, true density) of one cell; rays follow RAY_MODELS[kind]."""
+    if kind not in RAY_MODELS:
+        raise SimulationError(f"unknown ray distribution {kind!r}")
     tris, counts, rho = _leaf_scenes(w, side, area, trials, normals, rng)
-    starts, dirs, chord = _make_rays(dist, trials * n, w, rng)
+    starts, dirs, chord = RAY_MODELS[kind](trials * n, w, rng)
     trial_of_ray = np.repeat(np.arange(trials), n)
     hit_mask, x = _first_hits(starts, dirs, chord, tris, counts, trial_of_ray)
 
@@ -386,11 +346,21 @@ def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
     return scale * lam_hat, rho
 
 
-def _normalised_error(est: np.ndarray, rho: np.ndarray) -> float:
-    truth = rho.mean()
-    if truth == 0:   # degenerate cell: no leaves realised in any trial
-        return float("nan")
-    return float((est.mean() - truth) / truth)
+def _cell_errors(cells, shape, trials: int, w: float, g: float, seed: int,
+                 debias: bool = True) -> np.ndarray:
+    """Normalised error (mean estimate - mean truth) / mean truth per cell.
+
+    `cells` lists (side, area, n, ray kind, normals) in row-major order of
+    `shape`, run in that order on one generator. NaN where no leaf was realised.
+    """
+    rng = make_rng(seed)
+    err = np.empty(len(cells))
+    for i, (side, area, n, kind, normals) in enumerate(cells):
+        est, rho = _simulate_cell(w, side, area, n, trials, kind, normals, rng,
+                                  g=g, debias=debias)
+        truth = rho.mean()
+        err[i] = (est.mean() - truth) / truth if truth else np.nan
+    return err.reshape(shape)
 
 
 def triangle_bias_experiment(configs=TRIANGLE_BIAS_CONFIGS, n_values=range(2, 15),
@@ -402,15 +372,11 @@ def triangle_bias_experiment(configs=TRIANGLE_BIAS_CONFIGS, n_values=range(2, 15
     reference is the expected bias curve 1/(n-1) the errors should track.
     """
     n_values = list(n_values)
-    rng = make_rng(seed)
-    dist = RayDistribution("uniform-random")
     normals = NormalDistributionSpec()
-    err = np.zeros((len(configs), len(n_values)))
-    for ci, (side, area) in enumerate(configs):
-        for ni, n in enumerate(n_values):
-            est, rho = _simulate_cell(w, side, area, int(n), trials, dist, normals,
-                                      rng, g=g, debias=False)
-            err[ci, ni] = _normalised_error(est, rho)
+    cells = [(side, area, int(n), "uniform-random", normals)
+             for side, area in configs for n in n_values]
+    err = _cell_errors(cells, (len(configs), len(n_values)), trials, w, g, seed,
+                       debias=False)
     reference = np.array([1.0 / (n - 1) for n in n_values])
     return {"configs": list(configs), "n_values": n_values,
             "error": err, "reference": reference}
@@ -424,15 +390,10 @@ def debiased_error_surface(l_values=None, a_values=None, n: int = 20,
         l_values = np.linspace(0.025, 0.10, 7)
     if a_values is None:
         a_values = np.linspace(0.001, 0.031, 7)
-    rng = make_rng(seed)
-    dist = RayDistribution("uniform-random")
     normals = NormalDistributionSpec()
-    err = np.zeros((len(l_values), len(a_values)))
-    for li, side in enumerate(l_values):
-        for ai, area in enumerate(a_values):
-            est, rho = _simulate_cell(w, float(side), float(area), n, trials, dist,
-                                      normals, rng, g=g, debias=True)
-            err[li, ai] = _normalised_error(est, rho)
+    cells = [(float(side), float(area), n, "uniform-random", normals)
+             for side in l_values for area in a_values]
+    err = _cell_errors(cells, (len(l_values), len(a_values)), trials, w, g, seed)
     return {"l_values": np.asarray(l_values), "a_values": np.asarray(a_values),
             "error": err}
 
@@ -441,13 +402,9 @@ def trawl_vs_spin(normal_specs=TABLE1_NORMAL_SPECS, n: int = 50, trials: int = 4
                   side: float = 0.06, area: float = 0.02, w: float = 0.1,
                   g: float = DEFAULT_G, seed: int = 0) -> dict:
     """Percentage density error per (leaf-normal ellipsoid, ray distribution)."""
-    rng = make_rng(seed)
-    table = np.zeros((len(normal_specs), 2))
-    for si, spec in enumerate(normal_specs):
-        normals = NormalDistributionSpec(tuple(float(e) for e in spec))
-        for di, kind in enumerate(("trawling", "spinning")):
-            est, rho = _simulate_cell(w, side, area, n, trials,
-                                      RayDistribution(kind), normals, rng, g=g)
-            table[si, di] = 100.0 * _normalised_error(est, rho)
+    kinds = ("trawling", "spinning")
+    cells = [(side, area, n, kind, NormalDistributionSpec(tuple(float(e) for e in spec)))
+             for spec in normal_specs for kind in kinds]
+    err = _cell_errors(cells, (len(normal_specs), len(kinds)), trials, w, g, seed)
     return {"normal_specs": list(normal_specs),
-            "distributions": ("trawling", "spinning"), "error_percent": table}
+            "distributions": kinds, "error_percent": 100.0 * err}

@@ -43,10 +43,6 @@ class VoxelGrid:
     def voxel_count(self) -> int:
         return int(np.prod(self.dims))
 
-    def index_of(self, point: np.ndarray) -> tuple[int, int, int]:
-        ijk = np.floor((np.asarray(point) - self.origin) / self.voxel_width).astype(int)
-        return tuple(int(v) for v in ijk)
-
     def contains_index(self, ijk) -> bool:
         return all(0 <= v < d for v, d in zip(ijk, self.dims))
 
@@ -135,7 +131,7 @@ def traverse(ray, grid: VoxelGrid) -> list[tuple[tuple[int, int, int], float, fl
     ijk = np.clip(ijk, 0, np.asarray(grid.dims) - 1)
 
     step = np.where(delta > 0, 1, np.where(delta < 0, -1, 0))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         t_delta = np.where(delta != 0, np.abs(w / delta), np.inf)
         next_bound = grid.origin + (ijk + (step > 0)) * w
         t_max = np.where(delta != 0, (next_bound - origin) / delta, np.inf)

@@ -80,6 +80,13 @@ def test_simulate_minimal_trials_writes_valid_csv(tmp_path):
     assert np.isfinite(table[-1, 1:]).all()
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
+    assert main(["simulate", "trawl-vs-spin", str(tmp_path / "out"), "--trials", trials]) == 1
+    assert "--trials must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_error_surface_outputs(tmp_path):
     assert main(["simulate", "error-surface", str(tmp_path), "--trials", "40"]) == 0
     assert (tmp_path / "error_surface.csv").exists()

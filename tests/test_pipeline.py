@@ -63,6 +63,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="panel_mode"):
             PipelineConfig(panel_mode="median")
 
+    @pytest.mark.parametrize("field", ["voxel_width", "panel_length", "row_spacing"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize("direction", [(0.0, 0.0), (float("nan"), 1.0),
+                                           (1.0, float("inf")), (1.0, 0.0, 0.0)])
+    def test_degenerate_direction_rejected(self, direction):
+        with pytest.raises(ValueError, match="direction must be two finite numbers"):
+            PipelineConfig(direction=direction)
+
+    def test_tuple_direction_override(self):
+        c = apply_overrides(PipelineConfig(), {"direction": (1.0, 0.0)})
+        assert c.direction == (1.0, 0.0)
+
+    @pytest.mark.parametrize("n_min", [2.7, "2.7", True], ids=["float", "str", "bool"])
+    def test_non_integral_n_min_rejected(self, n_min):
+        with pytest.raises(ValueError):
+            apply_overrides(PipelineConfig(), {"n_min": n_min})
+        if not isinstance(n_min, str):
+            with pytest.raises(ValueError, match="n_min must be an integer"):
+                PipelineConfig(n_min=n_min)
+
     def test_every_field_read_by_one_stage(self):
         read = [name for stage in STAGES for name in stage.fields]
         assert sorted(read) == sorted(f.name for f in dataclasses.fields(PipelineConfig))

@@ -1,4 +1,4 @@
-"""Ray cloud model, non-return classification, cropping and file round trips."""
+"""Ray cloud model, non-return classification and file round trips."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raycanopy.raycloud import (RawMeasurement, RayCloud, RayCloudError,
-                                RayCloudParseError, classify_nonreturns, crop_box,
+                                RayCloudParseError, classify_nonreturns,
                                 empty_cloud, load_raycloud, save_raycloud)
 
 from conftest import make_cloud, random_cloud
@@ -102,26 +102,6 @@ class TestValidate:
         cloud = make_cloud([[0, 0, 0]], [[1, 0, 0]])
         with pytest.raises(ValueError):
             cloud.origins[0, 0] = 9.0
-
-
-class TestCropBox:
-    def test_matches_bruteforce_predicate(self, rng):
-        cloud = random_cloud(rng, n=2000)
-        lo, hi = np.array([-2.0, -1.0, -3.0]), np.array([2.5, 4.0, 1.0])
-        cropped = crop_box(cloud, lo, hi)
-        expect = [i for i in range(len(cloud))
-                  if np.all(cloud.endpoints[i] >= lo) and np.all(cloud.endpoints[i] <= hi)]
-        assert len(cropped) == len(expect)
-        np.testing.assert_array_equal(cropped.endpoints, cloud.endpoints[expect])
-
-    def test_boundary_is_inclusive(self):
-        cloud = make_cloud([[0, 0, 0]], [[1, 1, 1]])
-        assert len(crop_box(cloud, [0, 0, 0], [1, 1, 1])) == 1
-
-    def test_degenerate_box_rejected(self):
-        cloud = make_cloud([[0, 0, 0]], [[1, 1, 1]])
-        with pytest.raises(RayCloudError):
-            crop_box(cloud, [0, 0, 0], [0, 1, 1])
 
 
 class TestFileRoundTrip:

@@ -5,7 +5,7 @@ import pytest
 
 from raycanopy.density import DensityField
 from raycanopy.report import (DensityImage, ReportError, RowSeries, along_row_series,
-                              colormap_rgb, end_on_profile, export_comparison_csv,
+                              colormap_rgb, export_comparison_csv,
                               export_panels_csv, export_series_csv, integrate_axis,
                               panel_aggregate, panel_lai, render_colormap, rrmse,
                               trend_line, with_lai, write_png)
@@ -48,14 +48,6 @@ class TestIntegrateAxis:
         field = random_field(rng)
         img = integrate_axis(field, "y")
         np.testing.assert_array_equal(img.observed, field.observed.any(axis=1))
-
-
-class TestEndOnProfile:
-    def test_uniform_value(self):
-        field = _uniform_field(value=5.0, dims=(3, 10, 4), w=0.2)
-        prof = end_on_profile(field)
-        # integrating 10 voxels of 0.2 m then dividing by the 2 m row length
-        np.testing.assert_allclose(prof.values, 5.0)
 
 
 class TestPanels:
@@ -152,11 +144,6 @@ class TestColormap:
         w, h = struct.unpack(">2I", data[16:24])
         assert (w, h) == (3, 4)
 
-    def test_ppm_written(self, tmp_path):
-        img = DensityImage(values=np.ones((2, 2)), axis="x", pixel_size=0.1)
-        render_colormap(img, 10.0, tmp_path / "i.ppm")
-        assert (tmp_path / "i.ppm").read_bytes().startswith(b"P6\n2 2\n255\n")
-
     def test_uppercase_png_suffix_writes_png(self, tmp_path):
         img = DensityImage(values=np.ones((2, 2)), axis="x", pixel_size=0.1)
         render_colormap(img, 10.0, tmp_path / "i.PNG")
@@ -167,6 +154,9 @@ class TestColormap:
         with pytest.raises(ReportError, match=r"i\.jpg: unknown image suffix '\.jpg'"):
             render_colormap(img, 10.0, tmp_path / "i.jpg")
         assert not (tmp_path / "i.jpg").exists()
+        with pytest.raises(ReportError, match=r"'\.ppm', expected \.png$"):
+            render_colormap(img, 10.0, tmp_path / "i.ppm")
+        assert not (tmp_path / "i.ppm").exists()
 
     def test_png_decodes_back(self, tmp_path):
         try:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from raycanopy.density import debias_factor
-from raycanopy.simulate import (NormalDistributionSpec, RayDistribution, SimulationError,
-                                TurbidConfig, _first_hits, _leaf_scenes, _rays_trawling,
+from raycanopy.simulate import (SPIN_MAX_ANGLE_DEG, NormalDistributionSpec, SimulationError,
+                                _first_hits, _leaf_scenes, _rays_spinning, _rays_trawling,
                                 _rays_uniform_chords, _simulate_cell, bias_curves,
                                 clipped_area, make_rng, sample_turbid, trawl_vs_spin,
                                 triangle_bias_experiment)
@@ -13,8 +13,7 @@ from raycanopy.simulate import (NormalDistributionSpec, RayDistribution, Simulat
 
 class TestSampleTurbid:
     def test_shapes_and_censoring(self):
-        cfg = TurbidConfig(lam=2.0, n=8, y=1.0, trials=500, seed=3)
-        m, x = sample_turbid(cfg)
+        m, x = sample_turbid(2.0, 8, 1.0, 500, make_rng(3))
         assert m.shape == (500,) and x.shape == (500, 8)
         assert np.all(x <= 1.0 + 1e-12)
         assert np.all(x > 0)
@@ -22,7 +21,7 @@ class TestSampleTurbid:
 
     def test_hit_fraction_matches_theory(self):
         lam, y, n, trials = 1.3, 0.8, 20, 20_000
-        m, _ = sample_turbid(TurbidConfig(lam=lam, n=n, y=y, trials=trials, seed=7))
+        m, _ = sample_turbid(lam, n, y, trials, make_rng(7))
         p = 1.0 - np.exp(-lam * y)
         frac = m.sum() / (trials * n)
         se = np.sqrt(p * (1 - p) / (trials * n))
@@ -30,15 +29,21 @@ class TestSampleTurbid:
 
     def test_intercepted_depth_mean_matches_integral(self):
         lam, y = 2.0, 1.0
-        m, x = sample_turbid(TurbidConfig(lam=lam, n=50, y=y, trials=40_000, seed=11))
+        m, x = sample_turbid(lam, 50, y, 40_000, make_rng(11))
         hit = x < y
         # E[x | x < y] for a censored exponential
         expect = 1.0 / lam - y * np.exp(-lam * y) / (1.0 - np.exp(-lam * y))
         assert x[hit].mean() == pytest.approx(expect, rel=0.01)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(SimulationError):
-            TurbidConfig(lam=0.0, n=5)
+        for lam, n, y in ((0.0, 5, 1.0), (1.0, 0, 1.0), (1.0, 5, 0.0), (np.nan, 5, 1.0)):
+            with pytest.raises(SimulationError):
+                sample_turbid(lam, n, y, 10, make_rng(0))
+
+    def test_infinite_depth_intercepts_every_draw(self):
+        m, x = sample_turbid(2.5, 7, np.inf, 300, make_rng(13))
+        np.testing.assert_array_equal(m, np.full(300, 7))
+        np.testing.assert_array_equal(x, make_rng(13).exponential(1.0 / 2.5, size=(300, 7)))
 
 
 class TestBiasCurves:
@@ -183,6 +188,71 @@ class TestCastRays:
         assert hit.any()
 
 
+def _on_square_boundary(xy, w, tol=1e-12):
+    inside = np.all((xy >= -tol) & (xy <= w + tol), axis=1)
+    return inside & np.any((np.abs(xy) <= tol) | (np.abs(xy - w) <= tol), axis=1)
+
+
+class _CornerFirst:
+    """Generator whose first offset draw (the one with array bounds) is its
+    lower bound, which puts ray 0 through a corner of the square."""
+
+    def __init__(self, seed):
+        self.rng = make_rng(seed)
+        self.offset_draws = 0
+
+    def choice(self, *args):
+        return self.rng.choice(*args)
+
+    def uniform(self, low, high, size=None):
+        out = self.rng.uniform(low, high, size)
+        if np.ndim(low):
+            if not self.offset_draws:
+                out[0] = low[0]
+            self.offset_draws += 1
+        return out
+
+
+class TestSpinningRays:
+    W = 0.1
+
+    def _assert_chords(self, starts, dirs, chord):
+        w = self.W
+        assert _on_square_boundary(starts[:, :2], w).all()
+        assert np.all((starts[:, 2] >= 0.0) & (starts[:, 2] <= w))
+        assert np.all(dirs[:, 2] == 0.0)
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-12)
+        angle = np.degrees(np.arctan2(dirs[:, 1], dirs[:, 0]))
+        assert np.all(np.abs(angle) <= SPIN_MAX_ANGLE_DEG)
+        assert np.all(chord > 0.0)
+        assert _on_square_boundary(starts[:, :2] + chord[:, None] * dirs[:, :2], w).all()
+
+    def test_rays_are_chords_of_the_square(self):
+        self._assert_chords(*_rays_spinning(5000, self.W, make_rng(3)))
+
+    def test_draw_order_angle_sign_offset_then_height(self):
+        count = 300
+        starts, dirs, _ = _rays_spinning(count, self.W, make_rng(5))
+        rng = make_rng(5)
+        theta = rng.uniform(0.0, np.deg2rad(SPIN_MAX_ANGLE_DEG), count)
+        theta *= rng.choice((-1.0, 1.0), count)
+        rng.uniform(np.zeros(count), np.ones(count))   # the offsets
+        np.testing.assert_array_equal(dirs[:, 0], np.cos(theta))
+        np.testing.assert_array_equal(dirs[:, 1], np.sin(theta))
+        np.testing.assert_array_equal(starts[:, 2], rng.uniform(0.0, self.W, count))
+
+    def test_corner_offset_is_redrawn(self):
+        count = 50
+        scripted = _CornerFirst(seed=8)
+        starts, dirs, chord = _rays_spinning(count, self.W, scripted)
+        assert scripted.offset_draws == 2      # one redraw, of the corner ray alone
+        self._assert_chords(starts, dirs, chord)
+        plain, plain_dirs, plain_chord = _rays_spinning(count, self.W, make_rng(8))
+        assert not np.array_equal(dirs[0], plain_dirs[0])
+        np.testing.assert_array_equal(starts[1:, :2], plain[1:, :2])
+        np.testing.assert_array_equal(chord[1:], plain_chord[1:])
+
+
 def _ray_tri(start, d, tri):
     v0, v1, v2 = tri
     e1, e2 = v1 - v0, v2 - v0
@@ -201,8 +271,7 @@ def _ray_tri(start, d, tri):
 
 class TestExperiments:
     def test_estimator_accurate_at_large_n(self):
-        est, rho = _simulate_cell(0.1, 0.05, 0.01, 50, 2000,
-                                  RayDistribution("uniform-random"),
+        est, rho = _simulate_cell(0.1, 0.05, 0.01, 50, 2000, "uniform-random",
                                   NormalDistributionSpec(), make_rng(8))
         err = (est.mean() - rho.mean()) / rho.mean()
         assert abs(err) < 0.05
@@ -225,12 +294,15 @@ class TestExperiments:
         assert res["error_percent"].shape == (1, 2)
         assert res["distributions"] == ("trawling", "spinning")
 
+    def test_unknown_ray_kind_rejected(self):
+        with pytest.raises(SimulationError, match="unknown ray distribution 'sweeping'"):
+            _simulate_cell(0.1, 0.05, 0.01, 10, 5, "sweeping", NormalDistributionSpec(),
+                           make_rng(0))
+
     def test_debias_factor_used_by_engine(self):
         rng_a, rng_b = make_rng(21), make_rng(21)
-        raw, _ = _simulate_cell(0.1, 0.05, 0.01, 10, 50,
-                                RayDistribution("uniform-random"),
+        raw, _ = _simulate_cell(0.1, 0.05, 0.01, 10, 50, "uniform-random",
                                 NormalDistributionSpec(), rng_a, debias=False)
-        deb, _ = _simulate_cell(0.1, 0.05, 0.01, 10, 50,
-                                RayDistribution("uniform-random"),
+        deb, _ = _simulate_cell(0.1, 0.05, 0.01, 10, 50, "uniform-random",
                                 NormalDistributionSpec(), rng_b, debias=True)
         np.testing.assert_allclose(deb, raw * debias_factor(10), rtol=1e-12)

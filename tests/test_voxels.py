@@ -1,5 +1,7 @@
 """Voxel grid construction, ray traversal and statistics accumulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,17 @@ class TestTraverse:
         L = ray.length
         for _, t0, t1 in out:
             assert (t1 - t0) * L == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_component_on_a_face_is_silent(self):
+        # y = 0.25 is a face of the 0.25 m grid and the ray has no y component:
+        # its y boundary parameter is 0/0, masked without a warning
+        grid = _grid(w=0.25, dims=(4, 4, 4))
+        ray = Ray(np.array([-0.1, 0.25, 0.5]), np.array([0.9, 0.25, 0.5]), 0.0, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = traverse(ray, grid)
+        assert [v for v, _, _ in out] == [(i, 1, 2) for i in range(4)]
+        assert sum(t1 - t0 for _, t0, t1 in out) * ray.length == pytest.approx(0.9)
 
     def test_miss_returns_empty(self):
         grid = _grid()
@@ -205,7 +218,8 @@ class TestAccumulate:
         for i in range(n):
             ray = cloud[i]
             L = ray.length
-            end_key = grid.index_of(ray.endpoint)
+            end_key = tuple(np.floor((ray.endpoint - grid.origin) / grid.voxel_width)
+                            .astype(int))
             inside = grid.contains_index(end_key) and np.all(
                 (ray.endpoint >= grid.origin) & (ray.endpoint < grid.upper))
             for key, t0, t1 in traverse(ray, grid):
