@@ -6,9 +6,11 @@ trawling (push-broom) versus spinning lidar ray distributions over
 anisotropic leaf-normal ellipsoids.
 
 The triangular-leaf experiments are flattened across trials: all scenes of a
-cell are generated as one triangle array and clipped in one pass
-(`_leaf_scenes`), and ray/leaf intersection runs over a single (ray,
-triangle) pair list (`_first_hits`).
+cell are generated as one triangle array (`_leaf_scenes`), and ray/leaf
+intersection runs over a single (ray, triangle) pair list (`_first_hits`).
+`clipped_area` clips that array plane by plane, each plane working only on
+the polygons with a vertex outside it, so leaves wholly inside the voxel
+are never clipped.
 """
 
 from __future__ import annotations
@@ -131,45 +133,53 @@ def _triangle_vertices(centres: np.ndarray, normals: np.ndarray, phi: np.ndarray
 def clipped_area(triangles: np.ndarray, w: float) -> np.ndarray:
     """Area of each triangle clipped to the voxel box [0, w]^3.
 
-    Sutherland-Hodgman against the six box planes, vectorised over all
-    triangles with padded polygon arrays (a triangle gains at most one vertex
-    per plane, so nine vertices suffice).
+    Sutherland-Hodgman against the six box planes, vectorised over padded
+    polygon arrays. Each plane clips only the polygons with a vertex outside
+    it; every other polygon would pass through that plane unchanged, so it
+    is left as it is. A polygon gains at most one vertex per plane, so the
+    padded width grows by one slot per applied plane, from three to nine.
     """
     n_tri = len(triangles)
-    if n_tri == 0:
-        return np.zeros(0)
-    max_v = 10
-    polys = np.zeros((n_tri, max_v, 3))
+    polys = np.zeros((n_tri, 9, 3))
     polys[:, :3] = triangles
     counts = np.full(n_tri, 3, dtype=np.int64)
-    slots = np.arange(max_v)
+    width = 3
 
     for axis in range(3):
         for sign, bound in ((1.0, 0.0), (-1.0, w)):
+            slots = np.arange(width)
             valid = slots[None, :] < counts[:, None]
+            outside = valid & ~(sign * (polys[:, :width, axis] - bound) >= 0)
+            act = np.flatnonzero(outside.any(axis=1))
+            if not len(act):
+                continue
+            width += 1
+            slots = np.arange(width)
+            p = polys[act, :width]
+            c = counts[act]
+            valid = slots[None, :] < c[:, None]
             nxt = slots[None, :] + 1
-            nxt = np.where(nxt >= counts[:, None], 0, nxt)
-            rows = np.arange(n_tri)[:, None]
-            v_next = polys[rows, nxt]
-            da = sign * (polys[:, :, axis] - bound)
+            nxt = np.where(nxt >= c[:, None], 0, nxt)
+            v_next = p[np.arange(len(act))[:, None], nxt]
+            da = sign * (p[:, :, axis] - bound)
             db = sign * (v_next[:, :, axis] - bound)
             keep_v = valid & (da >= 0)
             crossing = valid & ((da >= 0) != (db >= 0))
             denom = np.where(crossing, da - db, 1.0)
-            inter = polys + (v_next - polys) * (da / denom)[..., None]
+            inter = p + (v_next - p) * (da / denom)[..., None]
 
-            flags = np.stack([keep_v, crossing], axis=2).reshape(n_tri, 2 * max_v)
-            cand = np.stack([polys, inter], axis=2).reshape(n_tri, 2 * max_v, 3)
+            flags = np.stack([keep_v, crossing], axis=2).reshape(len(act), 2 * width)
+            cand = np.stack([p, inter], axis=2).reshape(len(act), 2 * width, 3)
             pos = np.cumsum(flags, axis=1) - 1
-            counts = flags.sum(axis=1)
-            out = np.zeros_like(polys)
+            out = np.zeros_like(p)
             r_idx, c_idx = np.nonzero(flags)
             out[r_idx, pos[r_idx, c_idx]] = cand[r_idx, c_idx]
-            polys = out
+            polys[act, :width] = out
+            counts[act] = flags.sum(axis=1)
 
     v0 = polys[:, 0]
     cross_sum = np.zeros((n_tri, 3))
-    for i in range(1, max_v - 1):
+    for i in range(1, width - 1):
         mask = (i + 1) < counts
         if not np.any(mask):
             break

@@ -38,6 +38,19 @@ class VineyardSpec:
     sensor_height: float = 1.0          # above terrain, m
 
     def __post_init__(self):
+        if len(self.row_positions) == 0:
+            raise SyntheticError("row_positions must name at least one row")
+        if not np.all(np.isfinite(self.row_positions)):
+            raise SyntheticError(f"row_positions must be finite, not {self.row_positions!r}")
+        for name in ("row_length", "row_half_width", "canopy_base", "canopy_top", "density",
+                     "g", "terrain_amplitude", "max_range", "sensor_height"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise SyntheticError(f"{name} must be finite, not {value!r}")
+        for name in ("row_length", "row_half_width", "g", "max_range", "sensor_height"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise SyntheticError(f"{name} must be positive, not {value!r}")
         if self.canopy_top <= self.canopy_base or self.density < 0:
             raise SyntheticError("invalid canopy band")
 
@@ -105,14 +118,73 @@ def scan_trajectory(spec: VineyardSpec, spacing: float
     return positions, times
 
 
+def _step_windows(spec: VineyardSpec, o: np.ndarray, d: np.ndarray,
+                  n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per ray, the march steps [lo, hi) that can see canopy or first ground.
+
+    One window per row's canopy box and one ground window, each a slab
+    intersection widened by STEP in space and by one step at each end, so
+    no rounding can drop a step. Windows are sorted and trimmed so that
+    they do not overlap: the steps they cover are distinct and ascending.
+    """
+    b = 1.7 * abs(spec.terrain_amplitude) + STEP   # terrain never leaves [-1.7|a|, 1.7|a|]
+    hw = spec.row_half_width + STEP
+    lo = [(rx - hw, -STEP, spec.canopy_base - b) for rx in spec.row_positions]
+    hi = [(rx + hw, spec.row_length + STEP, spec.canopy_top + b)
+          for rx in spec.row_positions]
+    lo = np.array(lo + [(-np.inf, -np.inf, -b)])[None]
+    hi = np.array(hi + [(np.inf, np.inf, b)])[None]
+    o, d = o[:, None], d[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1, t2 = (lo - o) / d, (hi - o) / d
+    flat = d == 0   # a slab parallel to the ray holds all of it or none of it
+    inside = np.where((lo <= o) & (o <= hi), -np.inf, np.inf)
+    t_in = np.where(flat, inside, np.minimum(t1, t2)).max(axis=2)
+    t_out = np.where(flat, -inside, np.maximum(t1, t2)).min(axis=2)
+    t_max = (n_steps + 1) * STEP
+    k_lo = np.ceil(np.clip(t_in, -STEP, t_max) / STEP - 0.5).astype(np.int64) - 1
+    k_hi = np.floor(np.clip(t_out, -STEP, t_max) / STEP - 0.5).astype(np.int64) + 2
+    k_lo, k_hi = np.clip(k_lo, 0, n_steps), np.clip(k_hi, 0, n_steps)
+
+    order = np.argsort(k_lo, axis=1, kind="stable")
+    k_lo = np.take_along_axis(k_lo, order, axis=1)
+    k_hi = np.take_along_axis(k_hi, order, axis=1)
+    covered = np.maximum.accumulate(k_hi, axis=1)
+    k_lo[:, 1:] = np.maximum(k_lo[:, 1:], covered[:, :-1])
+    return k_lo, np.maximum(k_hi, k_lo)
+
+
+def _first_step(ray: np.ndarray, step: np.ndarray, mask: np.ndarray, n: int,
+                n_steps: int) -> np.ndarray:
+    """First masked step of each ray in ray-major, step-ascending pairs; n_steps if none."""
+    r, s = ray[mask], step[mask]
+    head = np.ones(len(r), dtype=bool)
+    head[1:] = r[1:] != r[:-1]
+    first = np.full(n, n_steps)
+    first[r[head]] = s[head]
+    return first
+
+
 def _march_rays(spec: VineyardSpec, origins: np.ndarray, dirs: np.ndarray,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Terminate each ray against terrain and the stochastic turbid canopy.
 
     Returns (endpoints, contact). A ray intercepts foliage where its
     accumulated optical depth first exceeds an Exp(1) draw, hits the ground
-    where its height above terrain crosses zero, or (pointing upward) escapes
-    to max_range as a non-return.
+    where its height above terrain first drops to zero or below, or
+    (pointing upward) escapes to max_range as a non-return.
+
+    The march steps every STEP along the ray, but only through the windows
+    of `_step_windows`: canopy lies inside a row's box with its z range
+    widened by the terrain bound, and the first ground step inside
+    |z| <= 1.7 |terrain_amplitude| or one step below it. Each evaluated step
+    uses the same arithmetic as a march over every step. The optical depth
+    is an integer count of canopy steps times interception_density * STEP,
+    so counting over any superset of the canopy steps, in step order, gives
+    the same depth at every canopy step, the same first hit and the same
+    endpoint bits (for a positive draw; Exp(1) returns 0 with probability
+    about 2^-53). Rays go in chunks, so memory follows the chunk's window
+    steps.
     """
     n = len(origins)
     endpoints = origins + spec.max_range * dirs
@@ -120,28 +192,36 @@ def _march_rays(spec: VineyardSpec, origins: np.ndarray, dirs: np.ndarray,
     u = rng.exponential(1.0, n)
     n_steps = int(np.ceil(spec.max_range / STEP))
     t_grid = (np.arange(n_steps) + 0.5) * STEP
+    depth_per_step = spec.interception_density * STEP
 
     chunk = 20_000
     for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        o = origins[lo:hi]
-        d = dirs[lo:hi]
-        x = o[:, 0:1] + t_grid[None, :] * d[:, 0:1]
-        y = o[:, 1:2] + t_grid[None, :] * d[:, 1:2]
-        z = o[:, 2:3] + t_grid[None, :] * d[:, 2:3]
-        h = z - terrain_height(spec, x, y)
+        o = origins[lo:lo + chunk]
+        d = dirs[lo:lo + chunk]
+        m = len(o)
+        k_lo, k_hi = _step_windows(spec, o, d, n_steps)
+        lengths = (k_hi - k_lo).ravel()
+        ray = np.repeat(np.arange(m).repeat(k_lo.shape[1]), lengths)
+        step = np.arange(lengths.sum()) + np.repeat(
+            k_lo.ravel() - (np.cumsum(lengths) - lengths), lengths)
 
-        below = h <= 0.0
-        ground_step = np.where(below.any(axis=1), below.argmax(axis=1), n_steps)
-        depth = np.cumsum(_in_canopy(spec, x, y, h), axis=1) * (
-            spec.interception_density * STEP)
-        hit = depth >= u[lo:hi, None]
-        hit_step = np.where(hit.any(axis=1), hit.argmax(axis=1), n_steps)
+        t = t_grid[step]
+        x = o[ray, 0] + t * d[ray, 0]
+        y = o[ray, 1] + t * d[ray, 1]
+        z = o[ray, 2] + t * d[ray, 2]
+        h = z - terrain_height(spec, x, y)
+        ground_step = _first_step(ray, step, h <= 0.0, m, n_steps)
+
+        count = np.cumsum(_in_canopy(spec, x, y, h))
+        ray_len = (k_hi - k_lo).sum(axis=1)
+        before = np.concatenate([[0], count])[np.cumsum(ray_len) - ray_len]
+        depth = (count - before[ray]) * depth_per_step
+        hit_step = _first_step(ray, step, depth >= u[lo + ray], m, n_steps)
 
         first = np.minimum(ground_step, hit_step)
         ended = first < n_steps
         t_end = (first[ended] + 0.5) * STEP
-        idx = np.arange(lo, hi)[ended]
+        idx = np.arange(lo, lo + m)[ended]
         endpoints[idx] = origins[idx] + t_end[:, None] * dirs[idx]
         contact[idx] = True
     return endpoints, contact
@@ -156,6 +236,8 @@ def simulate_scan(spec: VineyardSpec, spacing: float = 0.05,
     Downward non-returns (rays that somehow end above ground at max_range)
     are discarded, mirroring live sensor ingestion.
     """
+    if rays_per_position < 1:
+        raise SyntheticError(f"rays_per_position must be >= 1, not {rays_per_position!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     positions, times = scan_trajectory(spec, spacing)
     n = len(positions) * rays_per_position

@@ -95,6 +95,43 @@ class TestClippedArea:
             assert abs(mc - areas[t]) <= 0.005 * full[t] + 3 * full[t] * np.sqrt(
                 inside.mean() * (1 - inside.mean()) / n_samp)
 
+    W = 0.1
+    # wholly inside, one vertex out past x = w, out past two faces at a
+    # corner, crossing x = 0 and z = w, wholly outside, inside touching
+    # x = 0 and y = w (two vertices with da == 0 for those planes)
+    MIXED = np.array([
+        [[0.02, 0.03, 0.04], [0.07, 0.02, 0.05], [0.03, 0.08, 0.06]],
+        [[0.05, 0.05, 0.05], [0.13, 0.06, 0.05], [0.06, 0.09, 0.04]],
+        [[0.08, 0.08, 0.05], [0.12, 0.09, 0.06], [0.09, 0.13, 0.04]],
+        [[-0.03, 0.05, 0.08], [0.04, 0.02, 0.12], [0.05, 0.07, 0.05]],
+        [[0.15, 0.15, 0.15], [0.20, 0.15, 0.15], [0.15, 0.20, 0.16]],
+        [[0.0, 0.03, 0.02], [0.06, 0.1, 0.05], [0.0, 0.07, 0.09]],
+    ])
+
+    def test_batch_matches_single_calls_bit_for_bit(self):
+        areas = clipped_area(self.MIXED, self.W)
+        single = np.concatenate([clipped_area(tri[None], self.W) for tri in self.MIXED])
+        assert areas.tobytes() == single.tobytes()
+        assert areas[4] == 0.0
+        full = 0.5 * np.linalg.norm(np.cross(self.MIXED[:, 1] - self.MIXED[:, 0],
+                                             self.MIXED[:, 2] - self.MIXED[:, 0]), axis=1)
+        assert np.all(areas[1:4] < full[1:4])   # the clipped ones lose area
+
+    def test_wholly_inside_area_is_the_plain_cross_product(self):
+        inside = self.MIXED[[0, 5]]
+        v0, v1, v2 = inside[:, 0], inside[:, 1], inside[:, 2]
+        expected = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
+        assert clipped_area(inside, self.W).tobytes() == expected.tobytes()
+
+    def test_vertices_on_a_face_are_not_clipped(self):
+        # every vertex lies on the face z = 0 or z = w (da == 0 for that plane);
+        # the second triangle lies flat in the face z = w
+        tris = np.array([[[0.01, 0.02, 0.0], [0.09, 0.03, 0.0], [0.05, 0.08, 0.1]],
+                         [[0.01, 0.02, 0.1], [0.09, 0.03, 0.1], [0.05, 0.08, 0.1]]])
+        v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
+        expected = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
+        assert clipped_area(tris, self.W).tobytes() == expected.tobytes()
+
 
 class TestLeafScene:
     def test_generated_scene_is_consistent(self):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from raycanopy.synthetic import (SyntheticError, VineyardSpec, scan_trajectory,
-                                 simulate_scan, terrain_height)
+from raycanopy import synthetic
+from raycanopy.synthetic import (STEP, SyntheticError, VineyardSpec, _in_canopy, _march_rays,
+                                 _step_windows, scan_trajectory, simulate_scan, terrain_height)
 
 
 class TestSpec:
@@ -109,3 +110,111 @@ class TestSimulateScan:
         in_band = (h > spec.canopy_base + 0.05) & (h < spec.canopy_top - 0.05)
         frac = in_band.mean()
         assert 0.05 < frac < 0.95   # both ground and canopy returns present
+
+
+def _full_march(spec, origins, dirs):
+    """Ground and canopy masks of every (ray, step) of the march, no windows."""
+    n_steps = int(np.ceil(spec.max_range / STEP))
+    t_grid = (np.arange(n_steps) + 0.5) * STEP
+    x = origins[:, 0:1] + t_grid[None, :] * dirs[:, 0:1]
+    y = origins[:, 1:2] + t_grid[None, :] * dirs[:, 1:2]
+    z = origins[:, 2:3] + t_grid[None, :] * dirs[:, 2:3]
+    h = z - terrain_height(spec, x, y)
+    return h <= 0.0, _in_canopy(spec, x, y, h)
+
+
+def _full_march_rays(spec, origins, dirs, rng):
+    """Oracle: the generator's march evaluated at every step of every ray."""
+    n = len(origins)
+    endpoints = origins + spec.max_range * dirs
+    contact = np.zeros(n, dtype=bool)
+    u = rng.exponential(1.0, n)
+    below, canopy = _full_march(spec, origins, dirs)
+    n_steps = below.shape[1]
+    ground_step = np.where(below.any(axis=1), below.argmax(axis=1), n_steps)
+    depth = np.cumsum(canopy, axis=1) * (spec.interception_density * STEP)
+    hit = depth >= u[:, None]
+    hit_step = np.where(hit.any(axis=1), hit.argmax(axis=1), n_steps)
+    first = np.minimum(ground_step, hit_step)
+    ended = first < n_steps
+    t_end = (first[ended] + 0.5) * STEP
+    endpoints[ended] = origins[ended] + t_end[:, None] * dirs[ended]
+    contact[ended] = True
+    return endpoints, contact
+
+
+def _assert_windows_cover(spec, origins, dirs):
+    below, canopy = _full_march(spec, origins, dirs)
+    n, n_steps = below.shape
+    k_lo, k_hi = _step_windows(spec, origins, dirs, n_steps)
+    steps = np.arange(n_steps)
+    covered = np.zeros((n, n_steps), dtype=bool)
+    for lo, hi in zip(k_lo.T, k_hi.T):
+        covered |= (steps >= lo[:, None]) & (steps < hi[:, None])
+    assert covered[canopy].all()
+    grounded = below.any(axis=1)
+    assert covered[np.flatnonzero(grounded), below[grounded].argmax(axis=1)].all()
+    assert canopy.any() and grounded.any()   # the spec exercises both kinds of window
+
+
+class TestWindowedMarch:
+    """The windowed march against a march over every step."""
+
+    @pytest.mark.parametrize("spec, spacing, rays", [
+        (VineyardSpec(row_length=3.0, max_range=5.0, terrain_amplitude=-0.3), 0.25, 20),
+        (VineyardSpec(row_positions=(1.0,), row_length=4.0, max_range=6.0), 0.05, 1),
+    ], ids=["negative-terrain", "one-row-one-ray"])
+    def test_scan_matches_full_march(self, monkeypatch, spec, spacing, rays):
+        fast = simulate_scan(spec, spacing=spacing, rays_per_position=rays, seed=4)
+        monkeypatch.setattr(synthetic, "_march_rays", _full_march_rays)
+        full = simulate_scan(spec, spacing=spacing, rays_per_position=rays, seed=4)
+        for name in ("origins", "endpoints", "times", "contact"):
+            assert getattr(fast, name).tobytes() == getattr(full, name).tobytes(), name
+        positions, _ = scan_trajectory(spec, spacing)
+        dirs = np.random.default_rng(1).normal(size=(len(positions), 3))
+        _assert_windows_cover(spec, positions,
+                              dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
+
+    def test_axis_parallel_rays_match_full_march(self):
+        spec = VineyardSpec(row_length=4.0, max_range=6.0)
+        positions, _ = scan_trajectory(spec, 0.5)
+        # sensor positions plus origins on the faces of row 0's window box and
+        # of the ground window, where a zero direction component divides 0 by 0
+        wide = spec.row_half_width + STEP
+        b = 1.7 * abs(spec.terrain_amplitude) + STEP
+        faces = np.array([(x, y, z) for x in (-wide, wide, 0.2)
+                          for y in (-STEP, 1.0, spec.row_length + STEP)
+                          for z in (b, spec.canopy_base - b, spec.canopy_top + b)])
+        origins = np.concatenate([positions, faces])
+        s = np.sqrt(0.5)
+        axis_dirs = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+                              [0, 0, -1], [s, s, 0], [s, 0, -s], [0, -s, -s], [0, s, s]],
+                             dtype=float)
+        origins = np.repeat(origins, len(axis_dirs), axis=0)
+        dirs = np.tile(axis_dirs, (len(origins) // len(axis_dirs), 1))
+        fast = _march_rays(spec, origins, dirs, np.random.default_rng(8))
+        full = _full_march_rays(spec, origins, dirs, np.random.default_rng(8))
+        for a, b in zip(fast, full):
+            assert a.tobytes() == b.tobytes()
+        _assert_windows_cover(spec, origins, dirs)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("fields", [
+        {"max_range": 0.0}, {"max_range": float("nan")}, {"g": 0.0},
+        {"row_positions": ()}, {"row_half_width": -0.1}, {"row_length": 0.0},
+        {"sensor_height": -1.0}, {"row_positions": (0.0, float("inf"))},
+        {"terrain_amplitude": float("nan")}, {"density": float("inf")},
+    ], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
+    def test_rejected_when_built(self, fields):
+        name = next(iter(fields))
+        with pytest.raises(SyntheticError, match=name):
+            VineyardSpec(**fields)
+
+    def test_negative_terrain_amplitude_is_legal(self):
+        VineyardSpec(terrain_amplitude=-0.12)
+
+    def test_rays_per_position_below_one_rejected(self):
+        with pytest.raises(SyntheticError, match="rays_per_position"):
+            simulate_scan(VineyardSpec(row_length=2.0, max_range=4.0), spacing=0.5,
+                          rays_per_position=0)
