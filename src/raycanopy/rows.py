@@ -44,12 +44,23 @@ class Trajectory:
             raise RowSegmentationError("cannot build trajectory from empty cloud")
         xy = cloud.origins[:, :2]
         times = cloud.times
+        # The loop visits runs of identical x-y origins (one per sensor
+        # position), keeping what a per-ray loop keeps: a run's rays share one
+        # distance to the last kept position, so the first ray later than the
+        # last kept time is kept, and the rest of its run lies 0 m from it.
+        if min_step > 0:
+            starts = np.flatnonzero(np.any(xy[1:] != xy[:-1], axis=1)) + 1
+        else:   # a ray 0 m on is kept too
+            starts = np.arange(1, len(xy))
         keep = [0]
         last = xy[0]
-        for i in range(1, len(xy)):
-            if np.linalg.norm(xy[i] - last) >= min_step and times[i] > times[keep[-1]]:
-                keep.append(i)
-                last = xy[i]
+        for s, e in zip(starts.tolist(), starts[1:].tolist() + [len(xy)]):
+            if not np.linalg.norm(xy[s] - last) >= min_step:
+                continue
+            later = np.flatnonzero(times[s:e] > times[keep[-1]])
+            if len(later):
+                keep.append(s + int(later[0]))
+                last = xy[keep[-1]]
         return cls(cloud.origins[np.asarray(keep)], times[np.asarray(keep)])
 
     def validate(self) -> None:

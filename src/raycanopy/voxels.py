@@ -5,11 +5,22 @@ estimator: the entering-ray count n, the contact count m, the summed
 penetration depths sum_x and the summed unimpeded path lengths sum_y. Voxel
 intervals are half-open: a point exactly on a face belongs to the voxel with
 the larger index.
+
+A row's statistics are a dict of up to some 10^5 VoxelStats, one per voxel.
+Those dicts, and the CSV writer's argument tuple, are built with cyclic
+garbage collection suspended (`gc_paused`): every few hundred tracked
+allocations start a collection that walks the young objects, and as the
+new objects hold only ints and floats, those collections free nothing
+while taking a large share of the build time.
 """
 
 from __future__ import annotations
 
+import gc
+import io
 import itertools
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +35,18 @@ _EPS = 1e-12
 
 class VoxelGridError(ValueError):
     pass
+
+
+@contextmanager
+def gc_paused():
+    """Suspend cyclic garbage collection; restore its previous state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -259,8 +282,9 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
         s0, s1 = bounds[v], bounds[v + 1]
         sum_x[v], sum_y[v] = x[s0:s1].sum(), y[s0:s1].sum()
     keys = zip(*(a.tolist() for a in np.unravel_index(uniq, grid.dims)))
-    return {key: VoxelStats(*row) for key, *row in
-            zip(keys, n.tolist(), m.tolist(), sum_x.tolist(), sum_y.tolist())}
+    with gc_paused():
+        return dict(zip(keys, map(VoxelStats, n.tolist(), m.tolist(),
+                                  sum_x.tolist(), sum_y.tolist())))
 
 
 def _window_sums(prefix: np.ndarray, radius, dims, ijk) -> np.ndarray:
@@ -319,24 +343,39 @@ def expand_undersampled(stats: dict, grid: VoxelGrid,
               np.zeros(dims), np.zeros(dims)]
     for dense, w in zip(merged, (np.rint(wn), np.rint(wm), wsx, wsy)):
         dense[short] = w
-    # n == 0 even over the whole grid: unobserved
-    return {key: stats[key] if is_own else VoxelStats(n, m, x, y) if n else VoxelStats()
-            for key, is_own, n, m, x, y in zip(itertools.product(*map(range, dims)),
-                                               own.ravel().tolist(),
-                                               *(a.ravel().tolist() for a in merged))}
+    # n == 0 even over the whole grid: unobserved, all four fields zero
+    unobserved = merged[0] == 0
+    for dense in merged[1:]:
+        dense[unobserved] = 0
+    with gc_paused():
+        full = dict(zip(itertools.product(*map(range, dims)),
+                        map(VoxelStats, *(a.ravel().tolist() for a in merged))))
+        full.update((key, stats[key]) for key in zip(*(a.tolist() for a in np.nonzero(own))))
+    return full
 
 
 def dump_stats_csv(stats: dict, grid: VoxelGrid, path) -> None:
-    """One row per voxel with counts and depth/path sums, plus the grid header."""
+    """One row per voxel with counts and depth/path sums, plus the grid header.
+
+    Rows go in sorted voxel order. Sums are written with %.9g, nine
+    significant digits, so a reread sum can differ from the computed one by
+    up to 5e-9 relative. The body is one %-format call over all rows.
+    """
+    keys = sorted(stats)
+    with gc_paused():
+        values = tuple(itertools.chain.from_iterable(
+            (*key, s.n, s.m, s.sum_x, s.sum_y)
+            for key, s in zip(keys, map(stats.__getitem__, keys))))
     with open(path, "w") as f:
         f.write(f"# grid {grid.origin[0]:.9g} {grid.origin[1]:.9g} {grid.origin[2]:.9g} "
                 f"{grid.voxel_width:.9g} {grid.dims[0]} {grid.dims[1]} {grid.dims[2]} "
                 f"{grid.row_index}\n")
         f.write("row,i,j,k,n,m,sum_x,sum_y\n")
-        for (i, j, k) in sorted(stats):
-            s = stats[(i, j, k)]
-            f.write(f"{grid.row_index},{i},{j},{k},{s.n},{s.m},"
-                    f"{s.sum_x:.9g},{s.sum_y:.9g}\n")
+        f.write(f"{grid.row_index},%d,%d,%d,%d,%d,%.9g,%.9g\n" * len(keys) % values)
+
+
+_COLUMNS = np.dtype([(name, np.int64) for name in ("row", "i", "j", "k", "n", "m")]
+                    + [("sum_x", np.float64), ("sum_y", np.float64)])
 
 
 def load_stats_csv(path) -> tuple[VoxelStats, VoxelGrid]:
@@ -344,8 +383,10 @@ def load_stats_csv(path) -> tuple[VoxelStats, VoxelGrid]:
 
     The statistics are one VoxelStats whose fields are arrays of the grid's
     shape: n and m int64, sum_x and sum_y float64, zero at every voxel the
-    file does not list. Each line is checked as it is read; a fault raises
-    VoxelGridError naming file:line.
+    file does not list. The body is parsed in one np.loadtxt call and checked
+    in array operations; if that parse or a check fails, the body is read
+    again line by line (`_parse_lines`), which accepts exactly the same files
+    and raises VoxelGridError naming file:line and the fault.
     """
     with open(path) as f:
         header = f.readline().split()
@@ -362,17 +403,58 @@ def load_stats_csv(path) -> tuple[VoxelStats, VoxelGrid]:
         except ValueError as exc:   # includes negative dims
             raise VoxelGridError(f"{path}:1: {exc}") from None
         f.readline()   # column names
-        di, dj, dk = dims
-        for lineno, line in enumerate(f, 3):
-            try:
-                _, i, j, k, n, m, sum_x, sum_y = line.split(",")
-                i, j, k, n, m = int(i), int(j), int(k), int(n), int(m)
-                if not (0 <= i < di and 0 <= j < dj and 0 <= k < dk):
-                    raise ValueError(f"voxel {(i, j, k)} outside grid {dims}")
-                if not 0 <= m <= n:
-                    raise ValueError(f"m={m} out of range for n={n}")
-                stats.n[i, j, k], stats.m[i, j, k] = n, m
-                stats.sum_x[i, j, k], stats.sum_y[i, j, k] = float(sum_x), float(sum_y)
-            except (ValueError, OverflowError) as exc:   # overflow: a count past int64
-                raise VoxelGridError(f"{path}:{lineno}: {exc}") from None
+        body = f.read()
+    if body and not _parse_body(body, stats):
+        _parse_lines(body, stats, path)
     return stats, grid
+
+
+def _parse_body(body: str, stats: VoxelStats) -> bool:
+    """Fill `stats` from the CSV body in array operations; False, with `stats`
+    untouched, if any line fails to parse or check."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # e.g. "input contained no data"
+            rows = np.loadtxt(io.StringIO(body), dtype=_COLUMNS, delimiter=",",
+                              comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return False
+    # loadtxt skips empty lines; the line-by-line reader rejects them
+    if len(rows) != body.count("\n") + (not body.endswith("\n")):
+        return False
+    ijk = tuple(rows[c] for c in "ijk")
+    n, m = rows["n"], rows["m"]
+    inside = np.logical_and.reduce([(0 <= v) & (v < d) for v, d in zip(ijk, stats.n.shape)])
+    if not (inside & (0 <= m) & (m <= n)).all():
+        return False
+    lin = np.ravel_multi_index(ijk, stats.n.shape)
+    if len(np.unique(lin)) != len(lin):
+        return False
+    for dense, column in zip((stats.n, stats.m, stats.sum_x, stats.sum_y),
+                             ("n", "m", "sum_x", "sum_y")):
+        dense.flat[lin] = rows[column]
+    return True
+
+
+def _parse_lines(body: str, stats: VoxelStats, path) -> None:
+    """Fill `stats` from the CSV body line by line, checking each line as it
+    is read; a fault raises VoxelGridError naming file:line."""
+    dims = stats.n.shape
+    di, dj, dk = dims
+    listed_on = np.zeros(dims, dtype=np.int64)   # line number of each listed voxel
+    for lineno, line in enumerate(io.StringIO(body), 3):
+        try:
+            row, i, j, k, n, m, sum_x, sum_y = line.split(",")
+            int(row)
+            i, j, k, n, m = int(i), int(j), int(k), int(n), int(m)
+            if not (0 <= i < di and 0 <= j < dj and 0 <= k < dk):
+                raise ValueError(f"voxel {(i, j, k)} outside grid {dims}")
+            if not 0 <= m <= n:
+                raise ValueError(f"m={m} out of range for n={n}")
+            if listed_on[i, j, k]:
+                raise ValueError(f"voxel {(i, j, k)} already listed on line {listed_on[i, j, k]}")
+            listed_on[i, j, k] = lineno
+            stats.n[i, j, k], stats.m[i, j, k] = n, m
+            stats.sum_x[i, j, k], stats.sum_y[i, j, k] = float(sum_x), float(sum_y)
+        except (ValueError, OverflowError) as exc:   # overflow: a count past int64
+            raise VoxelGridError(f"{path}:{lineno}: {exc}") from None

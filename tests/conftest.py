@@ -1,5 +1,7 @@
 """Shared helpers for building small ray clouds and density fields."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,12 @@ def random_field(rng, max_dim=8) -> DensityField:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def gc_left_enabled():
+    """Fail a test that leaves cyclic garbage collection disabled, then re-enable it."""
+    yield
+    enabled = gc.isenabled()
+    gc.enable()
+    assert enabled, "the test left cyclic garbage collection disabled"

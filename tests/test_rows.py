@@ -122,10 +122,36 @@ class TestTrajectory:
         np.testing.assert_array_equal(flat.positions[:, :2], raw.positions[:, :2])
         np.testing.assert_array_equal(flat.times, raw.times)
 
+    @pytest.mark.parametrize("min_step", [0.0, 0.05, 0.3])
+    def test_matches_per_ray_loop(self, rng, min_step):
+        for _ in range(20):
+            # runs of repeated origins, some revisiting an earlier position;
+            # times tie, step back and repeat, also inside a run
+            stops = rng.uniform(0, 2, (30, 3))
+            stops = stops[rng.integers(0, 30, 40)]
+            origins = np.repeat(stops, rng.integers(1, 6, 40), axis=0)
+            times = np.round(np.arange(len(origins)) * 0.1 + rng.normal(0, 0.3, len(origins)), 1)
+            cloud = make_cloud(origins, origins + 1.0, times=times)
+            traj = Trajectory.from_raycloud(cloud, min_step=min_step)
+            keep = _from_raycloud_reference(origins[:, :2], times, min_step)
+            np.testing.assert_array_equal(traj.positions, origins[keep])
+            np.testing.assert_array_equal(traj.times, times[keep])
+
     def test_validate_rejects_jump(self):
         traj = _traj([[0, 0], [1, 0], [20, 0]])
         with pytest.raises(RowSegmentationError, match="jump"):
             traj.validate()
+
+
+def _from_raycloud_reference(xy, times, min_step):
+    """The per-ray loop that Trajectory.from_raycloud replaced."""
+    keep = [0]
+    last = xy[0]
+    for i in range(1, len(xy)):
+        if np.linalg.norm(xy[i] - last) >= min_step and times[i] > times[keep[-1]]:
+            keep.append(i)
+            last = xy[i]
+    return keep
 
 
 def _three_row_cloud(rng, lanes=(0.0, 3.0, 6.0), n_per=300):

@@ -101,15 +101,44 @@ class TestSimulateScan:
         b = simulate_scan(spec, spacing=0.5, rays_per_position=30, seed=8)
         assert not np.array_equal(a.endpoints, b.endpoints)
 
-    def test_interception_depth_is_exponential(self, small_scan):
-        # horizontal distance travelled inside the canopy before a leaf hit
-        # should be roughly exponential with rate density / g
-        spec, cloud = small_scan
-        pts = cloud.endpoints[cloud.contact]
-        h = pts[:, 2] - terrain_height(spec, pts[:, 0], pts[:, 1])
-        in_band = (h > spec.canopy_base + 0.05) & (h < spec.canopy_top - 0.05)
-        frac = in_band.mean()
-        assert 0.05 < frac < 0.95   # both ground and canopy returns present
+    def test_interception_depth_is_exponential(self):
+        # Rays enter one row 8 m deep (16 mean free paths) through its -x face
+        # on flat terrain; a ray crosses it with probability e^-16. The march counts
+        # whole canopy steps and ends at a step centre, so the path inside the
+        # canopy before the hit lies within STEP of the Exp(density / g) draw.
+        spec = VineyardSpec(row_positions=(0.0,), row_length=40.0, row_half_width=4.0,
+                            canopy_base=0.5, canopy_top=20.5, terrain_amplitude=0.0,
+                            max_range=11.0)
+        lam = spec.interception_density
+        face = -spec.row_half_width
+        rng = np.random.default_rng(3)
+        n = 10_000
+        paths = []
+        for _ in range(4):   # chunks bound the march's window arrays
+            m = n // 4
+            origins = np.column_stack([face - rng.uniform(0.05, 1.0, m),
+                                       rng.uniform(15.0, 25.0, m), rng.uniform(8.0, 13.0, m)])
+            az, el = rng.uniform(-0.3, 0.3, (2, m))
+            dirs = np.column_stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az),
+                                    np.sin(el)])
+            endpoints, contact = _march_rays(spec, origins, dirs, rng)
+            assert contact.all()
+            t_face = (face - origins[:, 0]) / dirs[:, 0]
+            paths.append(np.linalg.norm(endpoints - origins, axis=1) - t_face)
+        path = np.sort(np.concatenate(paths))
+        assert path.min() > 0
+
+        # F(x - STEP) <= P(path <= x) <= F(x + STEP), F the Exp(lam) CDF; the
+        # empirical CDF leaves it by eps with probability < 2 exp(-2 n eps^2) < 1e-3 (DKW)
+        def exp_cdf(v):
+            return 1.0 - np.exp(-lam * np.clip(v, 0.0, None))
+
+        x = np.linspace(0.0, 5.0 / lam, 201)
+        ecdf = np.searchsorted(path, x, side="right") / n
+        eps = 0.02
+        assert np.all(ecdf >= exp_cdf(x - STEP) - eps)
+        assert np.all(ecdf <= exp_cdf(x + STEP) + eps)
+        assert abs(path.mean() - 1.0 / lam) < STEP + 4.0 / (lam * np.sqrt(n))
 
 
 def _full_march(spec, origins, dirs):

@@ -1,5 +1,6 @@
 """Voxel grid construction, ray traversal and statistics accumulation."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raycanopy.raycloud import Ray
-from raycanopy.voxels import (VoxelGrid, VoxelGridError, VoxelStats, accumulate,
-                              build_grid, dump_stats_csv, expand_undersampled,
-                              load_stats_csv, traverse)
+from raycanopy.voxels import (VoxelGrid, VoxelGridError, VoxelStats, _parse_body,
+                              accumulate, build_grid, dump_stats_csv, expand_undersampled,
+                              gc_paused, load_stats_csv, traverse)
 
 from conftest import make_cloud
 
@@ -365,6 +366,12 @@ class TestExpand:
         stats = {(0, 0, 0): VoxelStats(n=n, m=min(n, 2), sum_x=0.1 * n, sum_y=0.3 * n)} if n else {}
         _assert_same_expansion(stats, _grid(dims=(1, 1, 1)), 10)
 
+    def test_listed_voxels_without_rays_stay_empty(self):
+        # n == 0 over the whole grid: every voxel is VoxelStats(), whatever sums were listed
+        stats = {(0, 1, 0): VoxelStats(n=0, m=0, sum_x=0.25, sum_y=0.5)}
+        out = _assert_same_expansion(stats, _grid(dims=(2, 2, 2)), 10)
+        assert all(s == VoxelStats() for s in out.values())
+
     def test_grid_short_of_n_min_merges_everything(self):
         stats = {(0, 1, 2): VoxelStats(n=3, m=1, sum_x=0.25, sum_y=0.5),
                  (3, 0, 0): VoxelStats(n=4, m=2, sum_x=0.5, sum_y=1.5)}
@@ -426,6 +433,40 @@ def _assert_same_expansion(stats, grid, n_min):
     return out
 
 
+def _dump_reference(stats, grid):
+    """The per-line f-string writer that dump_stats_csv replaced."""
+    lines = [f"# grid {grid.origin[0]:.9g} {grid.origin[1]:.9g} {grid.origin[2]:.9g} "
+             f"{grid.voxel_width:.9g} {grid.dims[0]} {grid.dims[1]} {grid.dims[2]} "
+             f"{grid.row_index}\n", "row,i,j,k,n,m,sum_x,sum_y\n"]
+    for (i, j, k) in sorted(stats):
+        s = stats[(i, j, k)]
+        lines.append(f"{grid.row_index},{i},{j},{k},{s.n},{s.m},{s.sum_x:.9g},{s.sum_y:.9g}\n")
+    return "".join(lines)
+
+
+def _load_reference(path, dims):
+    """Per-line parse of a stats CSV body with int() and float()."""
+    out = [np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
+           np.zeros(dims), np.zeros(dims)]
+    with open(path) as f:
+        for line in list(f)[2:]:
+            _, i, j, k, *values = line.split(",")
+            for a, v, parse in zip(out, values, (int, int, float, float)):
+                a[int(i), int(j), int(k)] = parse(v)
+    return out
+
+
+def _zero_stats(dims):
+    return VoxelStats(np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
+                      np.zeros(dims), np.zeros(dims))
+
+
+def _assert_same_bits(loaded, ref):
+    for got, want in zip((loaded.n, loaded.m, loaded.sum_x, loaded.sum_y), ref):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _cheb_merge(stats, key, r, dims):
     n = m = 0
     sx = sy = 0.0
@@ -465,12 +506,94 @@ class TestStatsCsv:
             assert array.shape == grid.dims
             assert not array[~listed].any()
 
+    def test_bytes_match_per_line_reference(self, tmp_path, rng):
+        grid = VoxelGrid(origin=np.array([0.5, -2.0, 0.3]), voxel_width=0.12,
+                         dims=(6, 9, 5), row_index=3)
+        extremes = [0.0, 5e-324, 1e-300, 1.7976931348623157e308, 1e300, 0.1, 1.0 / 3]
+        stats = {}
+        for key in rng.permutation(list(np.ndindex(*grid.dims)))[:120]:   # out of order
+            key = tuple(int(v) for v in key)
+            n = int(rng.integers(0, 10 ** 6))
+            sums = [float(v) for v in rng.choice(extremes, 2)] if rng.random() < 0.3 \
+                else rng.uniform(0, 50, 2).tolist()
+            stats[key] = VoxelStats(n, int(rng.integers(0, n + 1)), *sums)
+        keys = list(stats)
+        stats[keys[0]] = VoxelStats(np.int64(7), np.int32(2), np.float64(0.3), np.float32(0.7))
+        stats[(np.int64(5), np.int64(8), np.int64(4))] = VoxelStats(
+            np.int64(2 ** 62), np.int64(0), np.float64(1e-310), np.float64(2.5e305))
+        dump_stats_csv(stats, grid, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _dump_reference(stats, grid).encode()
+
+    def test_empty_stats_write_header_only(self, tmp_path):
+        grid = _grid(dims=(2, 3, 4))
+        dump_stats_csv({}, grid, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _dump_reference({}, grid).encode()
+
+    def test_load_matches_per_line_reference(self, tmp_path, rng):
+        grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(7, 8, 9), row_index=1)
+        lines = []
+        # spellings that int(), float() and np.loadtxt all read; also padded fields
+        odd_sums = ["1e-320", "5e-324", "1e500", ".5", "5.", "+2.5", "nan", "-0"]
+        for i, key in enumerate(rng.permutation(list(np.ndindex(*grid.dims)))[:300]):
+            n = int(rng.integers(0, 2 ** 62))
+            sums = rng.uniform(0, 10, 2) * 10.0 ** rng.integers(-320, 300, 2)
+            sums = rng.choice(odd_sums, 2) if i % 7 == 0 else [f"{v:.17g}" for v in sums]
+            fields = [1, *key, n, rng.integers(0, n + 1), *sums]
+            lines.append((" , " if i % 5 == 0 else ",").join(map(str, fields)) + "\n")
+        path = tmp_path / "s.csv"
+        path.write_text("# grid 0 0 0 0.1 7 8 9 1\nrow,i,j,k,n,m,sum_x,sum_y\n" + "".join(lines))
+        stats = _zero_stats(grid.dims)
+        assert _parse_body("".join(lines), stats)   # the array path reads it all
+        _assert_same_bits(stats, _load_reference(path, grid.dims))
+        loaded, _ = load_stats_csv(path)
+        _assert_same_bits(loaded, _load_reference(path, grid.dims))
+
+    # underscores: int() and float() read them, np.loadtxt does not
+    @pytest.mark.parametrize("line", ["3,1,0,0,1_5,2,0.1,0.2\n", "3,1,0,0,5,2,1_0.5,0.2\n"])
+    def test_line_only_python_reads_falls_back(self, tmp_path, line):
+        grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(2, 2, 2), row_index=3)
+        dump_stats_csv({(1, 1, 1): VoxelStats(4, 1, 0.1, 0.2)}, grid, tmp_path / "s.csv")
+        with open(tmp_path / "s.csv", "a") as f:
+            f.write(line)
+        assert not _parse_body(line, _zero_stats(grid.dims))
+        loaded, _ = load_stats_csv(tmp_path / "s.csv")
+        _assert_same_bits(loaded, _load_reference(tmp_path / "s.csv", grid.dims))
+
+    @pytest.mark.parametrize("columns", [True, False])
+    def test_header_only_loads_empty(self, tmp_path, columns):
+        text = "# grid 0 0 0 0.1 2 3 4 0\n" + ("row,i,j,k,n,m,sum_x,sum_y\n" if columns else "")
+        (tmp_path / "s.csv").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # np.loadtxt warns on empty input
+            loaded, grid = load_stats_csv(tmp_path / "s.csv")
+        assert grid.dims == (2, 3, 4)
+        for array in (loaded.n, loaded.m, loaded.sum_x, loaded.sum_y):
+            assert array.shape == (2, 3, 4) and not array.any()
+
+    def test_blank_body_rejected_without_warning(self, tmp_path):
+        (tmp_path / "s.csv").write_text("# grid 0 0 0 0.1 2 3 4 0\nrow,i,j,k,n,m,sum_x,sum_y\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")   # np.loadtxt warns: input contained no data
+            with pytest.raises(VoxelGridError, match="s.csv:3: .*expected 8"):
+                load_stats_csv(tmp_path / "s.csv")
+        assert not caught
+
     @pytest.mark.parametrize("line, fault", [
         ("3,0,0,0,5,2,0.1\n", "expected 8"),
         ("3,0,0,x,5,2,0.1,0.2\n", "invalid literal"),
         ("3,0,0,9,5,2,0.1,0.2\n", "outside grid"),
         ("3,0,0,0,2,5,0.1,0.2\n", "m=5 out of range for n=2"),
         ("3,0,0,0,99999999999999999999,2,0.1,0.2\n", "too large"),
+        ("# 3,0,0,0,5,2,0.1,0.2\n", "invalid literal"),
+        ("#\n", "expected 8"),
+        ("x,0,0,0,5,2,0.1,0.2\n", "invalid literal"),
+        ("3.0,0,0,0,5,2,0.1,0.2\n", "invalid literal"),
+        ("\n", "expected 8"),
+        ("   \n", "expected 8"),
+        ("3,-1,0,0,5,2,0.1,0.2\n", "outside grid"),
+        ("3,0,0,0,5,-1,0.1,0.2\n", "m=-1 out of range"),
+        ("3,0,0,0,5,2,0.1,0.2,\n", "too many values"),
+        ("3,1,1,1,5,2,0.1,0.2\n", r"voxel \(1, 1, 1\) already listed on line 3"),
     ])
     def test_malformed_line_rejected(self, tmp_path, line, fault):
         grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(2, 2, 2), row_index=3)
@@ -478,7 +601,25 @@ class TestStatsCsv:
                        tmp_path / "s.csv")
         with open(tmp_path / "s.csv", "a") as f:
             f.write(line)
-        with pytest.raises(VoxelGridError, match=f"s.csv:4: .*{fault}"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(VoxelGridError, match=f"s.csv:4: .*{fault}"):
+                load_stats_csv(tmp_path / "s.csv")
+        assert not caught   # np.loadtxt's warnings stay inside the reader
+        # the array path refuses the body too and leaves the arrays untouched
+        body = (tmp_path / "s.csv").read_text().split("\n", 2)[2]
+        stats = _zero_stats(grid.dims)
+        assert not _parse_body(body, stats)
+        assert not any(a.any() for a in (stats.n, stats.m, stats.sum_x, stats.sum_y))
+
+    def test_fault_after_good_lines_names_its_line(self, tmp_path):
+        grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(4, 4, 4), row_index=0)
+        stats = {key: VoxelStats(3, 1, 0.5, 0.75) for key in np.ndindex(2, 2, 2)}
+        dump_stats_csv(stats, grid, tmp_path / "s.csv")
+        with open(tmp_path / "s.csv", "a") as f:
+            f.write("0,3,3,3,5,2,0.1,0.2\n0,0,1,0,5,2,0.1,0.2\n")
+        with pytest.raises(VoxelGridError, match=r"s.csv:12: voxel \(0, 1, 0\) already listed "
+                                                 r"on line 5"):
             load_stats_csv(tmp_path / "s.csv")
 
     def test_truncated_header_rejected(self, tmp_path):
@@ -490,6 +631,23 @@ class TestStatsCsv:
         (tmp_path / "s.csv").write_text("# grid 0 0 0 0.1 2 -1 2 3\n")
         with pytest.raises(VoxelGridError, match="s.csv:1: negative dimensions"):
             load_stats_csv(tmp_path / "s.csv")
+
+
+class TestGcPaused:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_previous_state(self, enabled):
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with gc_paused():
+                assert not gc.isenabled()
+            assert gc.isenabled() == enabled
+            with pytest.raises(KeyError):
+                with gc_paused():
+                    assert not gc.isenabled()
+                    raise KeyError("inside")
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
 
 @settings(max_examples=40, deadline=None)
