@@ -13,8 +13,7 @@ from .density import DensityField, debias_factor, estimate_field, load_field, sa
 from .ground import (GroundMesh, extract_ground, height_at, heights_at,
                      subtract_ground)
 from .pipeline import PipelineConfig, run_pipeline
-from .raycloud import (Ray, RayCloud, RawMeasurement, classify_nonreturns,
-                       load_raycloud, save_raycloud)
+from .raycloud import Ray, RayCloud, load_raycloud, save_raycloud
 from .report import (DensityImage, PanelSummary, RowSeries, along_row_series,
                      integrate_axis, panel_aggregate, panel_lai, render_colormap, rrmse)
 from .rows import RowSegment, Trajectory, row_direction, split_rows, to_row_coordinates

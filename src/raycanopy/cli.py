@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,30 +26,19 @@ EXPERIMENTS = ("turbid-bias", "triangle-bias", "error-surface", "trawl-vs-spin")
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--voxel-width", type=float)
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--g", type=float)
-    p.add_argument("--curvature", type=float)
-    p.add_argument("--bin-width", type=float)
-    p.add_argument("--panel-length", type=float)
-    p.add_argument("--row-spacing", type=float)
-    p.add_argument("--max-density", type=float)
-    p.add_argument("--estimator", choices=("mean", "mode"))
+    for f in fields(PipelineConfig):
+        if f.name != "panel_mode":   # set by --sum
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           help=f"default: {f.default}")
     p.add_argument("--sum", action="store_true",
                    help="aggregate panels by sum instead of mean")
-    p.add_argument("--direction", help="fixed row direction as dx,dy")
 
 
 def _build_config(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    for key in ("voxel_width", "n_min", "g", "curvature", "bin_width",
-                "panel_length", "row_spacing", "max_density", "estimator",
-                "direction"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "sum", False):
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                 if getattr(args, f.name, None) is not None}
+    if args.sum:
         overrides["panel_mode"] = "sum"
     return apply_overrides(config, overrides)
 
@@ -80,15 +70,34 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("series_a", help="along-row series CSV")
     s.add_argument("series_b")
     s.add_argument("--output", help="comparison CSV path")
-    s.add_argument("--panel-length", type=float, default=7.0)
+    s.add_argument("--panel-length", type=float, default=report_mod.DEFAULT_PANEL_LENGTH)
     return p
 
 
 def _load_series_csv(path) -> report_mod.RowSeries:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
-    step = data[1, 0] - data[0, 0] if len(data) > 1 else 1.0
-    return report_mod.RowSeries(values=data[:, 1], step=float(step))
+    """Read a series CSV: a header line, then one `y,value` line per step."""
+    rows = []
+    with open(path) as f:
+        f.readline()
+        for ln, line in enumerate(f, 2):
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != 2 or not np.all(np.isfinite(row)):
+                raise report_mod.ReportError(
+                    f"{path}:{ln}: {line.strip()!r}: expected two finite numbers")
+            if row[1] < 0:
+                raise report_mod.ReportError(f"{path}:{ln}: negative value {row[1]:g}")
+            rows.append(row)
+    if len(rows) < 2:
+        raise report_mod.ReportError(
+            f"{path}: a series needs at least two data lines, found {len(rows)}")
+    data = np.array(rows)
+    step = float(data[1, 0] - data[0, 0])
+    if not step > 0:
+        raise report_mod.ReportError(f"{path}:3: y does not increase from line 2")
+    return report_mod.RowSeries(values=data[:, 1], step=step)
 
 
 def _cmd_ingest(args) -> int:

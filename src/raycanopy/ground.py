@@ -204,48 +204,9 @@ def subtract_ground(mesh: GroundMesh, cloud: RayCloud) -> tuple[RayCloud, int]:
 
 
 def export_obj(mesh: GroundMesh, path) -> None:
-    """Write the mesh as ASCII OBJ for inspection."""
+    """Write the mesh as ASCII OBJ for inspection; nothing reads it back."""
     with open(path, "w") as f:
-        f.write(f"# bin_size {mesh.bin_size:.9g}\n")
         for v in mesh.vertices:
             f.write("v %.9g %.9g %.9g\n" % tuple(v))
         for t in mesh.triangles:
             f.write("f %d %d %d\n" % tuple(t + 1))
-
-
-def import_obj(path) -> GroundMesh:
-    """Read a mesh written by export_obj."""
-    verts, tris, face_lines = [], [], []
-    bin_size = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            try:
-                if not parts:
-                    continue
-                if parts[0] == "#" and len(parts) == 3 and parts[1] == "bin_size":
-                    bin_size = float(parts[2])
-                elif parts[0] in ("v", "f"):
-                    if len(parts) < 4:
-                        raise ValueError(f"{parts[0]!r} needs 3 entries")
-                    if parts[0] == "v":
-                        verts.append([float(p) for p in parts[1:4]])
-                    else:
-                        tris.append([int(p.split("/")[0]) for p in parts[1:4]])
-                        face_lines.append(lineno)
-            except ValueError as exc:
-                raise GroundExtractionError(f"{path}:{lineno}: {exc}") from None
-    if not verts or not tris:
-        raise GroundExtractionError(f"{path}: no mesh data")
-    verts = np.asarray(verts, dtype=float)
-    tris = np.asarray(tris, dtype=int)
-    bad = np.any((tris < 1) | (tris > len(verts)), axis=1)
-    if np.any(bad):
-        first = int(np.argmax(bad))
-        raise GroundExtractionError(
-            f"{path}:{face_lines[first]}: face {tris[first].tolist()} indexes outside "
-            f"vertices 1..{len(verts)}")
-    tris -= 1   # OBJ indices are 1-based
-    if bin_size is None:
-        bin_size = _bin_size(verts, tris)
-    return GroundMesh(vertices=verts, triangles=tris, bin_size=bin_size)

@@ -41,14 +41,14 @@ class PipelineError(RuntimeError):
 class PipelineConfig:
     """All tunables of the pipeline; each is read by exactly one stage."""
 
-    voxel_width: float = 0.12
-    n_min: int = 10
-    g: float = 2.0
-    curvature: float = 0.1
-    bin_width: float = 0.2
-    panel_length: float = 7.0
+    voxel_width: float = voxels_mod.DEFAULT_VOXEL_WIDTH
+    n_min: int = voxels_mod.DEFAULT_N_MIN
+    g: float = density_mod.DEFAULT_G
+    curvature: float = ground_mod.DEFAULT_CURVATURE
+    bin_width: float = rows_mod.DEFAULT_BIN_WIDTH
+    panel_length: float = report_mod.DEFAULT_PANEL_LENGTH
     row_spacing: float | None = None
-    max_density: float = 10.4
+    max_density: float = report_mod.DEFAULT_MAX_DENSITY
     estimator: str = "mean"
     panel_mode: str = "mean"
     direction: tuple[float, float] | None = None   # fixed row direction override
@@ -76,18 +76,24 @@ class PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    """Flat key=value config file; '#' comments and blank lines ignored."""
-    values: dict = {}
+    """Flat key=value config file; '#' comments and blank lines ignored.
+
+    A bad line raises ValueError naming `file:line`.
+    """
+    config = PipelineConfig()
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
-    return apply_overrides(PipelineConfig(), values)
+            key, eq, raw = line.partition("=")
+            try:
+                if not eq:
+                    raise ValueError("expected key=value")
+                config = apply_overrides(config, {key.strip(): raw.strip()})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return config
 
 
 def apply_overrides(config: PipelineConfig, values: dict) -> PipelineConfig:
@@ -108,16 +114,6 @@ def apply_overrides(config: PipelineConfig, values: dict) -> PipelineConfig:
         else:
             raise ValueError(f"unknown config key {key!r}")
     return replace(config, **kwargs)
-
-
-def save_config(config: PipelineConfig, path) -> None:
-    with open(path, "w") as f:
-        for key, value in asdict(config).items():
-            if value is None:
-                continue
-            if key == "direction":
-                value = f"{value[0]},{value[1]}"
-            f.write(f"{key}={value}\n")
 
 
 def _hash(*parts) -> str:

@@ -1,4 +1,4 @@
-"""Ray cloud data model, non-return classification and file I/O.
+"""Ray cloud data model and file I/O.
 
 A ray cloud augments a point cloud with the sensor origin, timestamp and
 contact flag of every measurement, so that free space along each beam is
@@ -8,8 +8,7 @@ dataclass is a per-element view used at API boundaries.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +37,6 @@ class Ray:
     @property
     def length(self) -> float:
         return float(np.linalg.norm(self.endpoint - self.origin))
-
-
-@dataclass(frozen=True)
-class RawMeasurement:
-    """Pre-classification sensor record; range is None for a non-return."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-    range: float | None
-    time: float
 
 
 @dataclass
@@ -119,61 +108,6 @@ class RayCloud:
     def select(self, mask: np.ndarray) -> "RayCloud":
         return RayCloud(self.origins[mask], self.endpoints[mask], self.times[mask],
                         self.contact[mask], self.max_range, self.frame_id)
-
-
-def empty_cloud(max_range: float, frame_id: str = "map") -> RayCloud:
-    z = np.zeros((0, 3))
-    return RayCloud(z, z.copy(), np.zeros(0), np.zeros(0, dtype=bool), max_range, frame_id)
-
-
-def classify_nonreturns(measurements: list[RawMeasurement], max_range: float) -> RayCloud:
-    """Turn raw sensor records into a ray cloud.
-
-    Returns become contact rays. Non-returns pointing upward (direction.z > 0,
-    strictly) become non-contact rays of length max_range; downward non-returns
-    carry no length information and are discarded. Times are shifted to be
-    relative to the first (earliest) measurement; output is sorted by time.
-    """
-    if max_range <= 0:
-        raise RayCloudError("max_range must be positive")
-    if not measurements:
-        return empty_cloud(max_range)
-
-    origins = np.array([m.origin for m in measurements], dtype=np.float64).reshape(-1, 3)
-    dirs = np.array([m.direction for m in measurements], dtype=np.float64).reshape(-1, 3)
-    ranges = np.array([np.nan if m.range is None else m.range for m in measurements])
-    times = np.array([m.time for m in measurements], dtype=np.float64)
-    has_return = np.array([m.range is not None for m in measurements])
-
-    finite = (np.isfinite(origins).all(axis=1) & np.isfinite(dirs).all(axis=1)
-              & np.isfinite(times))
-    finite &= ~has_return | np.isfinite(ranges)
-    if not np.all(finite):
-        raise RayCloudError(f"{int((~finite).sum())} invalid (non-finite) measurement records")
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        idx = int(np.argmax(np.abs(norms - 1.0) > 1e-6))
-        raise RayCloudError(f"measurement {idx} direction is not unit length")
-    if np.any(has_return & (ranges <= 0)):
-        raise RayCloudError("returned range must be positive")
-    if np.any(has_return & (ranges > max_range + LENGTH_TOL)):
-        idx = int(np.argmax(has_return & (ranges > max_range + LENGTH_TOL)))
-        raise RayCloudError(f"measurement {idx} range exceeds max_range")
-
-    keep = has_return | (dirs[:, 2] > 0.0)
-    origins, dirs, times = origins[keep], dirs[keep], times[keep]
-    ranges, has_return = ranges[keep], has_return[keep]
-
-    if len(times) == 0:
-        return empty_cloud(max_range)
-    lengths = np.where(has_return, ranges, max_range)
-    endpoints = origins + dirs * lengths[:, None]
-    times = times - times.min()
-    order = np.argsort(times, kind="stable")
-    cloud = RayCloud(origins[order], endpoints[order], times[order],
-                     has_return[order], max_range)
-    cloud.validate()
-    return cloud
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +254,10 @@ def _load_csv(path: Path) -> RayCloud:
                 vals = line.split(",")
                 if len(vals) != 8:
                     raise ValueError(f"expected 8 columns, got {len(vals)}")
-                rows.append([float(v) for v in vals])
+                flags = int(vals[7])
+                if not 0 <= flags <= 255:
+                    raise ValueError(f"flags {flags} outside 0..255")
+                rows.append([float(v) for v in vals[:7]] + [flags])
             except (ValueError, IndexError) as exc:
                 detail = exc if isinstance(exc, ValueError) else "missing field"
                 raise RayCloudParseError(f"{path}:{ln}: {line!r}: {detail}") from None

@@ -19,6 +19,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_BIN_WIDTH = 0.2  # m, well below 2-3.2 m row spacing, above GPS jitter
 MIN_RECT_WIDTH = 1e-4    # m, clamp for collinear segments in v = l^2 / w
+MIN_STEP = 0.05          # m, x-y move that makes a new trajectory position
 
 
 class RowSegmentationError(ValueError):
@@ -33,8 +34,8 @@ class Trajectory:
     times: np.ndarray      # (N,)
 
     @classmethod
-    def from_raycloud(cls, cloud: RayCloud, min_step: float = 0.05) -> "Trajectory":
-        """Down-sample ray origins: keep a position once it moved min_step in x-y.
+    def from_raycloud(cls, cloud: RayCloud) -> "Trajectory":
+        """Down-sample ray origins: keep a position once it moved MIN_STEP in x-y.
 
         The step ignores z: subtract_ground shifts each ray by the terrain
         height under its own endpoint, so on a flattened cloud the origins of
@@ -48,14 +49,11 @@ class Trajectory:
         # position), keeping what a per-ray loop keeps: a run's rays share one
         # distance to the last kept position, so the first ray later than the
         # last kept time is kept, and the rest of its run lies 0 m from it.
-        if min_step > 0:
-            starts = np.flatnonzero(np.any(xy[1:] != xy[:-1], axis=1)) + 1
-        else:   # a ray 0 m on is kept too
-            starts = np.arange(1, len(xy))
+        starts = np.flatnonzero(np.any(xy[1:] != xy[:-1], axis=1)) + 1
         keep = [0]
         last = xy[0]
         for s, e in zip(starts.tolist(), starts[1:].tolist() + [len(xy)]):
-            if not np.linalg.norm(xy[s] - last) >= min_step:
+            if not np.linalg.norm(xy[s] - last) >= MIN_STEP:
                 continue
             later = np.flatnonzero(times[s:e] > times[keep[-1]])
             if len(later):

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes and output files."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from raycanopy.cli import main
+from raycanopy.cli import _build_config, _parser, main
+from raycanopy.pipeline import PipelineConfig
 from raycanopy.raycloud import load_raycloud, save_raycloud
 from raycanopy.synthetic import VineyardSpec, simulate_scan
 
@@ -113,6 +116,52 @@ def test_compare_reports_rrmse(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "panel RRMSE" in out
     assert (tmp_path / "cmp.csv").read_text().count("\n") >= 4
+
+
+@pytest.mark.parametrize("body, fault", [
+    ("0.05,1\n0.15,abc\n", r"b\.csv:3: '0\.15,abc': expected two finite numbers"),
+    ("0.05,1\n0.15\n", r"b\.csv:3: '0\.15': expected two finite numbers"),
+    ("0.05,1\n0.15,1,2\n", r"b\.csv:3: '0\.15,1,2': expected two finite numbers"),
+    ("0.05,1\n0.15,inf\n", r"b\.csv:3: '0\.15,inf': expected two finite numbers"),
+    ("0.05,1\n0.15,-1\n", r"b\.csv:3: negative value -1"),
+    ("", r"b\.csv: a series needs at least two data lines, found 0"),
+    ("0.05,1\n", r"b\.csv: a series needs at least two data lines, found 1"),
+    ("0.15,1\n0.05,1\n", r"b\.csv:3: y does not increase"),
+], ids=["text", "one-field", "three-fields", "inf", "negative", "header-only",
+        "one-row", "decreasing-y"])
+def test_compare_rejects_bad_series(tmp_path, capsys, body, fault):
+    header = "y_m,density_m2_per_m\n"
+    (tmp_path / "a.csv").write_text(header + "0.05,1\n0.15,2\n")
+    (tmp_path / "b.csv").write_text(header + body)
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 1
+    assert re.search("error: .*" + fault, capsys.readouterr().err)
+
+
+def test_every_config_field_set_by_its_flag():
+    flags = {"voxel_width": "0.09", "n_min": "4", "g": "1.5", "curvature": "0.2",
+             "bin_width": "0.3", "panel_length": "3.5", "row_spacing": "2.5",
+             "max_density": "8", "estimator": "mode", "direction": "0,1"}
+    argv = ["pipeline", "scan.ply", "out", "--sum"]
+    for name, value in flags.items():
+        argv += ["--" + name.replace("_", "-"), value]
+    config = _build_config(_parser().parse_args(argv))
+    assert config == PipelineConfig(voxel_width=0.09, n_min=4, g=1.5, curvature=0.2,
+                                     bin_width=0.3, panel_length=3.5, row_spacing=2.5,
+                                     max_density=8.0, estimator="mode", panel_mode="sum",
+                                     direction=(0.0, 1.0))
+    for f in dataclasses.fields(PipelineConfig):
+        assert getattr(config, f.name) != f.default, f.name
+
+
+@pytest.mark.parametrize("flag, value, fault", [
+    ("--voxel-width", "abc", "could not convert string to float"),
+    ("--n-min", "2.5", "invalid literal for int"),
+    ("--estimator", "median", "estimator must be 'mean' or 'mode'"),
+])
+def test_malformed_flag_value_exits_1(tmp_path, capsys, flag, value, fault):
+    assert main(["rows", str(tmp_path / "scan.ply"), str(tmp_path / "out"), flag, value]) == 1
+    assert f"error: {fault}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_direction_override(scan_file, tmp_path):

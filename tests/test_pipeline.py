@@ -8,7 +8,7 @@ import pytest
 
 from raycanopy import density
 from raycanopy.pipeline import (STAGES, PipelineConfig, PipelineError, apply_overrides,
-                                load_config, run_pipeline, save_config)
+                                load_config, run_pipeline)
 from raycanopy.raycloud import save_raycloud
 from raycanopy.synthetic import VineyardSpec, simulate_scan
 
@@ -44,10 +44,22 @@ class TestConfig:
             apply_overrides(PipelineConfig(), {"voxel_size": "0.1"})
 
     def test_file_round_trip(self, tmp_path):
-        c = PipelineConfig(voxel_width=0.15, row_spacing=2.5,
-                           direction=(1.0, 0.0), panel_mode="sum")
-        save_config(c, tmp_path / "c.cfg")
-        assert load_config(tmp_path / "c.cfg") == c
+        (tmp_path / "c.cfg").write_text(
+            "voxel_width=0.15\nrow_spacing=2.5\ndirection=1,0\npanel_mode=sum\n")
+        assert load_config(tmp_path / "c.cfg") == PipelineConfig(
+            voxel_width=0.15, row_spacing=2.5, direction=(1.0, 0.0), panel_mode="sum")
+
+    @pytest.mark.parametrize("line, fault", [
+        ("voxel_width 0.2", "expected key=value"),
+        ("voxel_width=abc", "could not convert string to float: 'abc'"),
+        ("bogus=1", "unknown config key 'bogus'"),
+        ("n_min=2.5", "invalid literal for int"),
+        ("voxel_width=-1", "voxel_width must be positive"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, fault):
+        (tmp_path / "c.cfg").write_text("# comment\ng=2.5\n" + line + "\n")
+        with pytest.raises(ValueError, match=rf"c\.cfg:3: {fault}"):
+            load_config(tmp_path / "c.cfg")
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         (tmp_path / "c.cfg").write_text("# comment\n\nvoxel_width=0.2  # inline\n")

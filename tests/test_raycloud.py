@@ -1,83 +1,14 @@
-"""Ray cloud model, non-return classification and file round trips."""
+"""Ray cloud model and file round trips."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raycanopy.raycloud import (RawMeasurement, RayCloud, RayCloudError,
-                                RayCloudParseError, classify_nonreturns,
-                                empty_cloud, load_raycloud, save_raycloud)
+from raycanopy.raycloud import (RayCloud, RayCloudError, RayCloudParseError,
+                                load_raycloud, save_raycloud)
 
 from conftest import make_cloud, random_cloud
-
-
-def _meas(origin, direction, rng_val, t):
-    d = np.asarray(direction, dtype=float)
-    return RawMeasurement(np.asarray(origin, dtype=float), d / np.linalg.norm(d),
-                          rng_val, t)
-
-
-class TestClassifyNonreturns:
-    def test_return_becomes_contact_ray(self):
-        cloud = classify_nonreturns([_meas([0, 0, 2], [1, 0, 0], 5.0, 10.0)], 40.0)
-        assert len(cloud) == 1
-        assert cloud.contact[0]
-        np.testing.assert_allclose(cloud.endpoints[0], [5, 0, 2])
-        assert cloud.times[0] == 0.0  # shifted to start at the first measurement
-
-    def test_upward_nonreturn_kept_at_max_range(self):
-        cloud = classify_nonreturns([_meas([1, 2, 3], [0, 0, 1], None, 0.0)], 40.0)
-        assert len(cloud) == 1
-        assert not cloud.contact[0]
-        np.testing.assert_allclose(cloud.endpoints[0], [1, 2, 43])
-
-    def test_downward_nonreturn_discarded(self):
-        cloud = classify_nonreturns([_meas([0, 0, 3], [0, 0, -1], None, 0.0)], 40.0)
-        assert len(cloud) == 0
-
-    def test_horizontal_nonreturn_discarded(self):
-        # direction.z must be strictly positive to keep a non-return
-        cloud = classify_nonreturns([_meas([0, 0, 3], [1, 0, 0], None, 0.0)], 40.0)
-        assert len(cloud) == 0
-
-    def test_count_is_returns_plus_upward_nonreturns(self, rng):
-        ms = []
-        n_ret, n_up = 0, 0
-        for i in range(200):
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
-            if rng.random() < 0.5:
-                ms.append(_meas(rng.normal(size=3), d, float(rng.uniform(0.1, 30)), float(i)))
-                n_ret += 1
-            else:
-                ms.append(_meas(rng.normal(size=3), d, None, float(i)))
-                n_up += d[2] > 0
-        cloud = classify_nonreturns(ms, 40.0)
-        assert len(cloud) == n_ret + n_up
-
-    def test_times_shifted_and_sorted(self):
-        ms = [_meas([0, 0, 0], [0, 0, 1], 1.0, t) for t in (7.0, 3.0, 5.0)]
-        cloud = classify_nonreturns(ms, 40.0)
-        np.testing.assert_allclose(cloud.times, [0.0, 2.0, 4.0])
-
-    def test_empty_input(self):
-        assert len(classify_nonreturns([], 40.0)) == 0
-
-    def test_non_unit_direction_rejected(self):
-        m = RawMeasurement(np.zeros(3), np.array([0.0, 0.0, 2.0]), 1.0, 0.0)
-        with pytest.raises(RayCloudError, match="unit length"):
-            classify_nonreturns([m], 40.0)
-
-    def test_range_beyond_max_rejected(self):
-        with pytest.raises(RayCloudError, match="exceeds max_range"):
-            classify_nonreturns([_meas([0, 0, 0], [0, 0, 1], 50.0, 0.0)], 40.0)
-
-    def test_nonfinite_measurement_rejected(self):
-        m = RawMeasurement(np.array([0.0, 0.0, np.nan]), np.array([0.0, 0.0, 1.0]),
-                           1.0, 0.0)
-        with pytest.raises(RayCloudError, match="non-finite"):
-            classify_nonreturns([m], 40.0)
 
 
 class TestValidate:
@@ -115,7 +46,8 @@ class TestFileRoundTrip:
         assert a.max_range == b.max_range and a.frame_id == b.frame_id
 
     def test_empty_cloud_ply(self, tmp_path):
-        cloud = empty_cloud(25.0, "veh")
+        z = np.zeros((0, 3))
+        cloud = RayCloud(z, z, np.zeros(0), np.zeros(0, dtype=bool), 25.0, "veh")
         save_raycloud(cloud, tmp_path / "c.ply")
         self._assert_equal(cloud, load_raycloud(tmp_path / "c.ply"))
 
@@ -187,6 +119,9 @@ class TestFileRoundTrip:
         ("# max_range 100.0 frame_id map", "# frame_id map max_range", r":1: .*missing field"),
         ("1,0,0,-1,0,0,0,1", "1,0,0,-1,0,0,0", r":3: .*expected 8 columns, got 7"),
         ("1,0,0,-1,0,0,0,1", "1,x,0,-1,0,0,0,1", r":3: .*could not convert"),
+        ("1,0,0,-1,0,0,0,1", "1,0,0,-1,0,0,0,1.5", r":3: .*invalid literal for int"),
+        ("1,0,0,-1,0,0,0,1", "1,0,0,-1,0,0,0,257", r":3: .*flags 257 outside 0\.\.255"),
+        ("1,0,0,-1,0,0,0,1", "1,0,0,-1,0,0,0,-1", r":3: .*flags -1 outside 0\.\.255"),
     ])
     def test_bad_csv_line_rejected(self, tmp_path, old, new, fault):
         save_raycloud(make_cloud([[0, 0, 0]], [[1, 0, 0]], max_range=100.0),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from raycanopy.rows import (RowSegment, RowSegmentationError, Trajectory,
+from raycanopy.raycloud import RayCloud
+from raycanopy.rows import (MIN_STEP, RowSegment, RowSegmentationError, Trajectory,
                             row_direction, row_direction_exhaustive, split_rows,
                             straightness_value, to_row_coordinates)
 
@@ -104,10 +105,10 @@ class TestTrajectory:
         origins = np.column_stack([np.linspace(0, 2, n), np.zeros(n), np.ones(n)])
         endpoints = origins + np.array([0, 1.0, 0])
         cloud = make_cloud(origins, endpoints)
-        traj = Trajectory.from_raycloud(cloud, min_step=0.05)
+        traj = Trajectory.from_raycloud(cloud)
         assert 2 < len(traj.positions) < n
         steps = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
-        assert np.all(steps >= 0.05 - 1e-12)
+        assert np.all(steps >= MIN_STEP - 1e-12)
 
     def test_ground_shift_keeps_positions(self, rng):
         # subtract_ground shifts each ray by the terrain under its own endpoint
@@ -122,8 +123,7 @@ class TestTrajectory:
         np.testing.assert_array_equal(flat.positions[:, :2], raw.positions[:, :2])
         np.testing.assert_array_equal(flat.times, raw.times)
 
-    @pytest.mark.parametrize("min_step", [0.0, 0.05, 0.3])
-    def test_matches_per_ray_loop(self, rng, min_step):
+    def test_matches_per_ray_loop(self, rng):
         for _ in range(20):
             # runs of repeated origins, some revisiting an earlier position;
             # times tie, step back and repeat, also inside a run
@@ -132,8 +132,8 @@ class TestTrajectory:
             origins = np.repeat(stops, rng.integers(1, 6, 40), axis=0)
             times = np.round(np.arange(len(origins)) * 0.1 + rng.normal(0, 0.3, len(origins)), 1)
             cloud = make_cloud(origins, origins + 1.0, times=times)
-            traj = Trajectory.from_raycloud(cloud, min_step=min_step)
-            keep = _from_raycloud_reference(origins[:, :2], times, min_step)
+            traj = Trajectory.from_raycloud(cloud)
+            keep = _from_raycloud_reference(origins[:, :2], times)
             np.testing.assert_array_equal(traj.positions, origins[keep])
             np.testing.assert_array_equal(traj.times, times[keep])
 
@@ -143,12 +143,12 @@ class TestTrajectory:
             traj.validate()
 
 
-def _from_raycloud_reference(xy, times, min_step):
+def _from_raycloud_reference(xy, times):
     """The per-ray loop that Trajectory.from_raycloud replaced."""
     keep = [0]
     last = xy[0]
     for i in range(1, len(xy)):
-        if np.linalg.norm(xy[i] - last) >= min_step and times[i] > times[keep[-1]]:
+        if np.linalg.norm(xy[i] - last) >= MIN_STEP and times[i] > times[keep[-1]]:
             keep.append(i)
             last = xy[i]
     return keep
@@ -230,9 +230,10 @@ class TestSplitRows:
         assert shared == len(segments)
 
     def test_empty_cloud_rejected(self):
-        from raycanopy.raycloud import empty_cloud
+        z = np.zeros((0, 3))
+        empty = RayCloud(z, z, np.zeros(0), np.zeros(0, dtype=bool), 10.0)
         with pytest.raises(RowSegmentationError):
-            split_rows(empty_cloud(10.0), np.array([0.0, 1.0]))
+            split_rows(empty, np.array([0.0, 1.0]))
 
 
 def _contains_ray(segment: RowSegment, cloud, idx) -> bool:
