@@ -97,22 +97,26 @@ def load_config(path) -> PipelineConfig:
 
 
 def apply_overrides(config: PipelineConfig, values: dict) -> PipelineConfig:
+    """`config` with `values` set; a value that fails to convert names its field."""
     fields = {"voxel_width": float, "n_min": int, "g": float, "curvature": float,
               "bin_width": float, "panel_length": float, "row_spacing": float,
               "max_density": float, "estimator": str, "panel_mode": str}
     kwargs = {}
     for key, raw in values.items():
-        if key == "direction":
-            parts = raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
-            if len(parts) != 2:
-                raise ValueError("direction must be two numbers: dx,dy")
-            kwargs["direction"] = (float(parts[0]), float(parts[1]))
-        elif key == "n_min" and not isinstance(raw, str):
-            kwargs[key] = raw   # PipelineConfig rejects a non-integral count
-        elif key in fields:
-            kwargs[key] = fields[key](raw) if not isinstance(raw, fields[key]) else raw
-        else:
+        if key != "direction" and key not in fields:
             raise ValueError(f"unknown config key {key!r}")
+        try:
+            if key == "direction":
+                parts = raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
+                if len(parts) != 2:
+                    raise ValueError("expected two numbers dx,dy")
+                kwargs["direction"] = (float(parts[0]), float(parts[1]))
+            elif key == "n_min" and not isinstance(raw, str):
+                kwargs[key] = raw   # PipelineConfig rejects a non-integral count
+            else:
+                kwargs[key] = fields[key](raw) if not isinstance(raw, fields[key]) else raw
+        except ValueError as exc:
+            raise ValueError(f"{exc} for {key}") from None
     return replace(config, **kwargs)
 
 

@@ -1,10 +1,11 @@
-"""Per-row voxel grid, ray traversal and sufficient-statistic accumulation.
+"""Per-row voxel grid, ray walk and sufficient-statistic accumulation.
 
 Each voxel records four numbers, the sufficient statistics of the density
 estimator: the entering-ray count n, the contact count m, the summed
 penetration depths sum_x and the summed unimpeded path lengths sum_y. Voxel
 intervals are half-open: a point exactly on a face belongs to the voxel with
-the larger index.
+the larger index. One batched Amanatides & Woo walk (`_walk`) serves both
+`accumulate` and the one-ray `traverse`.
 
 A row's statistics are a dict of up to some 10^5 VoxelStats, one per voxel.
 Those dicts, and the CSV writer's argument tuple, are built with cyclic
@@ -65,9 +66,6 @@ class VoxelGrid:
     @property
     def voxel_count(self) -> int:
         return int(np.prod(self.dims))
-
-    def contains_index(self, ijk) -> bool:
-        return all(0 <= v < d for v, d in zip(ijk, self.dims))
 
 
 @dataclass
@@ -136,74 +134,20 @@ def _clip_to_grid(origins: np.ndarray, deltas: np.ndarray, grid: VoxelGrid):
     return t0, t1
 
 
-def traverse(ray, grid: VoxelGrid) -> list[tuple[tuple[int, int, int], float, float]]:
-    """Amanatides-Woo walk of one ray through the grid.
+def _walk(origins: np.ndarray, deltas: np.ndarray, grid: VoxelGrid):
+    """Amanatides & Woo (1987) walk of every ray p = o + t*delta, t in [0, 1],
+    through the grid, batch-vectorised across rays.
 
-    Returns ordered (voxel index, entry_param, exit_param) with parameters as
-    fractions of the full ray; contiguous, and empty if the ray misses.
+    Returns, per record (a voxel a ray crosses for longer than _EPS), the ray
+    id, linear voxel index, entry t and exit t, uncapped by the ray's end
+    (the unimpeded chord's), each ray's records in walk order; plus every
+    ray's end t clipped to the grid. All axes tied at an exit advance
+    together, so an edge or corner crossing gives no zero-length record.
     """
-    origin = np.asarray(ray.origin, dtype=float)
-    delta = np.asarray(ray.endpoint, dtype=float) - origin
-    t0, t1 = _clip_to_grid(origin[None, :], delta[None, :], grid)
-    t0, t1 = float(t0[0]), float(t1[0])
-    if t1 - t0 <= _EPS:
-        return []
-    w = grid.voxel_width
-    p0 = origin + t0 * delta
-    ijk = np.floor((p0 - grid.origin) / w).astype(int)
-    ijk = np.clip(ijk, 0, np.asarray(grid.dims) - 1)
-
-    step = np.where(delta > 0, 1, np.where(delta < 0, -1, 0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_delta = np.where(delta != 0, np.abs(w / delta), np.inf)
-        next_bound = grid.origin + (ijk + (step > 0)) * w
-        t_max = np.where(delta != 0, (next_bound - origin) / delta, np.inf)
-
-    out = []
-    t = t0
-    while True:
-        t_exit = float(t_max.min())
-        t_emit = min(t_exit, t1)
-        if t_emit - t > _EPS:
-            out.append((tuple(int(v) for v in ijk), t, t_emit))
-        if t_exit >= t1:
-            break
-        # advance every axis tied at the minimum (diagonal face/corner crossing)
-        for ax in range(3):
-            if t_max[ax] == t_exit:
-                ijk[ax] += step[ax]
-                t_max[ax] += t_delta[ax]
-        if not grid.contains_index(ijk):
-            break
-        t = t_exit
-    return out
-
-
-def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int], VoxelStats]:
-    """Accumulate per-voxel statistics for every ray of the cloud.
-
-    For each voxel a ray enters: n += 1, its unimpeded chord y through the
-    voxel adds to sum_y and its penetration depth x adds to sum_x. x equals y
-    except in the voxel where the ray ends, where it is the entry-to-end
-    length; a contact ending inside the voxel increments m. The walk is
-    batch-vectorised across rays, and the records are reduced per voxel in
-    array operations: sum_x and sum_y equal, bit for bit, ndarray.sum over
-    each voxel's x and y in ray order.
-    """
-    n_rays = len(row_cloud)
-    if n_rays == 0:
-        return {}
-    origins = row_cloud.origins
-    deltas = row_cloud.endpoints - origins
-    lengths = np.linalg.norm(deltas, axis=1)
-    w = grid.voxel_width
     dims = np.asarray(grid.dims)
-
+    w = grid.voxel_width
     t0, t_end = _clip_to_grid(origins, deltas, grid)
-    active = t_end - t0 > _EPS
-    ids = np.nonzero(active)[0]
-    if len(ids) == 0:
-        return {}
+    ids = np.nonzero(t_end - t0 > _EPS)[0]
     o = origins[ids]
     d = deltas[ids]
     t = t0[ids].copy()
@@ -218,10 +162,8 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
         next_bound = grid.origin + (ijk + (step > 0)) * w
         t_max = np.where(d != 0, (next_bound - o) / d, np.inf)
 
-    rec_ray: list[np.ndarray] = []
-    rec_vox: list[np.ndarray] = []
-    rec_t0: list[np.ndarray] = []
-    rec_t1: list[np.ndarray] = []
+    empty = np.zeros(0, dtype=np.int64)
+    records = [(empty, empty, empty.astype(float), empty.astype(float))]
 
     alive = np.ones(len(ids), dtype=bool)
     while np.any(alive):
@@ -232,10 +174,7 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
         if np.any(emit):
             e = a[emit]
             lin = (ijk[e, 0] * dims[1] + ijk[e, 1]) * dims[2] + ijk[e, 2]
-            rec_ray.append(ids[e])
-            rec_vox.append(lin)
-            rec_t0.append(t[e])
-            rec_t1.append(t_exit[emit])   # uncapped: unimpeded chord exit
+            records.append((ids[e], lin, t[e], t_exit[emit]))
         done = t_exit >= tend[a]
         adv = a[~done]
         if len(adv):
@@ -246,13 +185,44 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
             inside = np.all((ijk[adv] >= 0) & (ijk[adv] < dims), axis=1)
             alive[adv[~inside]] = False
         alive[a[done]] = False
+    return (*map(np.concatenate, zip(*records)), t_end)
 
-    if not rec_ray:
+
+def traverse(ray, grid: VoxelGrid) -> list[tuple[tuple[int, int, int], float, float]]:
+    """One ray's walk through the grid: `_walk`, the walk `accumulate` runs,
+    called on this ray alone.
+
+    Returns ordered (voxel index, entry_param, exit_param) with parameters as
+    fractions of the full ray and the exit capped at the ray's clipped end;
+    contiguous, and empty if the ray misses.
+    """
+    origin = np.asarray(ray.origin, dtype=float)[None, :]
+    delta = np.asarray(ray.endpoint, dtype=float) - origin
+    _, vox, t0, t1, t_end = _walk(origin, delta, grid)
+    keys = zip(*(a.tolist() for a in np.unravel_index(vox, grid.dims)))
+    return list(zip(keys, t0.tolist(), np.minimum(t1, t_end[0]).tolist()))
+
+
+def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int], VoxelStats]:
+    """Accumulate per-voxel statistics for every ray of the cloud.
+
+    For each voxel a ray enters: n += 1, its unimpeded chord y through the
+    voxel adds to sum_y and its penetration depth x adds to sum_x. x equals y
+    except in the voxel where the ray ends, where it is the entry-to-end
+    length; a contact ending inside the voxel increments m. The rays are
+    walked together (`_walk`), and the records are reduced per voxel in
+    array operations: sum_x and sum_y equal, bit for bit, ndarray.sum over
+    each voxel's x and y in record order (by walk step, then by ray).
+    """
+    n_rays = len(row_cloud)
+    origins = row_cloud.origins
+    deltas = row_cloud.endpoints - origins
+    lengths = np.linalg.norm(deltas, axis=1)
+    w = grid.voxel_width
+    dims = np.asarray(grid.dims)
+    ray_id, vox, ta, tb, t_end = _walk(origins, deltas, grid)
+    if len(vox) == 0:
         return {}
-    ray_id = np.concatenate(rec_ray)
-    vox = np.concatenate(rec_vox)
-    ta = np.concatenate(rec_t0)
-    tb = np.concatenate(rec_t1)
 
     L = lengths[ray_id]
     y = (tb - ta) * L
@@ -266,7 +236,7 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
         end_lin[in_grid] = (eijk[:, 0] * dims[1] + eijk[:, 1]) * dims[2] + eijk[:, 2]
     hits = row_cloud.contact[ray_id] & (vox == end_lin[ray_id])
 
-    # stable, so each voxel sums its rays in ray order
+    # stable, so each voxel sums its records in walk order: by step, then ray
     order = np.argsort(vox, kind="stable")
     vox, x, y, hits = vox[order], x[order], y[order], hits[order]
     uniq, starts = np.unique(vox, return_index=True)

@@ -1,29 +1,37 @@
-"""The benchmark's tracer finds every function it wraps, by the names it uses.
+"""The benchmark's tracer finds every function it wraps, by the names it uses,
+and reads every count from a traced pipeline run.
 
 `perfbench/spans.py` looks each traced function up by module and attribute
-name and binds the arguments its count hooks read by parameter name, so a
-rename in the package would otherwise show only in a traced benchmark run.
+name, binds the arguments its count hooks read by parameter name, and reads
+the hooked functions' return values and the run's `timings.txt`; a rename
+or a new return type in the package would otherwise show only in a traced
+benchmark run.
 """
 
 import importlib
 import importlib.util
 import inspect
 import re
+import sys
 from pathlib import Path
+
+from raycanopy import pipeline
+from raycanopy.raycloud import save_raycloud
+from raycanopy.synthetic import VineyardSpec, simulate_scan
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _targets():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_traced_function_resolves():
     missing, unbound = [], []
-    for module, attr, _metric, hook in _targets():
+    for module, attr, _metric, hook in _spans().TARGETS:
         obj = importlib.import_module(f"raycanopy.{module}")
         try:
             for part in attr.split("."):
@@ -37,3 +45,44 @@ def test_every_traced_function_resolves():
             unbound += [f"{module}.{attr}({name})" for name in read if name not in params]
     assert not missing, f"TARGETS name functions the package lacks: {missing}"
     assert not unbound, f"count hooks read parameters the functions lack: {unbound}"
+
+
+def _bindings(targets) -> dict:
+    """Every name a traced function is held under: loaded package modules'
+    globals, and the class attributes that TARGETS names."""
+    held = {(name, key): value for name, module in list(sys.modules.items())
+            if name == "raycanopy" or name.startswith("raycanopy.")
+            for key, value in vars(module).items()}
+    for module, attr, _metric, _hook in targets:
+        if "." in attr:
+            cls_name, key = attr.split(".")
+            cls = getattr(importlib.import_module(f"raycanopy.{module}"), cls_name)
+            held[(cls_name, key)] = cls.__dict__[key]
+    return held
+
+
+def test_traced_pipeline_run_reads_every_count(tmp_path):
+    spans = _spans()
+    cloud = simulate_scan(VineyardSpec(row_length=6, max_range=6), spacing=0.2,
+                          rays_per_position=30, seed=3)
+    save_raycloud(cloud, tmp_path / "scan.ply")
+    before = _bindings(spans.TARGETS)
+    tracer = spans.Tracer()
+    tracer.begin("run")
+    tracer.install()
+    try:
+        # by module attribute, where the tracer put its wrapper, as the benchmark calls it
+        pipeline.run_pipeline(tmp_path / "scan.ply", tmp_path / "out")
+    finally:
+        tracer.uninstall()
+    metrics = tracer.run_metrics("run")
+
+    for name in ("raycloud.rays", "ground.triangles", "rows.trajectory_positions",
+                 "rows.count", "voxels.voxels", "voxels.crossed", "voxels.crossings"):
+        assert metrics[name] > 0, name
+    assert metrics["voxels.crossed"] <= metrics["voxels.voxels"]
+    for name in spans.STAGE_METRICS:   # read from the run's timings file
+        assert metrics[name] > 0, name
+    after = _bindings(spans.TARGETS)
+    assert after.keys() == before.keys()
+    assert [key for key, value in after.items() if value is not before[key]] == []

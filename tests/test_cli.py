@@ -164,6 +164,16 @@ def test_malformed_flag_value_exits_1(tmp_path, capsys, flag, value, fault):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--voxel-width", "abc", "voxel_width"),
+    ("--n-min", "2.5", "n_min"),
+    ("--direction", "1,x", "direction"),
+])
+def test_malformed_flag_value_names_field(tmp_path, capsys, flag, value, field):
+    assert main(["rows", str(tmp_path / "scan.ply"), str(tmp_path / "out"), flag, value]) == 1
+    assert capsys.readouterr().err.rstrip().endswith(f" for {field}")
+
+
 def test_direction_override(scan_file, tmp_path):
     out = tmp_path / "rows"
     assert main(["rows", str(scan_file), str(out), "--direction", "0,1"]) == 0

@@ -61,6 +61,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"c\.cfg:3: {fault}"):
             load_config(tmp_path / "c.cfg")
 
+    @pytest.mark.parametrize("line, field", [
+        ("voxel_width=abc", "voxel_width"),
+        ("n_min=2.5", "n_min"),
+        ("direction=1,x", "direction"),
+        ("direction=1", "direction"),
+    ])
+    def test_bad_value_names_field(self, tmp_path, line, field):
+        (tmp_path / "c.cfg").write_text(line + "\n")
+        with pytest.raises(ValueError, match=rf"c\.cfg:1: .+ for {field}$"):
+            load_config(tmp_path / "c.cfg")
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         (tmp_path / "c.cfg").write_text("# comment\n\nvoxel_width=0.2  # inline\n")
         assert load_config(tmp_path / "c.cfg").voxel_width == 0.2

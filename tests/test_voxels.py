@@ -95,6 +95,23 @@ class TestTraverse:
         assert [v for v, _, _ in out] == [(i, 1, 2) for i in range(4)]
         assert sum(t1 - t0 for _, t0, t1 in out) * ray.length == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("dims, origin, end, expect", [
+        # through the z = 0.25 plane, crossing x and y faces together at each corner
+        ((4, 4, 2), (-0.5, -0.5, 0.25), (2.5, 2.5, 0.25),
+         [((0, 0, 0), 1 / 6, 1 / 3), ((1, 1, 0), 1 / 3, 1 / 2),
+          ((2, 2, 0), 1 / 2, 2 / 3), ((3, 3, 0), 2 / 3, 5 / 6)]),
+        # the main diagonal, through three-face corners
+        ((3, 3, 3), (-0.25, -0.25, -0.25), (1.75, 1.75, 1.75),
+         [((0, 0, 0), 0.125, 0.375), ((1, 1, 1), 0.375, 0.625), ((2, 2, 2), 0.625, 0.875)]),
+    ])
+    def test_corner_crossing_advances_every_tied_axis(self, dims, origin, end, expect):
+        grid = _grid(w=0.5, dims=dims)
+        out = traverse(Ray(np.array(origin), np.array(end), 0.0, True), grid)
+        assert [v for v, _, _ in out] == [v for v, _, _ in expect]
+        for (_, t0, t1), (_, e0, e1) in zip(out, expect):
+            assert t0 == pytest.approx(e0, abs=1e-12) and t1 == pytest.approx(e1, abs=1e-12)
+            assert t1 - t0 > 0.1   # no zero-length record at a corner
+
     def test_miss_returns_empty(self):
         grid = _grid()
         ray = Ray(np.array([-5.0, -5.0, -5.0]), np.array([-1.0, -5.0, -5.0]), 0.0, True)
@@ -221,8 +238,7 @@ class TestAccumulate:
             L = ray.length
             end_key = tuple(np.floor((ray.endpoint - grid.origin) / grid.voxel_width)
                             .astype(int))
-            inside = grid.contains_index(end_key) and np.all(
-                (ray.endpoint >= grid.origin) & (ray.endpoint < grid.upper))
+            inside = np.all((ray.endpoint >= grid.origin) & (ray.endpoint < grid.upper))
             for key, t0, t1 in traverse(ray, grid):
                 # y is the unimpeded chord: extend past the ray end to the
                 # voxel face the ray would have exited through
