@@ -6,7 +6,6 @@ ray accumulation, a debiased censored-exponential density estimator, spatial
 integration and Monte Carlo validation of the statistical model.
 """
 
-# set before the submodule imports: the pipeline keys its cache on it
 __version__ = "0.1.0"
 
 from .density import DensityField, debias_factor, estimate_field, load_field, save_field

@@ -94,9 +94,13 @@ def _load_series_csv(path) -> report_mod.RowSeries:
         raise report_mod.ReportError(
             f"{path}: a series needs at least two data lines, found {len(rows)}")
     data = np.array(rows)
-    step = float(data[1, 0] - data[0, 0])
+    steps = np.diff(data[:, 0])
+    step = float(steps[0])
     if not step > 0:
         raise report_mod.ReportError(f"{path}:3: y does not increase from line 2")
+    for ln, s in enumerate(steps[1:], 4):   # half a step: a line missing or repeated,
+        if abs(s - step) > step / 2:         # not the writer's %.6g rounding
+            raise report_mod.ReportError(f"{path}:{ln}: y step {s:g} differs from {step:g}")
     return report_mod.RowSeries(values=data[:, 1], step=step)
 
 

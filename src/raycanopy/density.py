@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .voxels import VoxelGrid, VoxelStats
+from .voxels import VoxelGrid, VoxelGridError, VoxelStats
 
 DEFAULT_G = 2.0
 
@@ -101,9 +101,14 @@ def load_field(path) -> DensityField:
     if len(data) < start:
         raise DensityError(f"{path}: truncated header ({len(data)} bytes)")
     *dims, width, ox, oy, oz, g, row_index = _HEADER.unpack_from(data, len(_MAGIC))
-    if min(dims) < 0:
-        raise DensityError(f"{path}: negative grid dims {tuple(dims)}")
-    count = int(np.prod(dims))
+    try:
+        grid = VoxelGrid(origin=np.array([ox, oy, oz]), voxel_width=width,
+                         dims=tuple(dims), row_index=row_index)
+    except VoxelGridError as exc:
+        raise DensityError(f"{path}: {exc}") from None
+    if not (np.isfinite(g) and g > 0):
+        raise DensityError(f"{path}: g {g!r} is not finite and positive")
+    count = grid.voxel_count
     expected = start + 8 * count + (count + 7) // 8
     if len(data) != expected:
         raise DensityError(f"{path}: {len(data)} bytes where grid {tuple(dims)} "
@@ -113,7 +118,5 @@ def load_field(path) -> DensityField:
     variance = planes[count:].astype(float).reshape(dims)
     bits = np.frombuffer(data, dtype=np.uint8, offset=start + 8 * count)
     observed = np.unpackbits(bits, count=count).astype(bool).reshape(dims)
-    grid = VoxelGrid(origin=np.array([ox, oy, oz]), voxel_width=width,
-                     dims=tuple(dims), row_index=row_index)
     return DensityField(grid=grid, density=density, variance=variance,
                         observed=observed, g=g)

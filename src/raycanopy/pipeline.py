@@ -3,7 +3,7 @@
 `STAGES` is the one table of stages: ground -> rows -> voxelize -> density ->
 integrate. Each entry names the config fields the stage reads; each stage
 reads its input back from the files of the stage before it. A stage's
-outputs are cached under a hash of the input file, the package version and
+outputs are cached under a hash of the input file, the package source and
 the fields of that stage and every stage before it, so reruns skip unchanged
 upstream stages. manifest.json vouches only for files that a finished stage
 wrote: before a stage runs, its entry and every later one are removed from
@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
 from . import density as density_mod
 from . import ground as ground_mod
 from . import report as report_mod
@@ -184,8 +183,8 @@ def _voxelize(rows: list[tuple[dict, RayCloud]], out: Path, c: PipelineConfig) -
             continue   # band without canopy returns (lane or edge strip)
         stats = voxels_mod.accumulate(cloud, grid)
         full = voxels_mod.expand_undersampled(stats, grid, n_min=c.n_min)
-        name = f"row{grid.row_index:02d}_voxels.csv"
-        voxels_mod.dump_stats_csv(full, grid, out / name)
+        name = f"row{grid.row_index:02d}_voxels.rcvs"
+        voxels_mod.save_stats(full, grid, out / name)
         outputs.append(name)
     if not outputs:
         raise voxels_mod.VoxelGridError("no row produced a voxel grid")
@@ -193,7 +192,7 @@ def _voxelize(rows: list[tuple[dict, RayCloud]], out: Path, c: PipelineConfig) -
 
 
 def _load_voxels(out: Path, outputs: list[str]) -> list[tuple]:
-    return [voxels_mod.load_stats_csv(out / name) for name in outputs]
+    return [voxels_mod.load_stats(out / name) for name in outputs]
 
 
 def _density(voxels: list[tuple], out: Path, c: PipelineConfig) -> list[str]:
@@ -260,12 +259,17 @@ STAGES = (
 STAGE_NAMES = tuple(s.name for s in STAGES)
 
 
+def _source_digest() -> str:
+    """Hash of the package's source files: any code change reruns every stage."""
+    return _hash(*(p.read_bytes() for p in sorted(Path(__file__).parent.glob("*.py"))))
+
+
 def _stage_keys(input_hash: str, config: PipelineConfig) -> list[str]:
-    """Cache key of each stage: input, version and the fields read up to it."""
-    keys, read = [], []
+    """Cache key of each stage: input, source and the fields read up to it."""
+    keys, read, source = [], [], _source_digest()
     for stage in STAGES:
         read += [(name, getattr(config, name)) for name in stage.fields]
-        keys.append(_hash(input_hash, __version__, stage.name, read))
+        keys.append(_hash(input_hash, source, stage.name, read))
     return keys
 
 

@@ -7,22 +7,22 @@ intervals are half-open: a point exactly on a face belongs to the voxel with
 the larger index. One batched Amanatides & Woo walk (`_walk`) serves both
 `accumulate` and the one-ray `traverse`.
 
-A row's statistics are a dict of up to some 10^5 VoxelStats, one per voxel.
-Those dicts, and the CSV writer's argument tuple, are built with cyclic
-garbage collection suspended (`gc_paused`): every few hundred tracked
-allocations start a collection that walks the young objects, and as the
-new objects hold only ints and floats, those collections free nothing
-while taking a large share of the build time.
+A row's statistics are a dict of up to some 10^5 VoxelStats, one per voxel,
+stored as a binary file of four dense planes (`save_stats`). The dicts are
+built with cyclic garbage collection suspended (`gc_paused`): every few
+hundred tracked allocations start a collection that walks the young
+objects, and as the new objects hold only ints and floats, those
+collections free nothing while taking a large share of the build time.
 """
 
 from __future__ import annotations
 
 import gc
-import io
 import itertools
-import warnings
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -58,6 +58,14 @@ class VoxelGrid:
     voxel_width: float
     dims: tuple[int, int, int]
     row_index: int = 0
+
+    def __post_init__(self):
+        if min(self.dims) < 0:
+            raise VoxelGridError(f"negative grid dims {tuple(self.dims)}")
+        if not (np.isfinite(self.voxel_width) and self.voxel_width > 0):
+            raise VoxelGridError(f"voxel width {self.voxel_width} is not finite and positive")
+        if not np.all(np.isfinite(self.origin)):
+            raise VoxelGridError(f"grid origin {[float(v) for v in self.origin]} is not finite")
 
     @property
     def upper(self) -> np.ndarray:
@@ -257,6 +265,19 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
                                   sum_x.tolist(), sum_y.tolist())))
 
 
+def _dense(stats: dict, dims) -> VoxelStats:
+    """A dict of per-voxel VoxelStats as int64/float64 arrays of shape `dims`."""
+    dense = VoxelStats(np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
+                       np.zeros(dims), np.zeros(dims))
+    if stats:
+        at = tuple(np.array(list(stats)).T)
+        dense.n[at] = [s.n for s in stats.values()]
+        dense.m[at] = [s.m for s in stats.values()]
+        dense.sum_x[at] = [s.sum_x for s in stats.values()]
+        dense.sum_y[at] = [s.sum_y for s in stats.values()]
+    return dense
+
+
 def _window_sums(prefix: np.ndarray, radius, dims, ijk) -> np.ndarray:
     """Sum over the cube of Chebyshev radius `radius` around each voxel of
     `ijk` (three index arrays), clamped to the grid, from an inclusive 3D
@@ -281,21 +302,11 @@ def expand_undersampled(stats: dict, grid: VoxelGrid,
     of n_min.
     """
     dims = grid.dims
-    n_arr = np.zeros(dims, dtype=np.int64)
-    m_arr = np.zeros(dims, dtype=np.int64)
-    sx = np.zeros(dims)
-    sy = np.zeros(dims)
-    if stats:
-        at = tuple(np.array(list(stats)).T)
-        n_arr[at] = [s.n for s in stats.values()]
-        m_arr[at] = [s.m for s in stats.values()]
-        sx[at] = [s.sum_x for s in stats.values()]
-        sy[at] = [s.sum_y for s in stats.values()]
-
-    fields = [n_arr.astype(float), m_arr.astype(float), sx, sy]
+    dense = _dense(stats, dims)
+    fields = [dense.n.astype(float), dense.m.astype(float), dense.sum_x, dense.sum_y]
     prefixes = [np.pad(f, (1, 0)).cumsum(0).cumsum(1).cumsum(2) for f in fields]
 
-    own = n_arr >= n_min
+    own = dense.n >= n_min
     max_radius = max(dims) - 1
     # whole grid, unless a smaller cube reaches n_min
     radius = np.full(dims, max_radius, dtype=np.int64)
@@ -324,107 +335,51 @@ def expand_undersampled(stats: dict, grid: VoxelGrid,
     return full
 
 
-def dump_stats_csv(stats: dict, grid: VoxelGrid, path) -> None:
-    """One row per voxel with counts and depth/path sums, plus the grid header.
-
-    Rows go in sorted voxel order. Sums are written with %.9g, nine
-    significant digits, so a reread sum can differ from the computed one by
-    up to 5e-9 relative. The body is one %-format call over all rows.
-    """
-    keys = sorted(stats)
-    with gc_paused():
-        values = tuple(itertools.chain.from_iterable(
-            (*key, s.n, s.m, s.sum_x, s.sum_y)
-            for key, s in zip(keys, map(stats.__getitem__, keys))))
-    with open(path, "w") as f:
-        f.write(f"# grid {grid.origin[0]:.9g} {grid.origin[1]:.9g} {grid.origin[2]:.9g} "
-                f"{grid.voxel_width:.9g} {grid.dims[0]} {grid.dims[1]} {grid.dims[2]} "
-                f"{grid.row_index}\n")
-        f.write("row,i,j,k,n,m,sum_x,sum_y\n")
-        f.write(f"{grid.row_index},%d,%d,%d,%d,%d,%.9g,%.9g\n" * len(keys) % values)
+_MAGIC = b"RCVS\x01"
+_HEADER = struct.Struct("<3id3di")       # dims, voxel width, origin, row index
+_PLANES = ("<i8", "<i8", "<f8", "<f8")   # n, m, sum_x, sum_y: whole grid, row-major
 
 
-_COLUMNS = np.dtype([(name, np.int64) for name in ("row", "i", "j", "k", "n", "m")]
-                    + [("sum_x", np.float64), ("sum_y", np.float64)])
+def save_stats(stats: dict, grid: VoxelGrid, path) -> None:
+    """Write a dict of per-voxel VoxelStats as the grid's four dense planes."""
+    dense = _dense(stats, grid.dims)
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(_HEADER.pack(*grid.dims, grid.voxel_width, *grid.origin, grid.row_index))
+        for plane, dtype in zip((dense.n, dense.m, dense.sum_x, dense.sum_y), _PLANES):
+            fh.write(plane.astype(dtype).tobytes())
 
 
-def load_stats_csv(path) -> tuple[VoxelStats, VoxelGrid]:
-    """Read a dump_stats_csv file back as dense statistics plus its grid.
-
-    The statistics are one VoxelStats whose fields are arrays of the grid's
-    shape: n and m int64, sum_x and sum_y float64, zero at every voxel the
-    file does not list. The body is parsed in one np.loadtxt call and checked
-    in array operations; if that parse or a check fails, the body is read
-    again line by line (`_parse_lines`), which accepts exactly the same files
-    and raises VoxelGridError naming file:line and the fault.
-    """
-    with open(path) as f:
-        header = f.readline().split()
-        try:
-            if len(header) != 10 or header[:2] != ["#", "grid"]:
-                raise ValueError("missing grid header")
-            origin = np.array([float(v) for v in header[2:5]])
-            width = float(header[5])
-            dims = tuple(int(v) for v in header[6:9])
-            grid = VoxelGrid(origin=origin, voxel_width=width, dims=dims,
-                             row_index=int(header[9]))
-            stats = VoxelStats(np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
-                               np.zeros(dims), np.zeros(dims))
-        except ValueError as exc:   # includes negative dims
-            raise VoxelGridError(f"{path}:1: {exc}") from None
-        f.readline()   # column names
-        body = f.read()
-    if body and not _parse_body(body, stats):
-        _parse_lines(body, stats, path)
-    return stats, grid
-
-
-def _parse_body(body: str, stats: VoxelStats) -> bool:
-    """Fill `stats` from the CSV body in array operations; False, with `stats`
-    untouched, if any line fails to parse or check."""
+def load_stats(path) -> tuple[VoxelStats, VoxelGrid]:
+    """Read a save_stats file back as dense statistics (arrays of the grid's
+    shape: n and m int64, sum_x and sum_y float64) plus its grid. Each fault
+    raises VoxelGridError naming the file, and the voxel where there is one."""
+    data = Path(path).read_bytes()
+    if not data.startswith(_MAGIC):
+        raise VoxelGridError(f"{path}: not a voxel statistics file")
+    start = len(_MAGIC) + _HEADER.size
+    if len(data) < start:
+        raise VoxelGridError(f"{path}: truncated header ({len(data)} bytes)")
+    *dims, width, ox, oy, oz, row_index = _HEADER.unpack_from(data, len(_MAGIC))
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # e.g. "input contained no data"
-            rows = np.loadtxt(io.StringIO(body), dtype=_COLUMNS, delimiter=",",
-                              comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return False
-    # loadtxt skips empty lines; the line-by-line reader rejects them
-    if len(rows) != body.count("\n") + (not body.endswith("\n")):
-        return False
-    ijk = tuple(rows[c] for c in "ijk")
-    n, m = rows["n"], rows["m"]
-    inside = np.logical_and.reduce([(0 <= v) & (v < d) for v, d in zip(ijk, stats.n.shape)])
-    if not (inside & (0 <= m) & (m <= n)).all():
-        return False
-    lin = np.ravel_multi_index(ijk, stats.n.shape)
-    if len(np.unique(lin)) != len(lin):
-        return False
-    for dense, column in zip((stats.n, stats.m, stats.sum_x, stats.sum_y),
-                             ("n", "m", "sum_x", "sum_y")):
-        dense.flat[lin] = rows[column]
-    return True
+        grid = VoxelGrid(origin=np.array([ox, oy, oz]), voxel_width=width,
+                         dims=tuple(dims), row_index=row_index)
+    except VoxelGridError as exc:
+        raise VoxelGridError(f"{path}: {exc}") from None
+    count = grid.voxel_count
+    expected = start + 8 * len(_PLANES) * count
+    if len(data) != expected:
+        raise VoxelGridError(f"{path}: {len(data)} bytes where grid {grid.dims} needs {expected}")
+    n, m, sum_x, sum_y = (np.frombuffer(data, dt, count, start + 8 * count * i)
+                          .astype(dt[1:]).reshape(grid.dims) for i, dt in enumerate(_PLANES))
+    bad = (m < 0) | (m > n) | ~np.isfinite(sum_x) | ~np.isfinite(sum_y)
+    if bad.any():
+        v = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise VoxelGridError(f"{path}: voxel {v}: n={n[v]}, m={m[v]}, sum_x={sum_x[v]}, "
+                             f"sum_y={sum_y[v]}: needs 0 <= m <= n and finite sums")
+    return VoxelStats(n, m, sum_x, sum_y), grid
 
 
-def _parse_lines(body: str, stats: VoxelStats, path) -> None:
-    """Fill `stats` from the CSV body line by line, checking each line as it
-    is read; a fault raises VoxelGridError naming file:line."""
-    dims = stats.n.shape
-    di, dj, dk = dims
-    listed_on = np.zeros(dims, dtype=np.int64)   # line number of each listed voxel
-    for lineno, line in enumerate(io.StringIO(body), 3):
-        try:
-            row, i, j, k, n, m, sum_x, sum_y = line.split(",")
-            int(row)
-            i, j, k, n, m = int(i), int(j), int(k), int(n), int(m)
-            if not (0 <= i < di and 0 <= j < dj and 0 <= k < dk):
-                raise ValueError(f"voxel {(i, j, k)} outside grid {dims}")
-            if not 0 <= m <= n:
-                raise ValueError(f"m={m} out of range for n={n}")
-            if listed_on[i, j, k]:
-                raise ValueError(f"voxel {(i, j, k)} already listed on line {listed_on[i, j, k]}")
-            listed_on[i, j, k] = lineno
-            stats.n[i, j, k], stats.m[i, j, k] = n, m
-            stats.sum_x[i, j, k], stats.sum_y[i, j, k] = float(sum_x), float(sum_y)
-        except (ValueError, OverflowError) as exc:   # overflow: a count past int64
-            raise VoxelGridError(f"{path}:{lineno}: {exc}") from None
+# the names perfbench/spans.py traces as voxels.dump_csv_s and voxels.load_csv_s
+dump_stats_csv = save_stats
+load_stats_csv = load_stats

@@ -83,6 +83,10 @@ def test_traced_pipeline_run_reads_every_count(tmp_path):
     assert metrics["voxels.crossed"] <= metrics["voxels.voxels"]
     for name in spans.STAGE_METRICS:   # read from the run's timings file
         assert metrics[name] > 0, name
+    layers = ("raycloud.", "ground.", "rows.", "voxels.", "density.", "report.")
+    for name in spans.TIME_METRICS:   # each pipeline layer's calls reached its wrapper
+        if name.startswith(layers):
+            assert metrics[name] > 0, name
     after = _bindings(spans.TARGETS)
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if value is not before[key]] == []

@@ -127,8 +127,9 @@ def test_compare_reports_rrmse(tmp_path, capsys):
     ("", r"b\.csv: a series needs at least two data lines, found 0"),
     ("0.05,1\n", r"b\.csv: a series needs at least two data lines, found 1"),
     ("0.15,1\n0.05,1\n", r"b\.csv:3: y does not increase"),
+    ("0.06,1\n0.18,1\n0.5,1\n0.62,1\n", r"b\.csv:4: y step 0\.32 differs from 0\.12"),
 ], ids=["text", "one-field", "three-fields", "inf", "negative", "header-only",
-        "one-row", "decreasing-y"])
+        "one-row", "decreasing-y", "uneven-step"])
 def test_compare_rejects_bad_series(tmp_path, capsys, body, fault):
     header = "y_m,density_m2_per_m\n"
     (tmp_path / "a.csv").write_text(header + "0.05,1\n0.15,2\n")
@@ -178,5 +179,5 @@ def test_direction_override(scan_file, tmp_path):
     out = tmp_path / "rows"
     assert main(["rows", str(scan_file), str(out), "--direction", "0,1"]) == 0
     assert len(list(out.glob("row[0-9][0-9].ply"))) >= 1
-    assert not list(out.glob("*_voxels.csv"))   # stops after the rows stage
+    assert not list(out.glob("*_voxels.rcvs"))   # stops after the rows stage
     assert json.loads((out / "rows.json").read_text())["direction"] == [0.0, 1.0]

@@ -1,5 +1,7 @@
 """Debiased censored-exponential density estimator over dense voxel statistics."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,23 @@ class TestFieldRoundTrip:
             (tmp_path / "t.rcdf").write_bytes(data[:size])
             with pytest.raises(DensityError, match="t.rcdf.*truncated"):
                 load_field(tmp_path / "t.rcdf")
+
+    # header: magic (5 bytes), dims <3i, voxel width <d, origin <3d, g <d, row index <i
+    @pytest.mark.parametrize("offset, value, fault", [
+        (17, 0.0, "voxel width 0.0 is not finite and positive"),
+        (17, -0.1, "voxel width -0.1 is not finite and positive"),
+        (17, np.nan, "voxel width nan is not finite and positive"),
+        (33, np.inf, "grid origin .* is not finite"),
+        (49, 0.0, "g 0.0 is not finite and positive"),
+        (49, np.nan, "g nan is not finite and positive"),
+    ], ids=["zero-width", "negative-width", "nan-width", "inf-origin", "zero-g", "nan-g"])
+    def test_bad_header_rejected(self, tmp_path, rng, offset, value, fault):
+        save_field(random_field(rng), tmp_path / "h.rcdf")
+        data = bytearray((tmp_path / "h.rcdf").read_bytes())
+        struct.pack_into("<d", data, offset, value)
+        (tmp_path / "h.rcdf").write_bytes(bytes(data))
+        with pytest.raises(DensityError, match=rf"h\.rcdf: {fault}"):
+            load_field(tmp_path / "h.rcdf")
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from raycanopy import density
+from raycanopy import density, pipeline
 from raycanopy.pipeline import (STAGES, PipelineConfig, PipelineError, apply_overrides,
                                 load_config, run_pipeline)
 from raycanopy.raycloud import save_raycloud
@@ -177,6 +177,36 @@ class TestRunPipeline:
         assert timings["voxelize"] == "0.000s"
         assert timings["density"] != "0.000s"     # g feeds the estimator
 
+    def test_source_change_reruns_every_stage(self, scan_file, tmp_path, monkeypatch):
+        _, path = scan_file
+        out = tmp_path / "out"
+        run_pipeline(path, out, PipelineConfig())
+        monkeypatch.setattr(pipeline, "_source_digest", lambda: "edited")
+        run_pipeline(path, out, PipelineConfig())
+        timings = dict(line.split("\t") for line in
+                       (out / "timings.txt").read_text().splitlines())
+        assert list(timings) == [s.name for s in STAGES]
+        assert "0.000s" not in timings.values()
+
+    def test_directory_of_older_code_reruns_voxelize(self, scan_file, tmp_path, monkeypatch):
+        # as an older package left it: voxelize's manifest entry names a CSV
+        _, path = scan_file
+        out = tmp_path / "out"
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_source_digest", lambda: "older")
+            run_pipeline(path, out, PipelineConfig(), until="voxelize")
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in manifest["stages"]["voxelize"]["outputs"]:
+            (out / name).unlink()
+        (out / "row01_voxels.csv").write_text("# grid 0 0 0.3 0.12 2 2 2 1\n"
+                                              "row,i,j,k,n,m,sum_x,sum_y\n")
+        manifest["stages"]["voxelize"]["outputs"] = ["row01_voxels.csv"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        manifest = run_pipeline(path, out, PipelineConfig())
+        assert manifest["stages"]["voxelize"]["outputs"] == sorted(
+            p.name for p in out.glob("row*_voxels.rcvs"))
+        assert list(out.glob("row*_density.rcdf"))
+
     @pytest.mark.slow
     def test_failed_run_leaves_no_stale_cache(self, scan_file, tmp_path, monkeypatch):
         _, path = scan_file
@@ -186,7 +216,7 @@ class TestRunPipeline:
         def fail(*args, **kwargs):
             raise density.DensityError("estimator failed")
 
-        # the failed run overwrites row*_voxels.csv with a 0.2 m grid
+        # the failed run overwrites row*_voxels.rcvs with a 0.2 m grid
         with monkeypatch.context() as m:
             m.setattr(density, "estimate_field", fail)
             with pytest.raises(PipelineError) as err:
@@ -204,7 +234,7 @@ class TestRunPipeline:
         out = tmp_path / "out"
         manifest = run_pipeline(path, out, PipelineConfig(), until="rows")
         assert set(manifest["stages"]) == {"ground", "rows"}
-        assert not list(out.glob("row*_voxels.csv"))
+        assert not list(out.glob("row*_voxels.rcvs"))
         with pytest.raises(ValueError, match="unknown stage"):
             run_pipeline(path, out, PipelineConfig(), until="voxels")
 

@@ -1,6 +1,8 @@
 """Voxel grid construction, ray traversal and statistics accumulation."""
 
 import gc
+import itertools
+import struct
 import warnings
 
 import numpy as np
@@ -9,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raycanopy.raycloud import Ray
-from raycanopy.voxels import (VoxelGrid, VoxelGridError, VoxelStats, _parse_body,
-                              accumulate, build_grid, dump_stats_csv, expand_undersampled,
-                              gc_paused, load_stats_csv, traverse)
+from raycanopy.voxels import (VoxelGrid, VoxelGridError, VoxelStats, accumulate,
+                              build_grid, expand_undersampled, gc_paused, load_stats,
+                              save_stats, traverse)
 
 from conftest import make_cloud
 
@@ -449,34 +451,6 @@ def _assert_same_expansion(stats, grid, n_min):
     return out
 
 
-def _dump_reference(stats, grid):
-    """The per-line f-string writer that dump_stats_csv replaced."""
-    lines = [f"# grid {grid.origin[0]:.9g} {grid.origin[1]:.9g} {grid.origin[2]:.9g} "
-             f"{grid.voxel_width:.9g} {grid.dims[0]} {grid.dims[1]} {grid.dims[2]} "
-             f"{grid.row_index}\n", "row,i,j,k,n,m,sum_x,sum_y\n"]
-    for (i, j, k) in sorted(stats):
-        s = stats[(i, j, k)]
-        lines.append(f"{grid.row_index},{i},{j},{k},{s.n},{s.m},{s.sum_x:.9g},{s.sum_y:.9g}\n")
-    return "".join(lines)
-
-
-def _load_reference(path, dims):
-    """Per-line parse of a stats CSV body with int() and float()."""
-    out = [np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
-           np.zeros(dims), np.zeros(dims)]
-    with open(path) as f:
-        for line in list(f)[2:]:
-            _, i, j, k, *values = line.split(",")
-            for a, v, parse in zip(out, values, (int, int, float, float)):
-                a[int(i), int(j), int(k)] = parse(v)
-    return out
-
-
-def _zero_stats(dims):
-    return VoxelStats(np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
-                      np.zeros(dims), np.zeros(dims))
-
-
 def _assert_same_bits(loaded, ref):
     for got, want in zip((loaded.n, loaded.m, loaded.sum_x, loaded.sum_y), ref):
         assert got.dtype == want.dtype
@@ -495,158 +469,96 @@ def _cheb_merge(stats, key, r, dims):
     return n, m, sx, sy
 
 
-class TestStatsCsv:
-    def test_round_trip(self, tmp_path, rng):
-        grid = VoxelGrid(origin=np.array([0.5, -2.0, 0.3]), voxel_width=0.12,
-                         dims=(4, 9, 5), row_index=3)
-        stats = {}
-        for key in [(0, 0, 0), (1, 5, 2), (3, 8, 4)]:
-            n = int(rng.integers(1, 9))
-            y = rng.uniform(0.01, 0.2, n)
-            stats[key] = VoxelStats(n=n, m=int(rng.integers(0, n + 1)),
-                                    sum_x=float((y * rng.uniform(0, 1, n)).sum()),
-                                    sum_y=float(y.sum()))
-        dump_stats_csv(stats, grid, tmp_path / "s.csv")
-        loaded, g2 = load_stats_csv(tmp_path / "s.csv")
-        assert g2.dims == grid.dims and g2.row_index == 3
-        np.testing.assert_allclose(g2.origin, grid.origin)
-        assert (loaded.n.dtype, loaded.m.dtype) == (np.int64, np.int64)
-        assert (loaded.sum_x.dtype, loaded.sum_y.dtype) == (np.float64, np.float64)
-        listed = np.zeros(grid.dims, dtype=bool)
+def _patched(path, offset, fmt, *values):
+    """Overwrite header fields of a saved file at byte `offset`."""
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, *values)
+    path.write_bytes(bytes(data))
+
+
+class TestStatsFile:
+    GRID = VoxelGrid(origin=np.array([0.5, -2.0, 0.3]), voxel_width=0.12,
+                     dims=(4, 9, 5), row_index=3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip_is_bit_exact(self, tmp_path, seed):
+        r = np.random.default_rng(seed)
+        grid = VoxelGrid(origin=r.uniform(-3, 3, 3), voxel_width=float(r.uniform(0.1, 0.5)),
+                         dims=tuple(int(v) for v in r.integers(2, 9, 3)), row_index=seed)
+        cloud = make_cloud(r.uniform(-3, 6, (300, 3)), r.uniform(-3, 6, (300, 3)),
+                           contact=r.random(300) < 0.7)
+        stats = accumulate(cloud, grid)
+        extremes = [5e-324, 1e-310, 1e308, 1.7976931348623157e308]
+        keys = list(np.ndindex(*grid.dims))[::7]
+        for key, (x, y) in zip(keys, itertools.product(extremes, repeat=2)):
+            stats[key] = VoxelStats(2 ** 62, 2 ** 40, x, y)
+        save_stats(stats, grid, tmp_path / "s.rcvs")
+        loaded, g2 = load_stats(tmp_path / "s.rcvs")
+        assert (g2.dims, g2.voxel_width, g2.row_index) == (grid.dims, grid.voxel_width, seed)
+        assert g2.origin.tobytes() == grid.origin.tobytes()
+        want = [np.zeros(grid.dims, dtype=np.int64), np.zeros(grid.dims, dtype=np.int64),
+                np.zeros(grid.dims), np.zeros(grid.dims)]
         for key, s in stats.items():
-            listed[key] = True
-            assert (loaded.n[key], loaded.m[key]) == (s.n, s.m)
-            assert loaded.sum_x[key] == pytest.approx(s.sum_x, rel=1e-8)
-            assert loaded.sum_y[key] == pytest.approx(s.sum_y, rel=1e-8)
+            for a, v in zip(want, (s.n, s.m, s.sum_x, s.sum_y)):
+                a[key] = v
+        _assert_same_bits(loaded, want)
+
+    def test_empty_dict_gives_zero_planes(self, tmp_path):
+        save_stats({}, self.GRID, tmp_path / "s.rcvs")
+        loaded, grid = load_stats(tmp_path / "s.rcvs")
+        assert grid.dims == self.GRID.dims
         for array in (loaded.n, loaded.m, loaded.sum_x, loaded.sum_y):
-            assert array.shape == grid.dims
-            assert not array[~listed].any()
+            assert array.shape == grid.dims and not array.any()
 
-    def test_bytes_match_per_line_reference(self, tmp_path, rng):
-        grid = VoxelGrid(origin=np.array([0.5, -2.0, 0.3]), voxel_width=0.12,
-                         dims=(6, 9, 5), row_index=3)
-        extremes = [0.0, 5e-324, 1e-300, 1.7976931348623157e308, 1e300, 0.1, 1.0 / 3]
-        stats = {}
-        for key in rng.permutation(list(np.ndindex(*grid.dims)))[:120]:   # out of order
-            key = tuple(int(v) for v in key)
-            n = int(rng.integers(0, 10 ** 6))
-            sums = [float(v) for v in rng.choice(extremes, 2)] if rng.random() < 0.3 \
-                else rng.uniform(0, 50, 2).tolist()
-            stats[key] = VoxelStats(n, int(rng.integers(0, n + 1)), *sums)
-        keys = list(stats)
-        stats[keys[0]] = VoxelStats(np.int64(7), np.int32(2), np.float64(0.3), np.float32(0.7))
-        stats[(np.int64(5), np.int64(8), np.int64(4))] = VoxelStats(
-            np.int64(2 ** 62), np.int64(0), np.float64(1e-310), np.float64(2.5e305))
-        dump_stats_csv(stats, grid, tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_bytes() == _dump_reference(stats, grid).encode()
-
-    def test_empty_stats_write_header_only(self, tmp_path):
-        grid = _grid(dims=(2, 3, 4))
-        dump_stats_csv({}, grid, tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_bytes() == _dump_reference({}, grid).encode()
-
-    def test_load_matches_per_line_reference(self, tmp_path, rng):
-        grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(7, 8, 9), row_index=1)
-        lines = []
-        # spellings that int(), float() and np.loadtxt all read; also padded fields
-        odd_sums = ["1e-320", "5e-324", "1e500", ".5", "5.", "+2.5", "nan", "-0"]
-        for i, key in enumerate(rng.permutation(list(np.ndindex(*grid.dims)))[:300]):
-            n = int(rng.integers(0, 2 ** 62))
-            sums = rng.uniform(0, 10, 2) * 10.0 ** rng.integers(-320, 300, 2)
-            sums = rng.choice(odd_sums, 2) if i % 7 == 0 else [f"{v:.17g}" for v in sums]
-            fields = [1, *key, n, rng.integers(0, n + 1), *sums]
-            lines.append((" , " if i % 5 == 0 else ",").join(map(str, fields)) + "\n")
-        path = tmp_path / "s.csv"
-        path.write_text("# grid 0 0 0 0.1 7 8 9 1\nrow,i,j,k,n,m,sum_x,sum_y\n" + "".join(lines))
-        stats = _zero_stats(grid.dims)
-        assert _parse_body("".join(lines), stats)   # the array path reads it all
-        _assert_same_bits(stats, _load_reference(path, grid.dims))
-        loaded, _ = load_stats_csv(path)
-        _assert_same_bits(loaded, _load_reference(path, grid.dims))
-
-    # underscores: int() and float() read them, np.loadtxt does not
-    @pytest.mark.parametrize("line", ["3,1,0,0,1_5,2,0.1,0.2\n", "3,1,0,0,5,2,1_0.5,0.2\n"])
-    def test_line_only_python_reads_falls_back(self, tmp_path, line):
-        grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(2, 2, 2), row_index=3)
-        dump_stats_csv({(1, 1, 1): VoxelStats(4, 1, 0.1, 0.2)}, grid, tmp_path / "s.csv")
-        with open(tmp_path / "s.csv", "a") as f:
-            f.write(line)
-        assert not _parse_body(line, _zero_stats(grid.dims))
-        loaded, _ = load_stats_csv(tmp_path / "s.csv")
-        _assert_same_bits(loaded, _load_reference(tmp_path / "s.csv", grid.dims))
-
-    @pytest.mark.parametrize("columns", [True, False])
-    def test_header_only_loads_empty(self, tmp_path, columns):
-        text = "# grid 0 0 0 0.1 2 3 4 0\n" + ("row,i,j,k,n,m,sum_x,sum_y\n" if columns else "")
-        (tmp_path / "s.csv").write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # np.loadtxt warns on empty input
-            loaded, grid = load_stats_csv(tmp_path / "s.csv")
-        assert grid.dims == (2, 3, 4)
-        for array in (loaded.n, loaded.m, loaded.sum_x, loaded.sum_y):
-            assert array.shape == (2, 3, 4) and not array.any()
-
-    def test_blank_body_rejected_without_warning(self, tmp_path):
-        (tmp_path / "s.csv").write_text("# grid 0 0 0 0.1 2 3 4 0\nrow,i,j,k,n,m,sum_x,sum_y\n\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")   # np.loadtxt warns: input contained no data
-            with pytest.raises(VoxelGridError, match="s.csv:3: .*expected 8"):
-                load_stats_csv(tmp_path / "s.csv")
-        assert not caught
-
-    @pytest.mark.parametrize("line, fault", [
-        ("3,0,0,0,5,2,0.1\n", "expected 8"),
-        ("3,0,0,x,5,2,0.1,0.2\n", "invalid literal"),
-        ("3,0,0,9,5,2,0.1,0.2\n", "outside grid"),
-        ("3,0,0,0,2,5,0.1,0.2\n", "m=5 out of range for n=2"),
-        ("3,0,0,0,99999999999999999999,2,0.1,0.2\n", "too large"),
-        ("# 3,0,0,0,5,2,0.1,0.2\n", "invalid literal"),
-        ("#\n", "expected 8"),
-        ("x,0,0,0,5,2,0.1,0.2\n", "invalid literal"),
-        ("3.0,0,0,0,5,2,0.1,0.2\n", "invalid literal"),
-        ("\n", "expected 8"),
-        ("   \n", "expected 8"),
-        ("3,-1,0,0,5,2,0.1,0.2\n", "outside grid"),
-        ("3,0,0,0,5,-1,0.1,0.2\n", "m=-1 out of range"),
-        ("3,0,0,0,5,2,0.1,0.2,\n", "too many values"),
-        ("3,1,1,1,5,2,0.1,0.2\n", r"voxel \(1, 1, 1\) already listed on line 3"),
-    ])
-    def test_malformed_line_rejected(self, tmp_path, line, fault):
-        grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(2, 2, 2), row_index=3)
-        dump_stats_csv({(1, 1, 1): VoxelStats(4, 1, 0.1, 0.2)}, grid,
-                       tmp_path / "s.csv")
-        with open(tmp_path / "s.csv", "a") as f:
-            f.write(line)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(VoxelGridError, match=f"s.csv:4: .*{fault}"):
-                load_stats_csv(tmp_path / "s.csv")
-        assert not caught   # np.loadtxt's warnings stay inside the reader
-        # the array path refuses the body too and leaves the arrays untouched
-        body = (tmp_path / "s.csv").read_text().split("\n", 2)[2]
-        stats = _zero_stats(grid.dims)
-        assert not _parse_body(body, stats)
-        assert not any(a.any() for a in (stats.n, stats.m, stats.sum_x, stats.sum_y))
-
-    def test_fault_after_good_lines_names_its_line(self, tmp_path):
-        grid = VoxelGrid(origin=np.zeros(3), voxel_width=0.1, dims=(4, 4, 4), row_index=0)
-        stats = {key: VoxelStats(3, 1, 0.5, 0.75) for key in np.ndindex(2, 2, 2)}
-        dump_stats_csv(stats, grid, tmp_path / "s.csv")
-        with open(tmp_path / "s.csv", "a") as f:
-            f.write("0,3,3,3,5,2,0.1,0.2\n0,0,1,0,5,2,0.1,0.2\n")
-        with pytest.raises(VoxelGridError, match=r"s.csv:12: voxel \(0, 1, 0\) already listed "
-                                                 r"on line 5"):
-            load_stats_csv(tmp_path / "s.csv")
+    def test_wrong_magic_rejected(self, tmp_path):
+        (tmp_path / "w.rcvs").write_bytes(b"RCDF\x01" + bytes(100))
+        with pytest.raises(VoxelGridError, match=r"w\.rcvs: not a voxel statistics file"):
+            load_stats(tmp_path / "w.rcvs")
 
     def test_truncated_header_rejected(self, tmp_path):
-        (tmp_path / "s.csv").write_text("# grid 0 0 0 0.1 2\n")
-        with pytest.raises(VoxelGridError, match="s.csv:1: missing grid header"):
-            load_stats_csv(tmp_path / "s.csv")
+        save_stats({}, self.GRID, tmp_path / "s.rcvs")
+        (tmp_path / "t.rcvs").write_bytes((tmp_path / "s.rcvs").read_bytes()[:30])
+        with pytest.raises(VoxelGridError, match=r"t\.rcvs: truncated header \(30 bytes\)"):
+            load_stats(tmp_path / "t.rcvs")
 
-    def test_negative_dims_rejected(self, tmp_path):
-        (tmp_path / "s.csv").write_text("# grid 0 0 0 0.1 2 -1 2 3\n")
-        with pytest.raises(VoxelGridError, match="s.csv:1: negative dimensions"):
-            load_stats_csv(tmp_path / "s.csv")
+    @pytest.mark.parametrize("change", [-1, -8, 1, 8])
+    def test_short_or_long_body_rejected(self, tmp_path, change):
+        save_stats({(1, 1, 1): VoxelStats(4, 1, 0.1, 0.2)}, self.GRID, tmp_path / "s.rcvs")
+        data = (tmp_path / "s.rcvs").read_bytes()
+        (tmp_path / "b.rcvs").write_bytes(data[:change] if change < 0 else data + bytes(change))
+        with pytest.raises(VoxelGridError, match=rf"b\.rcvs: {len(data) + change} bytes where "
+                                                 rf"grid \(4, 9, 5\) needs {len(data)}"):
+            load_stats(tmp_path / "b.rcvs")
+
+    # header: magic (5 bytes), dims <3i, voxel width <d, origin <3d, row index <i
+    @pytest.mark.parametrize("offset, fmt, values, fault", [
+        (5, "<3i", (4, -1, 5), r"negative grid dims \(4, -1, 5\)"),
+        (17, "<d", (0.0,), "voxel width 0.0 is not finite and positive"),
+        (17, "<d", (-0.1,), "voxel width -0.1 is not finite and positive"),
+        (17, "<d", (np.nan,), "voxel width nan is not finite and positive"),
+        (17, "<d", (np.inf,), "voxel width inf is not finite and positive"),
+        (25, "<d", (np.nan,), "grid origin .* is not finite"),
+        (41, "<d", (-np.inf,), "grid origin .* is not finite"),
+    ], ids=["negative-dims", "zero-width", "negative-width", "nan-width", "inf-width",
+            "nan-origin", "inf-origin"])
+    def test_bad_grid_header_rejected(self, tmp_path, offset, fmt, values, fault):
+        save_stats({}, self.GRID, tmp_path / "h.rcvs")
+        _patched(tmp_path / "h.rcvs", offset, fmt, *values)
+        with pytest.raises(VoxelGridError, match=rf"h\.rcvs: {fault}"):
+            load_stats(tmp_path / "h.rcvs")
+
+    @pytest.mark.parametrize("voxel, fault", [
+        (VoxelStats(2, 3, 0.1, 0.2), "n=2, m=3, sum_x=0.1, sum_y=0.2"),
+        (VoxelStats(2, -1, 0.1, 0.2), "n=2, m=-1, sum_x=0.1, sum_y=0.2"),
+        (VoxelStats(2, 1, float("nan"), 0.2), "n=2, m=1, sum_x=nan, sum_y=0.2"),
+        (VoxelStats(2, 1, 0.1, float("inf")), "n=2, m=1, sum_x=0.1, sum_y=inf"),
+    ], ids=["m-above-n", "negative-m", "nan-sum", "inf-sum"])
+    def test_bad_statistics_rejected(self, tmp_path, voxel, fault):
+        stats = {(0, 0, 0): VoxelStats(5, 2, 0.3, 0.4), (3, 8, 2): voxel}
+        save_stats(stats, self.GRID, tmp_path / "v.rcvs")
+        with pytest.raises(VoxelGridError, match=rf"v\.rcvs: voxel \(3, 8, 2\): {fault}: "
+                                                 r"needs 0 <= m <= n and finite sums"):
+            load_stats(tmp_path / "v.rcvs")
 
 
 class TestGcPaused:
