@@ -106,7 +106,6 @@ def _load_series_csv(path) -> report_mod.RowSeries:
 
 def _cmd_ingest(args) -> int:
     cloud = load_raycloud(args.input)
-    cloud.validate()
     save_raycloud(cloud, args.output)
     print(f"{len(cloud)} rays ({int(cloud.contact.sum())} contacts) -> {args.output}")
     return 0

@@ -130,7 +130,6 @@ def _hash(*parts) -> str:
 def _ground(scan: Path, out: Path, c: PipelineConfig) -> list[str]:
     """extract the ground mesh and flatten the cloud"""
     cloud = load_raycloud(scan)
-    cloud.validate()
     mesh = ground_mod.extract_ground(cloud, k=c.curvature)
     flat, dropped = ground_mod.subtract_ground(mesh, cloud)
     ground_mod.export_obj(mesh, out / "ground_mesh.obj")

@@ -30,6 +30,11 @@ TRIANGLE_BIAS_CONFIGS = (
     (0.05, 0.01), (0.025, 0.012), (0.025, 0.001),
 )
 TABLE1_NORMAL_SPECS = ((10, 1, 1), (1, 10, 1), (1, 1, 10), (1, 1, 1))
+VOXEL_WIDTH = 0.1   # m, side of the simulated voxel in every triangular-leaf experiment
+# Fig 7(b) error-surface axes: leaf side length l [m] and total leaf area A [m^2]
+ERROR_SURFACE_SIDES = np.linspace(0.025, 0.10, 7)
+ERROR_SURFACE_AREAS = np.linspace(0.001, 0.031, 7)
+TRAWL_LEAF = (0.06, 0.02)   # Table 1 leaves: (side length l [m], total leaf area A [m^2])
 
 
 class SimulationError(ValueError):
@@ -339,7 +344,7 @@ def _first_hits(starts: np.ndarray, dirs: np.ndarray, chord: np.ndarray,
 
 def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
                    kind: str, normals: NormalDistributionSpec,
-                   rng: np.random.Generator, g: float = DEFAULT_G,
+                   rng: np.random.Generator,
                    debias: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (estimated density, true density) of one cell; rays follow RAY_MODELS[kind]."""
     if kind not in RAY_MODELS:
@@ -352,12 +357,11 @@ def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
     m = np.bincount(trial_of_ray, weights=hit_mask.astype(float), minlength=trials)
     sum_x = np.bincount(trial_of_ray, weights=x, minlength=trials)
     lam_hat = m / sum_x
-    scale = g * (debias_factor(n) if debias else 1.0)
+    scale = DEFAULT_G * (debias_factor(n) if debias else 1.0)
     return scale * lam_hat, rho
 
 
-def _cell_errors(cells, shape, trials: int, w: float, g: float, seed: int,
-                 debias: bool = True) -> np.ndarray:
+def _cell_errors(cells, shape, trials: int, seed: int, debias: bool = True) -> np.ndarray:
     """Normalised error (mean estimate - mean truth) / mean truth per cell.
 
     `cells` lists (side, area, n, ray kind, normals) in row-major order of
@@ -366,16 +370,15 @@ def _cell_errors(cells, shape, trials: int, w: float, g: float, seed: int,
     rng = make_rng(seed)
     err = np.empty(len(cells))
     for i, (side, area, n, kind, normals) in enumerate(cells):
-        est, rho = _simulate_cell(w, side, area, n, trials, kind, normals, rng,
-                                  g=g, debias=debias)
+        est, rho = _simulate_cell(VOXEL_WIDTH, side, area, n, trials, kind, normals, rng,
+                                  debias=debias)
         truth = rho.mean()
         err[i] = (est.mean() - truth) / truth if truth else np.nan
     return err.reshape(shape)
 
 
 def triangle_bias_experiment(configs=TRIANGLE_BIAS_CONFIGS, n_values=range(2, 15),
-                             trials: int = 4000, w: float = 0.1, g: float = DEFAULT_G,
-                             seed: int = 0) -> dict:
+                             trials: int = 4000, seed: int = 0) -> dict:
     """Normalised error of the raw (undebiased) estimator per (config, n).
 
     Returns {"configs", "n_values", "error" (configs x n), "reference"} where
@@ -385,36 +388,29 @@ def triangle_bias_experiment(configs=TRIANGLE_BIAS_CONFIGS, n_values=range(2, 15
     normals = NormalDistributionSpec()
     cells = [(side, area, int(n), "uniform-random", normals)
              for side, area in configs for n in n_values]
-    err = _cell_errors(cells, (len(configs), len(n_values)), trials, w, g, seed,
-                       debias=False)
+    err = _cell_errors(cells, (len(configs), len(n_values)), trials, seed, debias=False)
     reference = np.array([1.0 / (n - 1) for n in n_values])
     return {"configs": list(configs), "n_values": n_values,
             "error": err, "reference": reference}
 
 
-def debiased_error_surface(l_values=None, a_values=None, n: int = 20,
-                           trials: int = 1600, w: float = 0.1, g: float = DEFAULT_G,
-                           seed: int = 0) -> dict:
+def debiased_error_surface(n: int = 20, trials: int = 1600, seed: int = 0) -> dict:
     """Normalised error surface of the debiased estimator over (l, A)."""
-    if l_values is None:
-        l_values = np.linspace(0.025, 0.10, 7)
-    if a_values is None:
-        a_values = np.linspace(0.001, 0.031, 7)
     normals = NormalDistributionSpec()
     cells = [(float(side), float(area), n, "uniform-random", normals)
-             for side in l_values for area in a_values]
-    err = _cell_errors(cells, (len(l_values), len(a_values)), trials, w, g, seed)
-    return {"l_values": np.asarray(l_values), "a_values": np.asarray(a_values),
+             for side in ERROR_SURFACE_SIDES for area in ERROR_SURFACE_AREAS]
+    err = _cell_errors(cells, (len(ERROR_SURFACE_SIDES), len(ERROR_SURFACE_AREAS)),
+                       trials, seed)
+    return {"l_values": ERROR_SURFACE_SIDES.copy(), "a_values": ERROR_SURFACE_AREAS.copy(),
             "error": err}
 
 
 def trawl_vs_spin(normal_specs=TABLE1_NORMAL_SPECS, n: int = 50, trials: int = 400,
-                  side: float = 0.06, area: float = 0.02, w: float = 0.1,
-                  g: float = DEFAULT_G, seed: int = 0) -> dict:
+                  seed: int = 0) -> dict:
     """Percentage density error per (leaf-normal ellipsoid, ray distribution)."""
     kinds = ("trawling", "spinning")
-    cells = [(side, area, n, kind, NormalDistributionSpec(tuple(float(e) for e in spec)))
+    cells = [(*TRAWL_LEAF, n, kind, NormalDistributionSpec(tuple(float(e) for e in spec)))
              for spec in normal_specs for kind in kinds]
-    err = _cell_errors(cells, (len(normal_specs), len(kinds)), trials, w, g, seed)
+    err = _cell_errors(cells, (len(normal_specs), len(kinds)), trials, seed)
     return {"normal_specs": list(normal_specs),
             "distributions": kinds, "error_percent": 100.0 * err}

@@ -99,8 +99,8 @@ def build_grid(row_cloud: RayCloud, voxel_width: float = DEFAULT_VOXEL_WIDTH,
     restricts the grid (and the percentile statistics) to the row's own
     across-row band, keeping neighbouring rows' returns out.
     """
-    if voxel_width <= 0:
-        raise VoxelGridError("voxel_width must be positive")
+    if not (np.isfinite(voxel_width) and voxel_width > 0):
+        raise VoxelGridError(f"voxel_width {voxel_width} is not finite and positive")
     pts = row_cloud.endpoints[row_cloud.contact]
     if lateral_bounds is not None:
         blo, bhi = lateral_bounds
@@ -181,8 +181,8 @@ def _walk(origins: np.ndarray, deltas: np.ndarray, grid: VoxelGrid):
         emit = t_emit - t[a] > _EPS
         if np.any(emit):
             e = a[emit]
-            lin = (ijk[e, 0] * dims[1] + ijk[e, 1]) * dims[2] + ijk[e, 2]
-            records.append((ids[e], lin, t[e], t_exit[emit]))
+            records.append((ids[e], np.ravel_multi_index(ijk[e].T, grid.dims),
+                            t[e], t_exit[emit]))
         done = t_exit >= tend[a]
         adv = a[~done]
         if len(adv):
@@ -218,51 +218,39 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
     voxel adds to sum_y and its penetration depth x adds to sum_x. x equals y
     except in the voxel where the ray ends, where it is the entry-to-end
     length; a contact ending inside the voxel increments m. The rays are
-    walked together (`_walk`), and the records are reduced per voxel in
-    array operations: sum_x and sum_y equal, bit for bit, ndarray.sum over
-    each voxel's x and y in record order (by walk step, then by ray).
+    walked together (`_walk`) and the records are reduced onto the whole
+    grid, one bincount per statistic: sum_x and sum_y are left-to-right sums
+    from 0.0 over each voxel's records in walk order (by step, then by ray).
+    Keys run in ascending linear voxel index.
     """
-    n_rays = len(row_cloud)
     origins = row_cloud.origins
     deltas = row_cloud.endpoints - origins
     lengths = np.linalg.norm(deltas, axis=1)
-    w = grid.voxel_width
-    dims = np.asarray(grid.dims)
     ray_id, vox, ta, tb, t_end = _walk(origins, deltas, grid)
-    if len(vox) == 0:
-        return {}
 
     L = lengths[ray_id]
     y = (tb - ta) * L
     x = (np.minimum(tb, t_end[ray_id]) - ta) * L
     np.clip(x, 0.0, y, out=x)
-    end_lin = np.full(n_rays, -1, dtype=np.int64)
     in_grid = np.all((row_cloud.endpoints >= grid.origin)
                      & (row_cloud.endpoints < grid.upper), axis=1)
-    if np.any(in_grid):
-        eijk = np.floor((row_cloud.endpoints[in_grid] - grid.origin) / w).astype(np.int64)
-        end_lin[in_grid] = (eijk[:, 0] * dims[1] + eijk[:, 1]) * dims[2] + eijk[:, 2]
+    eijk = np.floor((row_cloud.endpoints[in_grid] - grid.origin) / grid.voxel_width)
+    end_lin = np.full(len(row_cloud), -1, dtype=np.int64)
+    # an endpoint just below an upper face can floor to dims: clip it into
+    # the last voxel, as _walk clips its entry voxel
+    end_lin[in_grid] = np.ravel_multi_index(eijk.astype(np.int64).T, grid.dims, mode="clip")
     hits = row_cloud.contact[ray_id] & (vox == end_lin[ray_id])
 
-    # stable, so each voxel sums its records in walk order: by step, then ray
-    order = np.argsort(vox, kind="stable")
-    vox, x, y, hits = vox[order], x[order], y[order], hits[order]
-    uniq, starts = np.unique(vox, return_index=True)
-    bounds = np.append(starts, len(vox))
-    n = np.diff(bounds)
-    m = np.add.reduceat(hits.astype(np.int64), starts)
-    # bincount adds left to right from 0.0, as ndarray.sum does below 8 items;
-    # from 8 up sum() switches to pairwise adds, so those voxels take it as is
-    seg = np.repeat(np.arange(len(uniq)), n)
-    sum_x = np.bincount(seg, weights=x)
-    sum_y = np.bincount(seg, weights=y)
-    for v in np.nonzero(n >= 8)[0]:
-        s0, s1 = bounds[v], bounds[v + 1]
-        sum_x[v], sum_y[v] = x[s0:s1].sum(), y[s0:s1].sum()
-    keys = zip(*(a.tolist() for a in np.unravel_index(uniq, grid.dims)))
+    count = grid.voxel_count
+    n = np.bincount(vox, minlength=count)
+    m = np.bincount(vox[hits], minlength=count)
+    sum_x = np.bincount(vox, weights=x, minlength=count)
+    sum_y = np.bincount(vox, weights=y, minlength=count)
+    crossed = np.flatnonzero(n)
+    keys = zip(*(a.tolist() for a in np.unravel_index(crossed, grid.dims)))
     with gc_paused():
-        return dict(zip(keys, map(VoxelStats, n.tolist(), m.tolist(),
-                                  sum_x.tolist(), sum_y.tolist())))
+        return dict(zip(keys, map(VoxelStats, n[crossed].tolist(), m[crossed].tolist(),
+                                  sum_x[crossed].tolist(), sum_y[crossed].tolist())))
 
 
 def _dense(stats: dict, dims) -> VoxelStats:

@@ -37,6 +37,14 @@ def test_ingest_missing_file_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "pipeline"])
+def test_invalid_scan_fails_on_load(tmp_path, capsys, command):
+    # a non-contact ray must run to max_range; this one stops short
+    save_raycloud(make_cloud([[0, 0, 2]], [[1, 0, 0]], contact=[False]), tmp_path / "in.ply")
+    assert main([command, str(tmp_path / "in.ply"), str(tmp_path / "out")]) == 1
+    assert "non-contact ray 0 has length " in capsys.readouterr().err
+
+
 def test_pipeline_two_row_vineyard(scan_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["pipeline", str(scan_file), str(out)]) == 0

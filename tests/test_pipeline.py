@@ -1,6 +1,7 @@
 """End-to-end pipeline: staging, caching, determinism and failure handling."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -142,6 +143,22 @@ class TestRunPipeline:
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         d = np.asarray(rows["direction"])
         assert abs(abs(d @ np.array([0.0, 1.0])) - 1.0) < 5e-3   # rows run along y
+
+    def test_products_match_recorded_digest(self, tmp_path):
+        # the density files, series and panels of a small scan, pinned across
+        # commits; a change that moves products on purpose records the new value
+        cloud = simulate_scan(VineyardSpec(row_length=6, max_range=6), spacing=0.2,
+                              rays_per_position=30, seed=3)
+        out = tmp_path / "out"
+        save_raycloud(cloud, tmp_path / "scan.ply")
+        run_pipeline(tmp_path / "scan.ply", out)
+        products = [*out.glob("row*_density.rcdf"), *out.glob("row*_series.csv"),
+                    *out.glob("row*_panels.csv")]
+        digest = hashlib.sha256()
+        for path in sorted(products):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == \
+            "4d1bf3b8347de0d4a0137a512f7c17cd2ec5e802e6f54cb76b66c7098737ff8c"
 
     @pytest.mark.slow
     def test_reruns_byte_identical(self, scan_file, tmp_path):

@@ -75,6 +75,12 @@ class TestBuildGrid:
         with pytest.raises(VoxelGridError, match="extent"):
             build_grid(_contact_cloud(pts))
 
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_width_not_finite_and_positive_rejected(self, rng, width):
+        cloud = _contact_cloud(rng.uniform(0.5, 2, size=(200, 3)))
+        with pytest.raises(VoxelGridError, match=f"voxel_width {width} "):
+            build_grid(cloud, voxel_width=width)
+
 
 class TestTraverse:
     def test_axis_aligned_through_centres(self):
@@ -209,6 +215,30 @@ class TestAccumulate:
         stats = accumulate(cloud, grid)
         assert (2, 0, 0) not in stats and (3, 0, 0) not in stats
 
+    def test_contact_just_below_upper_face_counts(self):
+        # the endpoint lies inside the box, yet (e - origin) / w rounds up to
+        # 30 = dims[0]: it belongs to the last voxel, where the walk ends
+        grid = _grid(origin=(-4.590264760638053, 0, 0), w=0.23741074242668952, dims=(30, 1, 1))
+        end = np.array([np.nextafter(grid.upper[0], -np.inf), 0.1, 0.1])
+        assert np.floor((end[0] - grid.origin[0]) / grid.voxel_width) == 30
+        cloud = make_cloud([[-6.0, 0.1, 0.1]], [end], contact=[True])
+        stats = accumulate(cloud, grid)
+        assert stats[(29, 0, 0)].m == 1
+        assert sum(s.m for s in stats.values()) == 1
+
+    def test_rays_missing_the_grid_give_no_voxels(self, rng):
+        origins = rng.uniform(-3, -2, (20, 3))
+        cloud = make_cloud(origins, origins + [0, 0, -1.0])
+        assert accumulate(cloud, _grid()) == {}
+
+    def test_endpoints_outside_the_grid_give_no_contacts(self, rng):
+        # contacts that cross the grid but end beyond every face
+        starts = rng.uniform(0.5, 4.5, (40, 3))
+        origins = starts - [10.0, 0, 0]
+        ends = starts + np.repeat([[10.0, 0, 0], [0, 0, -10.0]], 20, axis=0)
+        stats = accumulate(make_cloud(origins, ends), _grid())
+        assert stats and all(s.m == 0 for s in stats.values())
+
     def test_per_ray_length_conservation(self, rng):
         grid = _grid(origin=(0, 0, 0), w=0.4, dims=(6, 6, 6))
         n = 400
@@ -260,10 +290,11 @@ class TestAccumulate:
             assert s.sum_x == pytest.approx(sx_o, abs=1e-9)
             assert s.sum_y == pytest.approx(sy_o, abs=1e-9)
 
-    def test_sums_match_ndarray_sum_in_ray_order(self, rng):
+    def test_sums_add_left_to_right_in_walk_order(self, rng):
         # a fan of near-parallel rays along +x; coordinates and directions are
-        # binary fractions, so every traversal parameter is exact and each
-        # record's chords are known bit for bit
+        # binary fractions, so every traversal parameter is exact, while the
+        # ray lengths are not, so the chords are inexact and their sums depend
+        # on the order and grouping of the adds
         grid = _grid(w=0.25, dims=(16, 4, 4))
         n = 160
         origins = np.column_stack([np.full(n, -2.0), (2 * rng.integers(0, 32, (n, 2)) + 1) / 64])
@@ -273,22 +304,27 @@ class TestAccumulate:
         cloud = make_cloud(origins, endpoints, contact=run == 4.0)
         stats = accumulate(cloud, grid)
 
+        # each voxel's records in walk order: by walk step, then by ray (every
+        # step of these walks emits a record, so a record's place in its ray's
+        # traverse list is its step)
         lengths = cloud.lengths
         records: dict = {}
         for i in range(n):
             ray = cloud[i]
-            for key, t0, t1 in traverse(ray, grid):
+            for step, (key, t0, t1) in enumerate(traverse(ray, grid)):
                 t_exit = _voxel_exit(ray.origin, ray.endpoint - ray.origin, key, grid)
-                xs, ys = records.setdefault(key, ([], []))
-                xs.append((t1 - t0) * lengths[i])
-                ys.append((t_exit - t0) * lengths[i])
-        counts = [len(xs) for xs, _ in records.values()]
-        assert min(counts) == 1 and max(counts) >= 12   # both sides of sum()'s 8-item switch
+                records.setdefault(key, []).append(
+                    (step, i, (t1 - t0) * lengths[i], (t_exit - t0) * lengths[i]))
         assert set(stats) == set(records)
-        for key, (xs, ys) in records.items():
+        pairwise_differs = False
+        for key, recs in records.items():
+            _, _, xs, ys = zip(*sorted(recs))
             assert stats[key].n == len(xs)
-            assert stats[key].sum_x == np.array(xs).sum()
-            assert stats[key].sum_y == np.array(ys).sum()
+            assert stats[key].sum_x == sum(xs)
+            assert stats[key].sum_y == sum(ys)
+            pairwise_differs |= len(xs) >= 8 and sum(xs) != np.array(xs).sum()
+        # ndarray.sum adds pairwise from 8 items, which this fan tells apart
+        assert pairwise_differs
 
 
 def _voxel_exit(o, d, key, grid):
