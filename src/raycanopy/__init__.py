@@ -8,7 +8,7 @@ integration and Monte Carlo validation of the statistical model.
 
 __version__ = "0.1.0"
 
-from .density import DensityField, debias_factor, estimate_field, load_field, save_field
+from .density import DensityField, estimate, estimate_field, load_field, save_field
 from .ground import (GroundMesh, extract_ground, height_at, heights_at,
                      subtract_ground)
 from .pipeline import PipelineConfig, run_pipeline

@@ -6,7 +6,8 @@ give a Gamma distribution of leaf density, with mean m / sum(x_i) and
 variance m / sum(x_i)^2. The debias factor (n-1)/n corrects the finite-sample,
 bounded-voxel bias. The scale factor g (2 for a spherical leaf-angle
 distribution) converts interception density to one-sided leaf area per cubic
-metre. `estimate_field` applies this to whole grids of n, m and sum_x at once.
+metre. `estimate` is the one implementation: `estimate_field` applies it to
+whole grids of n, m and sum_x, and `simulate` to its Monte Carlo trials.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ class DensityError(ValueError):
     pass
 
 
-def debias_factor(n: int) -> float:
-    return (n - 1) / n if n > 0 else 0.0
-
-
 @dataclass
 class DensityField:
     """3D grid of canopy densities, variances and observation flags."""
@@ -45,20 +42,20 @@ class DensityField:
         return float(self.density.sum() * self.grid.voxel_width ** 3)
 
 
-def estimate_field(stats: VoxelStats, grid: VoxelGrid, g: float = DEFAULT_G,
-                   estimator: str = "mean") -> DensityField:
-    """Debiased density and variance of every voxel, from dense statistics.
+def estimate(n, m, sum_x, g: float = DEFAULT_G, estimator: str = "mean",
+             debias: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Density and variance of each voxel from its statistics.
 
-    `stats` holds arrays of the grid's shape. Where m > 0 the density is
-    g * ((n-1)/n) * m / sum(x_i), and the variance is the Gamma variance
-    m / sum(x_i)^2 times the square of the same scale factor. `estimator`
-    selects the Gamma mean (default) or its mode max((m-1)/sum(x_i), 0)
-    in place of m / sum(x_i). Voxels with m = 0 get 0 and 0; a voxel is
-    observed when n > 0.
+    n, m and sum_x are arrays (or scalars) that broadcast together. Where
+    m > 0 the density is g * ((n-1)/n) * m / sum(x_i), and the variance is
+    the Gamma variance m / sum(x_i)^2 times the square of the same scale
+    factor. `estimator` selects the Gamma mean (default) or its mode
+    max((m-1)/sum(x_i), 0) in place of m / sum(x_i); `debias=False` drops
+    the (n-1)/n factor. Voxels with m = 0 get 0 and 0.
     """
     if estimator not in ("mean", "mode"):
         raise DensityError(f"unknown estimator {estimator!r}")
-    n, m, sum_x = stats.n, stats.m, stats.sum_x
+    n, m, sum_x = np.broadcast_arrays(n, m, sum_x)
     hit = m > 0
     impossible = hit & ~(sum_x > 0)
     if impossible.any():
@@ -66,11 +63,19 @@ def estimate_field(stats: VoxelStats, grid: VoxelGrid, g: float = DEFAULT_G,
         raise DensityError(f"voxel {voxel}: contact with zero penetration is impossible")
     n, m, sum_x = n[hit], m[hit], sum_x[hit]
     lam = m / sum_x if estimator == "mean" else np.maximum((m - 1) / sum_x, 0.0)
-    scale = g * ((n - 1) / n)
-    density = np.zeros(grid.dims)
-    variance = np.zeros(grid.dims)
+    scale = g * ((n - 1) / n) if debias else g
+    density = np.zeros(hit.shape)
+    variance = np.zeros(hit.shape)
     density[hit] = scale * lam
     variance[hit] = scale ** 2 * (m / sum_x ** 2)
+    return density, variance
+
+
+def estimate_field(stats: VoxelStats, grid: VoxelGrid, g: float = DEFAULT_G,
+                   estimator: str = "mean") -> DensityField:
+    """`estimate` of every voxel, from dense statistics (arrays of the grid's
+    shape); a voxel is observed when n > 0."""
+    density, variance = estimate(stats.n, stats.m, stats.sum_x, g, estimator)
     return DensityField(grid=grid, density=density, variance=variance,
                         observed=stats.n > 0, g=g)
 
@@ -94,6 +99,7 @@ def save_field(f: DensityField, path) -> None:
 
 
 def load_field(path) -> DensityField:
+    """Read a save_field file; each fault raises DensityError naming the file (and voxel)."""
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         raise DensityError(f"{path}: not a density field file")
@@ -118,5 +124,12 @@ def load_field(path) -> DensityField:
     variance = planes[count:].astype(float).reshape(dims)
     bits = np.frombuffer(data, dtype=np.uint8, offset=start + 8 * count)
     observed = np.unpackbits(bits, count=count).astype(bool).reshape(dims)
+    bad = ~((density >= 0) & (density < np.inf) & (variance >= 0) & (variance < np.inf))
+    bad |= ~observed & ((density != 0) | (variance != 0))
+    if bad.any():
+        v = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise DensityError(f"{path}: voxel {v}: density={density[v]}, variance={variance[v]}, "
+                           f"observed={observed[v]}: needs finite values >= 0, "
+                           "both 0 where unobserved")
     return DensityField(grid=grid, density=density, variance=variance,
                         observed=observed, g=g)

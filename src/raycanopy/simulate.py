@@ -3,7 +3,7 @@
 Three families of experiment: 1D turbid-medium bias curves for the censored
 exponential model, 3D triangular-leaf voxel trials, and a comparison of
 trawling (push-broom) versus spinning lidar ray distributions over
-anisotropic leaf-normal ellipsoids.
+anisotropic leaf-normal ellipsoids, all estimated with `density.estimate`.
 
 The triangular-leaf experiments are flattened across trials: all scenes of a
 cell are generated as one triangle array (`_leaf_scenes`), and ray/leaf
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DEFAULT_G, debias_factor
+from .density import DEFAULT_G, estimate
 
 SPIN_MAX_ANGLE_DEG = 70.0
 TRIANGLE_AREA_FACTOR = np.sqrt(3.0 / 4.0)   # area of unit-side equilateral triangle
@@ -87,14 +87,13 @@ def sample_turbid(lam: float, n: int, y: float, trials: int, rng: np.random.Gene
 def _turbid_estimates(m: np.ndarray, x: np.ndarray, estimator: str) -> np.ndarray:
     sum_x = x.sum(axis=1)
     n = x.shape[1]
-    if estimator == "ml-mode":
-        return np.maximum(m - 1, 0) / sum_x
-    if estimator == "debiased":
-        return debias_factor(n) * m / sum_x
     if estimator == "uncensored":
         # requires y = inf data: every ray intercepted
         return (n - 1) / sum_x
-    raise SimulationError(f"unknown estimator {estimator!r}")
+    if estimator not in ("debiased", "ml-mode"):
+        raise SimulationError(f"unknown estimator {estimator!r}")
+    debiased = estimator == "debiased"   # the debiased mean, or the raw mode
+    return estimate(n, m, sum_x, 1.0, "mean" if debiased else "mode", debias=debiased)[0]
 
 
 def bias_curves(lambda_grid, n_grid, trials: int = 100_000, estimator: str = "debiased",
@@ -356,9 +355,7 @@ def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
 
     m = np.bincount(trial_of_ray, weights=hit_mask.astype(float), minlength=trials)
     sum_x = np.bincount(trial_of_ray, weights=x, minlength=trials)
-    lam_hat = m / sum_x
-    scale = DEFAULT_G * (debias_factor(n) if debias else 1.0)
-    return scale * lam_hat, rho
+    return estimate(n, m, sum_x, DEFAULT_G, debias=debias)[0], rho
 
 
 def _cell_errors(cells, shape, trials: int, seed: int, debias: bool = True) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Per-row voxel grid, ray walk and sufficient-statistic accumulation.
 
-Each voxel records four numbers, the sufficient statistics of the density
-estimator: the entering-ray count n, the contact count m, the summed
-penetration depths sum_x and the summed unimpeded path lengths sum_y. Voxel
-intervals are half-open: a point exactly on a face belongs to the voxel with
-the larger index. One batched Amanatides & Woo walk (`_walk`) serves both
+Each voxel records three numbers, the sufficient statistics of the
+censored-exponential density estimator: the entering-ray count n, the
+contact count m and the summed penetration depths sum_x. Voxel intervals
+are half-open: a point exactly on a face belongs to the voxel with the
+larger index. One batched Amanatides & Woo walk (`_walk`) serves both
 `accumulate` and the one-ray `traverse`.
 
 A row's statistics are a dict of up to some 10^5 VoxelStats, one per voxel,
-stored as a binary file of four dense planes (`save_stats`). The dicts are
+stored as a binary file of three dense planes (`save_stats`). The dicts are
 built with cyclic garbage collection suspended (`gc_paused`): every few
 hundred tracked allocations start a collection that walks the young
 objects, and as the new objects hold only ints and floats, those
@@ -84,7 +84,6 @@ class VoxelStats:
     n: int | np.ndarray = 0          # rays entering the voxel
     m: int | np.ndarray = 0          # rays ending in a contact inside it
     sum_x: float | np.ndarray = 0.0  # summed penetration depths, m
-    sum_y: float | np.ndarray = 0.0  # summed unimpeded chords, m
 
 
 def build_grid(row_cloud: RayCloud, voxel_width: float = DEFAULT_VOXEL_WIDTH,
@@ -121,7 +120,7 @@ def build_grid(row_cloud: RayCloud, voxel_width: float = DEFAULT_VOXEL_WIDTH,
     for lo, hi in spans:
         if hi <= lo:
             raise VoxelGridError(f"non-positive grid extent [{lo}, {hi}]")
-        dims.append(int(np.ceil((hi - lo) / voxel_width - 1e-9)))
+        dims.append(max(1, int(np.ceil((hi - lo) / voxel_width - 1e-9))))
     return VoxelGrid(origin=np.array([x_lo, y_lo, z_lo]), voxel_width=voxel_width,
                      dims=tuple(dims), row_index=row_index)
 
@@ -147,10 +146,9 @@ def _walk(origins: np.ndarray, deltas: np.ndarray, grid: VoxelGrid):
     through the grid, batch-vectorised across rays.
 
     Returns, per record (a voxel a ray crosses for longer than _EPS), the ray
-    id, linear voxel index, entry t and exit t, uncapped by the ray's end
-    (the unimpeded chord's), each ray's records in walk order; plus every
-    ray's end t clipped to the grid. All axes tied at an exit advance
-    together, so an edge or corner crossing gives no zero-length record.
+    id, linear voxel index, entry t and exit t (capped at the ray's end), each
+    ray's records in walk order. All axes tied at an exit advance together,
+    so an edge or corner crossing gives no zero-length record.
     """
     dims = np.asarray(grid.dims)
     w = grid.voxel_width
@@ -182,7 +180,7 @@ def _walk(origins: np.ndarray, deltas: np.ndarray, grid: VoxelGrid):
         if np.any(emit):
             e = a[emit]
             records.append((ids[e], np.ravel_multi_index(ijk[e].T, grid.dims),
-                            t[e], t_exit[emit]))
+                            t[e], t_emit[emit]))
         done = t_exit >= tend[a]
         adv = a[~done]
         if len(adv):
@@ -193,7 +191,7 @@ def _walk(origins: np.ndarray, deltas: np.ndarray, grid: VoxelGrid):
             inside = np.all((ijk[adv] >= 0) & (ijk[adv] < dims), axis=1)
             alive[adv[~inside]] = False
         alive[a[done]] = False
-    return (*map(np.concatenate, zip(*records)), t_end)
+    return tuple(map(np.concatenate, zip(*records)))
 
 
 def traverse(ray, grid: VoxelGrid) -> list[tuple[tuple[int, int, int], float, float]]:
@@ -206,32 +204,27 @@ def traverse(ray, grid: VoxelGrid) -> list[tuple[tuple[int, int, int], float, fl
     """
     origin = np.asarray(ray.origin, dtype=float)[None, :]
     delta = np.asarray(ray.endpoint, dtype=float) - origin
-    _, vox, t0, t1, t_end = _walk(origin, delta, grid)
+    _, vox, t0, t1 = _walk(origin, delta, grid)
     keys = zip(*(a.tolist() for a in np.unravel_index(vox, grid.dims)))
-    return list(zip(keys, t0.tolist(), np.minimum(t1, t_end[0]).tolist()))
+    return list(zip(keys, t0.tolist(), t1.tolist()))
 
 
 def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int], VoxelStats]:
     """Accumulate per-voxel statistics for every ray of the cloud.
 
-    For each voxel a ray enters: n += 1, its unimpeded chord y through the
-    voxel adds to sum_y and its penetration depth x adds to sum_x. x equals y
-    except in the voxel where the ray ends, where it is the entry-to-end
-    length; a contact ending inside the voxel increments m. The rays are
-    walked together (`_walk`) and the records are reduced onto the whole
-    grid, one bincount per statistic: sum_x and sum_y are left-to-right sums
-    from 0.0 over each voxel's records in walk order (by step, then by ray).
-    Keys run in ascending linear voxel index.
+    For each voxel a ray enters: n += 1 and its penetration depth x adds to
+    sum_x. x is the ray's chord through the voxel, except in the voxel where
+    the ray ends, where it is the entry-to-end length; a contact ending
+    inside the voxel increments m. The rays are walked together (`_walk`) and
+    the records are reduced onto the whole grid, one bincount per statistic:
+    sum_x is a left-to-right sum from 0.0 over each voxel's records in walk
+    order (by step, then by ray). Keys run in ascending linear voxel index.
     """
     origins = row_cloud.origins
     deltas = row_cloud.endpoints - origins
     lengths = np.linalg.norm(deltas, axis=1)
-    ray_id, vox, ta, tb, t_end = _walk(origins, deltas, grid)
-
-    L = lengths[ray_id]
-    y = (tb - ta) * L
-    x = (np.minimum(tb, t_end[ray_id]) - ta) * L
-    np.clip(x, 0.0, y, out=x)
+    ray_id, vox, ta, tb = _walk(origins, deltas, grid)
+    x = (tb - ta) * lengths[ray_id]
     in_grid = np.all((row_cloud.endpoints >= grid.origin)
                      & (row_cloud.endpoints < grid.upper), axis=1)
     eijk = np.floor((row_cloud.endpoints[in_grid] - grid.origin) / grid.voxel_width)
@@ -245,24 +238,21 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
     n = np.bincount(vox, minlength=count)
     m = np.bincount(vox[hits], minlength=count)
     sum_x = np.bincount(vox, weights=x, minlength=count)
-    sum_y = np.bincount(vox, weights=y, minlength=count)
     crossed = np.flatnonzero(n)
     keys = zip(*(a.tolist() for a in np.unravel_index(crossed, grid.dims)))
     with gc_paused():
-        return dict(zip(keys, map(VoxelStats, n[crossed].tolist(), m[crossed].tolist(),
-                                  sum_x[crossed].tolist(), sum_y[crossed].tolist())))
+        return dict(zip(keys, map(VoxelStats, *(a[crossed].tolist() for a in (n, m, sum_x)))))
 
 
 def _dense(stats: dict, dims) -> VoxelStats:
     """A dict of per-voxel VoxelStats as int64/float64 arrays of shape `dims`."""
     dense = VoxelStats(np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
-                       np.zeros(dims), np.zeros(dims))
+                       np.zeros(dims))
     if stats:
         at = tuple(np.array(list(stats)).T)
         dense.n[at] = [s.n for s in stats.values()]
         dense.m[at] = [s.m for s in stats.values()]
         dense.sum_x[at] = [s.sum_x for s in stats.values()]
-        dense.sum_y[at] = [s.sum_y for s in stats.values()]
     return dense
 
 
@@ -286,13 +276,13 @@ def expand_undersampled(stats: dict, grid: VoxelGrid,
     voxels deep in the canopy borrow from their surroundings; voxels with
     n = 0 after exhausting the grid stay empty (unobserved). Voxels with
     n >= n_min keep the caller's own VoxelStats object. The search uses
-    prefix sums and, at each radius, evaluates only the voxels still short
-    of n_min.
+    prefix sums (int64 for the counts) and, at each radius, evaluates only
+    the voxels still short of n_min.
     """
     dims = grid.dims
     dense = _dense(stats, dims)
-    fields = [dense.n.astype(float), dense.m.astype(float), dense.sum_x, dense.sum_y]
-    prefixes = [np.pad(f, (1, 0)).cumsum(0).cumsum(1).cumsum(2) for f in fields]
+    prefixes = [np.pad(f, (1, 0)).cumsum(0).cumsum(1).cumsum(2)
+                for f in (dense.n, dense.m, dense.sum_x)]
 
     own = dense.n >= n_min
     max_radius = max(dims) - 1
@@ -307,12 +297,10 @@ def expand_undersampled(stats: dict, grid: VoxelGrid,
         pending = pending[~enough]
 
     short = np.nonzero(~own)
-    wn, wm, wsx, wsy = (_window_sums(p, radius[short], dims, short) for p in prefixes)
-    merged = [np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
-              np.zeros(dims), np.zeros(dims)]
-    for dense, w in zip(merged, (np.rint(wn), np.rint(wm), wsx, wsy)):
-        dense[short] = w
-    # n == 0 even over the whole grid: unobserved, all four fields zero
+    merged = [np.zeros(dims, dtype=p.dtype) for p in prefixes]
+    for dense, p in zip(merged, prefixes):
+        dense[short] = _window_sums(p, radius[short], dims, short)
+    # n == 0 even over the whole grid: unobserved, all three fields zero
     unobserved = merged[0] == 0
     for dense in merged[1:]:
         dense[unobserved] = 0
@@ -323,28 +311,28 @@ def expand_undersampled(stats: dict, grid: VoxelGrid,
     return full
 
 
-_MAGIC = b"RCVS\x01"
-_HEADER = struct.Struct("<3id3di")       # dims, voxel width, origin, row index
-_PLANES = ("<i8", "<i8", "<f8", "<f8")   # n, m, sum_x, sum_y: whole grid, row-major
+_MAGIC = b"RCVS\x02"
+_HEADER = struct.Struct("<3id3di")   # dims, voxel width, origin, row index
+_PLANES = ("<i8", "<i8", "<f8")      # n, m, sum_x: whole grid, row-major
 
 
 def save_stats(stats: dict, grid: VoxelGrid, path) -> None:
-    """Write a dict of per-voxel VoxelStats as the grid's four dense planes."""
+    """Write a dict of per-voxel VoxelStats as the grid's three dense planes."""
     dense = _dense(stats, grid.dims)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(*grid.dims, grid.voxel_width, *grid.origin, grid.row_index))
-        for plane, dtype in zip((dense.n, dense.m, dense.sum_x, dense.sum_y), _PLANES):
+        for plane, dtype in zip((dense.n, dense.m, dense.sum_x), _PLANES):
             fh.write(plane.astype(dtype).tobytes())
 
 
 def load_stats(path) -> tuple[VoxelStats, VoxelGrid]:
     """Read a save_stats file back as dense statistics (arrays of the grid's
-    shape: n and m int64, sum_x and sum_y float64) plus its grid. Each fault
+    shape: n and m int64, sum_x float64) plus its grid. Each fault
     raises VoxelGridError naming the file, and the voxel where there is one."""
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
-        raise VoxelGridError(f"{path}: not a voxel statistics file")
+        raise VoxelGridError(f"{path}: not a voxel statistics file (RCVS version 2)")
     start = len(_MAGIC) + _HEADER.size
     if len(data) < start:
         raise VoxelGridError(f"{path}: truncated header ({len(data)} bytes)")
@@ -358,14 +346,14 @@ def load_stats(path) -> tuple[VoxelStats, VoxelGrid]:
     expected = start + 8 * len(_PLANES) * count
     if len(data) != expected:
         raise VoxelGridError(f"{path}: {len(data)} bytes where grid {grid.dims} needs {expected}")
-    n, m, sum_x, sum_y = (np.frombuffer(data, dt, count, start + 8 * count * i)
-                          .astype(dt[1:]).reshape(grid.dims) for i, dt in enumerate(_PLANES))
-    bad = (m < 0) | (m > n) | ~np.isfinite(sum_x) | ~np.isfinite(sum_y)
+    n, m, sum_x = (np.frombuffer(data, dt, count, start + 8 * count * i)
+                   .astype(dt[1:]).reshape(grid.dims) for i, dt in enumerate(_PLANES))
+    bad = (m < 0) | (m > n) | ~np.isfinite(sum_x)
     if bad.any():
         v = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise VoxelGridError(f"{path}: voxel {v}: n={n[v]}, m={m[v]}, sum_x={sum_x[v]}, "
-                             f"sum_y={sum_y[v]}: needs 0 <= m <= n and finite sums")
-    return VoxelStats(n, m, sum_x, sum_y), grid
+        raise VoxelGridError(f"{path}: voxel {v}: n={n[v]}, m={m[v]}, sum_x={sum_x[v]}: "
+                             "needs 0 <= m <= n and a finite sum_x")
+    return VoxelStats(n, m, sum_x), grid
 
 
 # the names perfbench/spans.py traces as voxels.dump_csv_s and voxels.load_csv_s

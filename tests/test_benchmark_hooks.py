@@ -16,8 +16,9 @@ import sys
 from pathlib import Path
 
 from raycanopy import pipeline
-from raycanopy.raycloud import save_raycloud
+from raycanopy.raycloud import load_raycloud, save_raycloud
 from raycanopy.synthetic import VineyardSpec, simulate_scan
+from raycanopy.voxels import accumulate, load_stats
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -90,3 +91,14 @@ def test_traced_pipeline_run_reads_every_count(tmp_path):
     after = _bindings(spans.TARGETS)
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if value is not before[key]] == []
+
+    # the expansion hook counts, by object identity, the voxels that keep
+    # their own statistics: those with n >= n_min before expansion
+    n_min = pipeline.PipelineConfig().n_min
+    own = 0
+    for path in sorted((tmp_path / "out").glob("row*_voxels.rcvs")):
+        _, grid = load_stats(path)
+        stats = accumulate(load_raycloud(tmp_path / "out" / f"row{grid.row_index:02d}.ply"), grid)
+        own += sum(s.n >= n_min for s in stats.values())
+    assert own > 0
+    assert tracer.run_counts["run"]["_voxels.observed"] == own

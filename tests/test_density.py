@@ -1,5 +1,6 @@
 """Debiased censored-exponential density estimator over dense voxel statistics."""
 
+import re
 import struct
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raycanopy.density import (DensityError, debias_factor, estimate_field, load_field,
-                               save_field)
+from raycanopy.density import (DensityError, DensityField, estimate, estimate_field,
+                               load_field, save_field)
 from raycanopy.voxels import VoxelGrid, VoxelStats
 
 from conftest import random_field
@@ -21,8 +22,7 @@ def _grid(dims):
 def _dense(n, m, sum_x):
     """Dense VoxelStats from arrays (or scalars, for a one-voxel grid)."""
     n, m, sum_x = (np.asarray(a).reshape(np.shape(a) or (1, 1, 1)) for a in (n, m, sum_x))
-    return VoxelStats(n.astype(np.int64), m.astype(np.int64),
-                      sum_x.astype(float), sum_x.astype(float))
+    return VoxelStats(n.astype(np.int64), m.astype(np.int64), sum_x.astype(float))
 
 
 def _one(n, m, sum_x, **kwargs):
@@ -81,11 +81,31 @@ class TestPosterior:
 
 class TestDebiasFactor:
     def test_boundary_and_limit(self):
-        assert debias_factor(1) == 0.0
-        values = [debias_factor(n) for n in range(1, 200)]
-        assert all(b > a for a, b in zip(values, values[1:]))   # monotone to 1
+        # one contact over unit depth at g = 1: the density is the factor (n-1)/n
+        def factor(n):
+            return estimate(n, 1, 1.0, g=1.0)[0]
+        assert factor(1) == 0.0
+        values = factor(np.arange(1, 200))
+        assert np.all(np.diff(values) > 0)   # monotone to 1
         assert values[-1] < 1.0
-        assert debias_factor(10 ** 9) == pytest.approx(1.0, abs=1e-8)
+        assert factor(10 ** 9) == pytest.approx(1.0, abs=1e-8)
+        assert estimate(np.arange(1, 200), 1, 1.0, g=1.0, debias=False)[0].tolist() == [1.0] * 199
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("estimator", ["mean", "mode"])
+    def test_scalar_n_broadcasts_over_trials(self, rng, estimator):
+        # the Monte Carlo suite's call: one n for every trial
+        m = rng.integers(0, 12, 500)
+        sum_x = rng.uniform(0.05, 2.0, 500)
+        for debias in (True, False):
+            density, variance = estimate(12, m, sum_x, g=2.0, estimator=estimator, debias=debias)
+            want, want_var = estimate(np.full(500, 12), m, sum_x, g=2.0, estimator=estimator,
+                                      debias=debias)
+            np.testing.assert_array_equal(density, want)
+            np.testing.assert_array_equal(variance, want_var)
+        raw = estimate(12, m, sum_x, g=2.0, debias=False)[0]
+        np.testing.assert_array_equal(raw, np.where(m > 0, 2.0 * (m / sum_x), 0.0))
 
 
 class TestUncensored:
@@ -166,6 +186,33 @@ class TestFieldRoundTrip:
             with pytest.raises(DensityError, match="t.rcdf.*truncated"):
                 load_field(tmp_path / "t.rcdf")
 
+    # planes after the 61-byte header: density, then variance, float32, row-major
+    @pytest.mark.parametrize("plane, voxel, value, fault", [
+        (0, (0, 1, 2), np.nan, "density=nan, variance=0.5, observed=True"),
+        (0, (0, 1, 2), -1.0, "density=-1.0, variance=0.5, observed=True"),
+        (0, (0, 1, 2), np.inf, "density=inf, variance=0.5, observed=True"),
+        (1, (1, 0, 1), np.nan, "density=3.0, variance=nan, observed=True"),
+        (1, (1, 0, 1), -0.25, "density=3.0, variance=-0.25, observed=True"),
+        (0, (1, 2, 3), 0.5, "density=0.5, variance=0.0, observed=False"),
+        (1, (1, 2, 3), 0.5, "density=0.0, variance=0.5, observed=False"),
+    ], ids=["nan-density", "negative-density", "inf-density", "nan-variance",
+            "negative-variance", "unobserved-density", "unobserved-variance"])
+    def test_bad_voxel_rejected(self, tmp_path, plane, voxel, value, fault):
+        dims = (2, 3, 4)
+        observed = np.ones(dims, dtype=bool)
+        observed[1, 2, 3] = False
+        field = DensityField(grid=_grid(dims), density=np.where(observed, 3.0, 0.0),
+                             variance=np.where(observed, 0.5, 0.0), observed=observed)
+        save_field(field, tmp_path / "p.rcdf")
+        data = bytearray((tmp_path / "p.rcdf").read_bytes())
+        offset = 61 + 4 * (plane * field.grid.voxel_count + np.ravel_multi_index(voxel, dims))
+        struct.pack_into("<f", data, offset, value)
+        (tmp_path / "p.rcdf").write_bytes(bytes(data))
+        with pytest.raises(DensityError, match=rf"p\.rcdf: voxel {re.escape(str(voxel))}: "
+                                               rf"{fault}: needs finite values >= 0, "
+                                               "both 0 where unobserved"):
+            load_field(tmp_path / "p.rcdf")
+
     # header: magic (5 bytes), dims <3i, voxel width <d, origin <3d, g <d, row index <i
     @pytest.mark.parametrize("offset, value, fault", [
         (17, 0.0, "voxel width 0.0 is not finite and positive"),
@@ -201,5 +248,5 @@ def test_extra_noncontact_ray_monotonicity(n, m, sum_x, delta):
     m = min(m, n)
     d1, _, _ = _one(n, m, sum_x)
     d2, _, _ = _one(n + 1, m, sum_x + delta)
-    bound = d1 * debias_factor(n + 1) / debias_factor(n)
+    bound = d1 * (n / (n + 1)) / ((n - 1) / n)
     assert d2 <= bound * (1 + 1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from raycanopy.density import debias_factor
+from raycanopy.density import DEFAULT_G, estimate
 from raycanopy.simulate import (SPIN_MAX_ANGLE_DEG, NormalDistributionSpec, SimulationError,
                                 _first_hits, _leaf_scenes, _rays_spinning, _rays_trawling,
                                 _rays_uniform_chords, _simulate_cell, bias_curves,
@@ -336,10 +336,26 @@ class TestExperiments:
             _simulate_cell(0.1, 0.05, 0.01, 10, 5, "sweeping", NormalDistributionSpec(),
                            make_rng(0))
 
-    def test_debias_factor_used_by_engine(self):
-        rng_a, rng_b = make_rng(21), make_rng(21)
-        raw, _ = _simulate_cell(0.1, 0.05, 0.01, 10, 50, "uniform-random",
-                                NormalDistributionSpec(), rng_a, debias=False)
-        deb, _ = _simulate_cell(0.1, 0.05, 0.01, 10, 50, "uniform-random",
-                                NormalDistributionSpec(), rng_b, debias=True)
-        np.testing.assert_allclose(deb, raw * debias_factor(10), rtol=1e-12)
+    def test_estimates_are_the_pipeline_estimator_on_the_same_draws(self):
+        # the suite checks density.estimate itself, not a copy of its formula
+        lam, n, trials = 1.5, 6, 300
+        for estimator, kind, debias in (("debiased", "mean", True), ("ml-mode", "mode", False)):
+            err, _ = bias_curves([lam], [n], trials, estimator, seed=4)
+            m, x = sample_turbid(lam, n, 1.0, trials, make_rng(4))
+            est = estimate(n, m, x.sum(axis=1), g=1.0, estimator=kind, debias=debias)[0]
+            assert err[0, 0] == ((est - lam) / lam).mean()
+
+        normals, trials = NormalDistributionSpec(), 50
+        for debias in (True, False):
+            got, _ = _simulate_cell(0.1, 0.05, 0.01, 10, trials, "uniform-random", normals,
+                                    make_rng(21), debias=debias)
+            rng = make_rng(21)
+            tris, counts, _ = _leaf_scenes(0.1, 0.05, 0.01, trials, normals, rng)
+            starts, dirs, chord = _rays_uniform_chords(10 * trials, 0.1, rng)
+            trial_of_ray = np.repeat(np.arange(trials), 10)
+            hit, x = _first_hits(starts, dirs, chord, tris, counts, trial_of_ray)
+            m = np.bincount(trial_of_ray, weights=hit.astype(float), minlength=trials)
+            sum_x = np.bincount(trial_of_ray, weights=x, minlength=trials)
+            want = estimate(10, m, sum_x, DEFAULT_G, debias=debias)[0]
+            assert (m > 0).any() and want.any()
+            np.testing.assert_array_equal(got, want)

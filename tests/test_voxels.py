@@ -1,7 +1,6 @@
 """Voxel grid construction, ray traversal and statistics accumulation."""
 
 import gc
-import itertools
 import struct
 import warnings
 
@@ -67,6 +66,19 @@ class TestBuildGrid:
         cloud = _contact_cloud(rng.uniform(0, 2, size=(50, 3)))
         with pytest.raises(VoxelGridError, match="contact endpoints"):
             build_grid(cloud)
+
+    def test_positive_extent_below_tolerance_gets_one_voxel(self, rng):
+        # every contact at y = 1.0 but one at 1.0 + 1e-12: the along-row
+        # extent is 1e-12 m, far below the 1e-9-voxel rounding tolerance
+        n = 300
+        pts = np.column_stack([rng.uniform(0, 0.6, n), np.full(n, 1.0),
+                               rng.uniform(0.4, 1.4, n)])
+        pts[0, 1] = 1.0 + 1e-12
+        cloud = _contact_cloud(pts)
+        grid = build_grid(cloud, voxel_width=0.12)
+        assert grid.dims[1] == 1 and min(grid.dims) >= 1
+        stats = accumulate(cloud, grid)
+        assert sum(s.m for s in stats.values()) > 0
 
     def test_ground_only_band_rejected(self, rng):
         # all contacts below the 0.30 m floor: vertical extent is empty
@@ -193,11 +205,9 @@ class TestAccumulate:
         stats = accumulate(cloud, grid)
         assert stats[(0, 0, 0)].n == 1 and stats[(0, 0, 0)].m == 0
         assert stats[(0, 0, 0)].sum_x == pytest.approx(1.0)
-        assert stats[(0, 0, 0)].sum_y == pytest.approx(1.0)
         assert stats[(1, 0, 0)].m == 0
         assert stats[(2, 0, 0)].m == 1
         assert stats[(2, 0, 0)].sum_x == pytest.approx(0.4)
-        assert stats[(2, 0, 0)].sum_y == pytest.approx(1.0)
 
     def test_noncontact_ray_full_crossing(self):
         grid = _grid(w=1.0, dims=(4, 1, 1))
@@ -207,7 +217,7 @@ class TestAccumulate:
         for i in range(4):
             s = stats[(i, 0, 0)]
             assert s.n == 1 and s.m == 0
-            assert s.sum_x == pytest.approx(s.sum_y) == pytest.approx(1.0)
+            assert s.sum_x == pytest.approx(1.0)
 
     def test_nothing_beyond_endpoint(self):
         grid = _grid(w=1.0, dims=(4, 1, 1))
@@ -272,23 +282,16 @@ class TestAccumulate:
                             .astype(int))
             inside = np.all((ray.endpoint >= grid.origin) & (ray.endpoint < grid.upper))
             for key, t0, t1 in traverse(ray, grid):
-                # y is the unimpeded chord: extend past the ray end to the
-                # voxel face the ray would have exited through
-                t_exit = _voxel_exit(ray.origin, ray.endpoint - ray.origin, key, grid)
-                y = (t_exit - t0) * L
-                x = (min(t1, 1.0) - t0) * L
                 hit = bool(ray.contact and inside and key == end_key)
-                rec = oracle.setdefault(key, [0, 0, 0.0, 0.0])
+                rec = oracle.setdefault(key, [0, 0, 0.0])
                 rec[0] += 1
                 rec[1] += hit
-                rec[2] += min(x, y)
-                rec[3] += y
+                rec[2] += (min(t1, 1.0) - t0) * L
         assert set(stats) == set(oracle)
         for key, s in stats.items():
-            n_o, m_o, sx_o, sy_o = oracle[key]
+            n_o, m_o, sx_o = oracle[key]
             assert s.n == n_o and s.m == m_o
             assert s.sum_x == pytest.approx(sx_o, abs=1e-9)
-            assert s.sum_y == pytest.approx(sy_o, abs=1e-9)
 
     def test_sums_add_left_to_right_in_walk_order(self, rng):
         # a fan of near-parallel rays along +x; coordinates and directions are
@@ -312,34 +315,22 @@ class TestAccumulate:
         for i in range(n):
             ray = cloud[i]
             for step, (key, t0, t1) in enumerate(traverse(ray, grid)):
-                t_exit = _voxel_exit(ray.origin, ray.endpoint - ray.origin, key, grid)
-                records.setdefault(key, []).append(
-                    (step, i, (t1 - t0) * lengths[i], (t_exit - t0) * lengths[i]))
+                records.setdefault(key, []).append((step, i, (t1 - t0) * lengths[i]))
         assert set(stats) == set(records)
         pairwise_differs = False
         for key, recs in records.items():
-            _, _, xs, ys = zip(*sorted(recs))
+            _, _, xs = zip(*sorted(recs))
             assert stats[key].n == len(xs)
             assert stats[key].sum_x == sum(xs)
-            assert stats[key].sum_y == sum(ys)
             pairwise_differs |= len(xs) >= 8 and sum(xs) != np.array(xs).sum()
         # ndarray.sum adds pairwise from 8 items, which this fan tells apart
         assert pairwise_differs
 
 
-def _voxel_exit(o, d, key, grid):
-    lo = grid.origin + np.asarray(key) * grid.voxel_width
-    hi = lo + grid.voxel_width
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ta = np.where(d != 0, (lo - o) / d, np.inf)
-        tb = np.where(d != 0, (hi - o) / d, np.inf)
-    return float(np.maximum(ta, tb).min())
-
-
 class TestExpand:
     def test_well_sampled_voxel_unchanged(self):
         grid = _grid(dims=(3, 3, 3))
-        stats = {(1, 1, 1): VoxelStats(n=15, m=4, sum_x=7.5, sum_y=15.0)}
+        stats = {(1, 1, 1): VoxelStats(n=15, m=4, sum_x=7.5)}
         out = expand_undersampled(stats, grid, n_min=10)
         assert out[(1, 1, 1)] is stats[(1, 1, 1)]
 
@@ -348,7 +339,7 @@ class TestExpand:
         stats = {}
         for key in np.ndindex(3, 3, 3):
             if key != (1, 1, 1):
-                stats[key] = VoxelStats(n=1, m=1, sum_x=0.2, sum_y=0.5)
+                stats[key] = VoxelStats(n=1, m=1, sum_x=0.2)
         out = expand_undersampled(stats, grid, n_min=10)
         assert out[(1, 1, 1)].n == 26
         assert out[(1, 1, 1)].m == 26
@@ -364,10 +355,8 @@ class TestExpand:
                 if n == 0:
                     continue
                 m = int(rng.integers(0, n + 1))
-                y = rng.uniform(0.1, 1.0, n)
-                x = y * rng.uniform(0, 1, n)
-                stats[key] = VoxelStats(n=n, m=m, sum_x=float(x.sum()),
-                                        sum_y=float(y.sum()))
+                x = rng.uniform(0.1, 1.0, n) * rng.uniform(0, 1, n)
+                stats[key] = VoxelStats(n=n, m=m, sum_x=float(x.sum()))
         n_min = 10
         out = expand_undersampled(stats, grid, n_min=n_min)
         for key in np.ndindex(*dims):
@@ -382,18 +371,17 @@ class TestExpand:
                 merged = _cheb_merge(stats, key, r, dims)
                 if merged[0] >= n_min:
                     break
-            n_o, m_o, sx_o, sy_o = merged
+            n_o, m_o, sx_o = merged
             if n_o == 0:
                 assert s.n == 0
             else:
                 assert (s.n, s.m) == (n_o, m_o)
                 assert s.sum_x == pytest.approx(sx_o, rel=1e-9)
-                assert s.sum_y == pytest.approx(sy_o, rel=1e-9)
 
     def test_expansion_never_decreases_n(self, rng):
         dims = (4, 4, 4)
         grid = _grid(dims=dims)
-        stats = {(0, 0, 0): VoxelStats(n=2, m=1, sum_x=0.3, sum_y=0.6)}
+        stats = {(0, 0, 0): VoxelStats(n=2, m=1, sum_x=0.3)}
         out = expand_undersampled(stats, grid, n_min=10)
         assert out[(0, 0, 0)].n >= 2
         # grid holds only 2 rays in total: expansion exhausts it
@@ -408,27 +396,26 @@ class TestExpand:
             for key in np.ndindex(*dims):
                 if rng.random() < fill:
                     n = int(rng.integers(1, 25))
-                    y = rng.uniform(0.01, 0.2, n)
+                    x = rng.uniform(0.01, 0.2, n) * rng.uniform(0, 1, n)
                     stats[key] = VoxelStats(n=n, m=int(rng.integers(0, n + 1)),
-                                            sum_x=float((y * rng.uniform(0, 1, n)).sum()),
-                                            sum_y=float(y.sum()))
+                                            sum_x=float(x.sum()))
             _assert_same_expansion(stats, _grid(dims=dims), n_min)
 
     @pytest.mark.parametrize("n", [0, 3, 12])
     def test_single_voxel_grid(self, n):
         # max radius 0: a short voxel can only merge itself
-        stats = {(0, 0, 0): VoxelStats(n=n, m=min(n, 2), sum_x=0.1 * n, sum_y=0.3 * n)} if n else {}
+        stats = {(0, 0, 0): VoxelStats(n=n, m=min(n, 2), sum_x=0.1 * n)} if n else {}
         _assert_same_expansion(stats, _grid(dims=(1, 1, 1)), 10)
 
     def test_listed_voxels_without_rays_stay_empty(self):
         # n == 0 over the whole grid: every voxel is VoxelStats(), whatever sums were listed
-        stats = {(0, 1, 0): VoxelStats(n=0, m=0, sum_x=0.25, sum_y=0.5)}
+        stats = {(0, 1, 0): VoxelStats(n=0, m=0, sum_x=0.25)}
         out = _assert_same_expansion(stats, _grid(dims=(2, 2, 2)), 10)
         assert all(s == VoxelStats() for s in out.values())
 
     def test_grid_short_of_n_min_merges_everything(self):
-        stats = {(0, 1, 2): VoxelStats(n=3, m=1, sum_x=0.25, sum_y=0.5),
-                 (3, 0, 0): VoxelStats(n=4, m=2, sum_x=0.5, sum_y=1.5)}
+        stats = {(0, 1, 2): VoxelStats(n=3, m=1, sum_x=0.25),
+                 (3, 0, 0): VoxelStats(n=4, m=2, sum_x=0.5)}
         out = _assert_same_expansion(stats, _grid(dims=(4, 3, 3)), 10)
         assert {(s.n, s.m) for s in out.values()} == {(7, 3)}
 
@@ -436,9 +423,9 @@ class TestExpand:
 def _expand_reference(stats, grid, n_min):
     """The per-voxel np.ndindex loop that expand_undersampled replaced."""
     dims = grid.dims
-    fields = [np.zeros(dims) for _ in range(4)]
+    fields = [np.zeros(dims) for _ in range(3)]
     for key, s in stats.items():
-        for f, v in zip(fields, (s.n, s.m, s.sum_x, s.sum_y)):
+        for f, v in zip(fields, (s.n, s.m, s.sum_x)):
             f[key] = v
     prefixes = [np.pad(f, (1, 0)).cumsum(0).cumsum(1).cumsum(2) for f in fields]
 
@@ -466,9 +453,9 @@ def _expand_reference(stats, grid, n_min):
         if r == 0:
             out[key] = stats[key]
             continue
-        wn, wm, wsx, wsy = (window_sums(p, max_radius if r < 0 else r)[key] for p in prefixes)
+        wn, wm, wsx = (window_sums(p, max_radius if r < 0 else r)[key] for p in prefixes)
         out[key] = (VoxelStats() if wn == 0 else
-                    VoxelStats(int(round(wn)), int(round(wm)), float(wsx), float(wsy)))
+                    VoxelStats(int(round(wn)), int(round(wm)), float(wsx)))
     return out
 
 
@@ -477,7 +464,7 @@ def _assert_same_expansion(stats, grid, n_min):
     ref = _expand_reference(stats, grid, n_min)
     assert list(out) == list(ref)
     for key, s in out.items():
-        assert s == ref[key]   # n, m, sum_x, sum_y exactly
+        assert s == ref[key]   # n, m, sum_x exactly
         assert type(s.n) is int and type(s.m) is int and type(s.sum_x) is float
         own = stats.get(key)
         if own is not None and own.n >= n_min:
@@ -488,21 +475,20 @@ def _assert_same_expansion(stats, grid, n_min):
 
 
 def _assert_same_bits(loaded, ref):
-    for got, want in zip((loaded.n, loaded.m, loaded.sum_x, loaded.sum_y), ref):
+    for got, want in zip((loaded.n, loaded.m, loaded.sum_x), ref):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _cheb_merge(stats, key, r, dims):
     n = m = 0
-    sx = sy = 0.0
+    sx = 0.0
     for other, s in stats.items():
         if max(abs(a - b) for a, b in zip(other, key)) <= r:
             n += s.n
             m += s.m
             sx += s.sum_x
-            sy += s.sum_y
-    return n, m, sx, sy
+    return n, m, sx
 
 
 def _patched(path, offset, fmt, *values):
@@ -526,16 +512,16 @@ class TestStatsFile:
         stats = accumulate(cloud, grid)
         extremes = [5e-324, 1e-310, 1e308, 1.7976931348623157e308]
         keys = list(np.ndindex(*grid.dims))[::7]
-        for key, (x, y) in zip(keys, itertools.product(extremes, repeat=2)):
-            stats[key] = VoxelStats(2 ** 62, 2 ** 40, x, y)
+        for key, x in zip(keys, extremes):
+            stats[key] = VoxelStats(2 ** 62, 2 ** 40, x)
         save_stats(stats, grid, tmp_path / "s.rcvs")
         loaded, g2 = load_stats(tmp_path / "s.rcvs")
         assert (g2.dims, g2.voxel_width, g2.row_index) == (grid.dims, grid.voxel_width, seed)
         assert g2.origin.tobytes() == grid.origin.tobytes()
         want = [np.zeros(grid.dims, dtype=np.int64), np.zeros(grid.dims, dtype=np.int64),
-                np.zeros(grid.dims), np.zeros(grid.dims)]
+                np.zeros(grid.dims)]
         for key, s in stats.items():
-            for a, v in zip(want, (s.n, s.m, s.sum_x, s.sum_y)):
+            for a, v in zip(want, (s.n, s.m, s.sum_x)):
                 a[key] = v
         _assert_same_bits(loaded, want)
 
@@ -543,7 +529,7 @@ class TestStatsFile:
         save_stats({}, self.GRID, tmp_path / "s.rcvs")
         loaded, grid = load_stats(tmp_path / "s.rcvs")
         assert grid.dims == self.GRID.dims
-        for array in (loaded.n, loaded.m, loaded.sum_x, loaded.sum_y):
+        for array in (loaded.n, loaded.m, loaded.sum_x):
             assert array.shape == grid.dims and not array.any()
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -559,7 +545,7 @@ class TestStatsFile:
 
     @pytest.mark.parametrize("change", [-1, -8, 1, 8])
     def test_short_or_long_body_rejected(self, tmp_path, change):
-        save_stats({(1, 1, 1): VoxelStats(4, 1, 0.1, 0.2)}, self.GRID, tmp_path / "s.rcvs")
+        save_stats({(1, 1, 1): VoxelStats(4, 1, 0.1)}, self.GRID, tmp_path / "s.rcvs")
         data = (tmp_path / "s.rcvs").read_bytes()
         (tmp_path / "b.rcvs").write_bytes(data[:change] if change < 0 else data + bytes(change))
         with pytest.raises(VoxelGridError, match=rf"b\.rcvs: {len(data) + change} bytes where "
@@ -584,17 +570,33 @@ class TestStatsFile:
             load_stats(tmp_path / "h.rcvs")
 
     @pytest.mark.parametrize("voxel, fault", [
-        (VoxelStats(2, 3, 0.1, 0.2), "n=2, m=3, sum_x=0.1, sum_y=0.2"),
-        (VoxelStats(2, -1, 0.1, 0.2), "n=2, m=-1, sum_x=0.1, sum_y=0.2"),
-        (VoxelStats(2, 1, float("nan"), 0.2), "n=2, m=1, sum_x=nan, sum_y=0.2"),
-        (VoxelStats(2, 1, 0.1, float("inf")), "n=2, m=1, sum_x=0.1, sum_y=inf"),
+        (VoxelStats(2, 3, 0.1), "n=2, m=3, sum_x=0.1"),
+        (VoxelStats(2, -1, 0.1), "n=2, m=-1, sum_x=0.1"),
+        (VoxelStats(2, 1, float("nan")), "n=2, m=1, sum_x=nan"),
+        (VoxelStats(2, 1, float("inf")), "n=2, m=1, sum_x=inf"),
     ], ids=["m-above-n", "negative-m", "nan-sum", "inf-sum"])
     def test_bad_statistics_rejected(self, tmp_path, voxel, fault):
-        stats = {(0, 0, 0): VoxelStats(5, 2, 0.3, 0.4), (3, 8, 2): voxel}
+        stats = {(0, 0, 0): VoxelStats(5, 2, 0.3), (3, 8, 2): voxel}
         save_stats(stats, self.GRID, tmp_path / "v.rcvs")
         with pytest.raises(VoxelGridError, match=rf"v\.rcvs: voxel \(3, 8, 2\): {fault}: "
-                                                 r"needs 0 <= m <= n and finite sums"):
+                                                 r"needs 0 <= m <= n and a finite sum_x"):
             load_stats(tmp_path / "v.rcvs")
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # the version-1 layout: the same header, then four planes (n, m, sum_x, sum_y)
+        save_stats({(1, 1, 1): VoxelStats(4, 1, 0.1)}, self.GRID, tmp_path / "s.rcvs")
+        data = (tmp_path / "s.rcvs").read_bytes()
+        sum_y = bytes(8 * self.GRID.voxel_count)
+        (tmp_path / "v1.rcvs").write_bytes(b"RCVS\x01" + data[5:] + sum_y)
+        with pytest.raises(VoxelGridError, match=r"v1\.rcvs: not a voxel statistics file "
+                                                 r"\(RCVS version 2\)"):
+            load_stats(tmp_path / "v1.rcvs")
+
+    def test_three_planes_of_24_bytes_per_voxel(self, tmp_path):
+        save_stats({}, self.GRID, tmp_path / "s.rcvs")
+        data = (tmp_path / "s.rcvs").read_bytes()
+        assert data[:5] == b"RCVS\x02"
+        assert len(data) == 5 + struct.calcsize("<3id3di") + 24 * self.GRID.voxel_count
 
 
 class TestGcPaused:
