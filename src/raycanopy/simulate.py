@@ -93,7 +93,7 @@ def _turbid_estimates(m: np.ndarray, x: np.ndarray, estimator: str) -> np.ndarra
     if estimator not in ("debiased", "ml-mode"):
         raise SimulationError(f"unknown estimator {estimator!r}")
     debiased = estimator == "debiased"   # the debiased mean, or the raw mode
-    return estimate(n, m, sum_x, 1.0, "mean" if debiased else "mode", debias=debiased)[0]
+    return estimate(n, m, sum_x, 1.0, "mean" if debiased else "mode", debias=debiased)
 
 
 def bias_curves(lambda_grid, n_grid, trials: int = 100_000, estimator: str = "debiased",
@@ -355,7 +355,7 @@ def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
 
     m = np.bincount(trial_of_ray, weights=hit_mask.astype(float), minlength=trials)
     sum_x = np.bincount(trial_of_ray, weights=x, minlength=trials)
-    return estimate(n, m, sum_x, DEFAULT_G, debias=debias)[0], rho
+    return estimate(n, m, sum_x, DEFAULT_G, debias=debias), rho
 
 
 def _cell_errors(cells, shape, trials: int, seed: int, debias: bool = True) -> np.ndarray:

@@ -13,12 +13,17 @@ built with cyclic garbage collection suspended (`gc_paused`): every few
 hundred tracked allocations start a collection that walks the young
 objects, and as the new objects hold only ints and floats, those
 collections free nothing while taking a large share of the build time.
+
+Both binary grid files, `.rcvs` here and `.rcdf` in `density`, start with
+a magic and one `<3id3di` grid header (dims, voxel width, origin, row
+index). `write_grid_header` writes it and `read_grid_file` checks it.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+import math
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -73,7 +78,7 @@ class VoxelGrid:
 
     @property
     def voxel_count(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)   # exact: np.prod wraps past 2^63
 
 
 @dataclass
@@ -311,8 +316,39 @@ def expand_undersampled(stats: dict, grid: VoxelGrid,
     return full
 
 
-_MAGIC = b"RCVS\x02"
 _HEADER = struct.Struct("<3id3di")   # dims, voxel width, origin, row index
+
+
+def write_grid_header(fh, magic: bytes, grid: VoxelGrid) -> None:
+    """Start a grid file (`.rcvs` or `.rcdf`): its magic, then the grid header."""
+    fh.write(magic)
+    fh.write(_HEADER.pack(*grid.dims, grid.voxel_width, *grid.origin, grid.row_index))
+
+
+def read_grid_file(path, magic: bytes, kind: str, body_size,
+                   error: type[ValueError] = VoxelGridError) -> tuple[VoxelGrid, memoryview]:
+    """The grid of a file that `write_grid_header` started, and the bytes after
+    the header. Checks the magic, the header, the grid and that the body holds
+    `body_size(voxel count)` bytes; each fault raises `error` naming the file."""
+    data = Path(path).read_bytes()
+    if not data.startswith(magic):
+        raise error(f"{path}: not a {kind} file ({magic[:4].decode()} version {magic[4]})")
+    start = len(magic) + _HEADER.size
+    if len(data) < start:
+        raise error(f"{path}: truncated header ({len(data)} bytes)")
+    *dims, width, ox, oy, oz, row_index = _HEADER.unpack_from(data, len(magic))
+    try:
+        grid = VoxelGrid(origin=np.array([ox, oy, oz]), voxel_width=width,
+                         dims=tuple(dims), row_index=row_index)
+    except VoxelGridError as exc:
+        raise error(f"{path}: {exc}") from None
+    expected = start + body_size(grid.voxel_count)
+    if len(data) != expected:
+        raise error(f"{path}: {len(data)} bytes where grid {grid.dims} needs {expected}")
+    return grid, memoryview(data)[start:]
+
+
+_MAGIC = b"RCVS\x02"
 _PLANES = ("<i8", "<i8", "<f8")      # n, m, sum_x: whole grid, row-major
 
 
@@ -320,8 +356,7 @@ def save_stats(stats: dict, grid: VoxelGrid, path) -> None:
     """Write a dict of per-voxel VoxelStats as the grid's three dense planes."""
     dense = _dense(stats, grid.dims)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_HEADER.pack(*grid.dims, grid.voxel_width, *grid.origin, grid.row_index))
+        write_grid_header(fh, _MAGIC, grid)
         for plane, dtype in zip((dense.n, dense.m, dense.sum_x), _PLANES):
             fh.write(plane.astype(dtype).tobytes())
 
@@ -330,29 +365,18 @@ def load_stats(path) -> tuple[VoxelStats, VoxelGrid]:
     """Read a save_stats file back as dense statistics (arrays of the grid's
     shape: n and m int64, sum_x float64) plus its grid. Each fault
     raises VoxelGridError naming the file, and the voxel where there is one."""
-    data = Path(path).read_bytes()
-    if not data.startswith(_MAGIC):
-        raise VoxelGridError(f"{path}: not a voxel statistics file (RCVS version 2)")
-    start = len(_MAGIC) + _HEADER.size
-    if len(data) < start:
-        raise VoxelGridError(f"{path}: truncated header ({len(data)} bytes)")
-    *dims, width, ox, oy, oz, row_index = _HEADER.unpack_from(data, len(_MAGIC))
-    try:
-        grid = VoxelGrid(origin=np.array([ox, oy, oz]), voxel_width=width,
-                         dims=tuple(dims), row_index=row_index)
-    except VoxelGridError as exc:
-        raise VoxelGridError(f"{path}: {exc}") from None
+    grid, body = read_grid_file(path, _MAGIC, "voxel statistics",
+                                lambda count: 8 * len(_PLANES) * count)
     count = grid.voxel_count
-    expected = start + 8 * len(_PLANES) * count
-    if len(data) != expected:
-        raise VoxelGridError(f"{path}: {len(data)} bytes where grid {grid.dims} needs {expected}")
-    n, m, sum_x = (np.frombuffer(data, dt, count, start + 8 * count * i)
-                   .astype(dt[1:]).reshape(grid.dims) for i, dt in enumerate(_PLANES))
-    bad = (m < 0) | (m > n) | ~np.isfinite(sum_x)
-    if bad.any():
-        v = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise VoxelGridError(f"{path}: voxel {v}: n={n[v]}, m={m[v]}, sum_x={sum_x[v]}: "
-                             "needs 0 <= m <= n and a finite sum_x")
+    n, m, sum_x = (np.frombuffer(body, dt, count, 8 * count * i).astype(dt[1:]).reshape(grid.dims)
+                   for i, dt in enumerate(_PLANES))
+    for bad, needs in (((m < 0) | (m > n) | ~np.isfinite(sum_x), "0 <= m <= n and a finite sum_x"),
+                       ((sum_x < 0) | ((m > 0) & (sum_x == 0)),
+                        "sum_x >= 0, and sum_x > 0 where m > 0")):
+        if bad.any():
+            v = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise VoxelGridError(f"{path}: voxel {v}: n={n[v]}, m={m[v]}, sum_x={sum_x[v]}: "
+                                 f"needs {needs}")
     return VoxelStats(n, m, sum_x), grid
 
 

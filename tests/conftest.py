@@ -36,8 +36,7 @@ def random_field(rng, max_dim=8) -> DensityField:
     density = rng.uniform(0.0, 8.0, dims)
     observed = rng.random(dims) < 0.8
     density[~observed] = 0.0
-    return DensityField(grid=grid, density=density, variance=np.zeros(dims),
-                        observed=observed)
+    return DensityField(grid=grid, density=density, observed=observed)
 
 
 @pytest.fixture

@@ -26,36 +26,35 @@ def _dense(n, m, sum_x):
 
 
 def _one(n, m, sum_x, **kwargs):
-    """(density, variance, observed) of a one-voxel grid."""
+    """(density, observed) of a one-voxel grid."""
     field = estimate_field(_dense(n, m, sum_x), _grid((1, 1, 1)), **kwargs)
-    return field.density[0, 0, 0], field.variance[0, 0, 0], field.observed[0, 0, 0]
+    return field.density[0, 0, 0], field.observed[0, 0, 0]
 
 
 class TestCanopyDensity:
     def test_worked_value(self):
-        d, v, observed = _one(20, 5, 0.8, g=2.0)
+        d, observed = _one(20, 5, 0.8, g=2.0)
         assert d == pytest.approx(11.875)   # 2 * (19/20) * 5/0.8
-        assert v == pytest.approx((2 * 19 / 20) ** 2 * 5 / 0.8 ** 2)
         assert observed
 
     def test_single_ray_gives_zero(self):
-        d, v, _ = _one(1, 1, 0.05)
-        assert d == 0.0 and v == 0.0   # d(1) = 0
+        d, _ = _one(1, 1, 0.05)
+        assert d == 0.0   # d(1) = 0
 
     def test_no_hits_gives_zero(self):
-        d, v, observed = _one(20, 0, 3.0)
-        assert d == 0.0 and v == 0.0
+        d, observed = _one(20, 0, 3.0)
+        assert d == 0.0
         assert observed
 
     def test_no_rays_leaves_voxel_unobserved(self):
-        d, v, observed = _one(0, 0, 0.0)
-        assert d == 0.0 and v == 0.0
+        d, observed = _one(0, 0, 0.0)
+        assert d == 0.0
         assert not observed
 
     def test_mode_estimator(self):
         for m in (1, 5):   # m = 1: the mode is 0
-            d_mean, _, _ = _one(20, m, 0.8, estimator="mean")
-            d_mode, _, _ = _one(20, m, 0.8, estimator="mode")
+            d_mean, _ = _one(20, m, 0.8, estimator="mean")
+            d_mode, _ = _one(20, m, 0.8, estimator="mode")
             assert d_mode == pytest.approx(d_mean * (m - 1) / m)
 
     def test_unknown_estimator_rejected(self):
@@ -83,13 +82,13 @@ class TestDebiasFactor:
     def test_boundary_and_limit(self):
         # one contact over unit depth at g = 1: the density is the factor (n-1)/n
         def factor(n):
-            return estimate(n, 1, 1.0, g=1.0)[0]
+            return estimate(n, 1, 1.0, g=1.0)
         assert factor(1) == 0.0
         values = factor(np.arange(1, 200))
         assert np.all(np.diff(values) > 0)   # monotone to 1
         assert values[-1] < 1.0
         assert factor(10 ** 9) == pytest.approx(1.0, abs=1e-8)
-        assert estimate(np.arange(1, 200), 1, 1.0, g=1.0, debias=False)[0].tolist() == [1.0] * 199
+        assert estimate(np.arange(1, 200), 1, 1.0, g=1.0, debias=False).tolist() == [1.0] * 199
 
 
 class TestEstimate:
@@ -99,12 +98,10 @@ class TestEstimate:
         m = rng.integers(0, 12, 500)
         sum_x = rng.uniform(0.05, 2.0, 500)
         for debias in (True, False):
-            density, variance = estimate(12, m, sum_x, g=2.0, estimator=estimator, debias=debias)
-            want, want_var = estimate(np.full(500, 12), m, sum_x, g=2.0, estimator=estimator,
-                                      debias=debias)
+            density = estimate(12, m, sum_x, g=2.0, estimator=estimator, debias=debias)
+            want = estimate(np.full(500, 12), m, sum_x, g=2.0, estimator=estimator, debias=debias)
             np.testing.assert_array_equal(density, want)
-            np.testing.assert_array_equal(variance, want_var)
-        raw = estimate(12, m, sum_x, g=2.0, debias=False)[0]
+        raw = estimate(12, m, sum_x, g=2.0, debias=False)
         np.testing.assert_array_equal(raw, np.where(m > 0, 2.0 * (m / sum_x), 0.0))
 
 
@@ -137,7 +134,7 @@ class TestEstimateField:
         m[2, 0, :] = 0
         sum_x = np.where(n > 0, rng.uniform(0.01, 3.0, size=dims), 0.0)
         field = estimate_field(_dense(n, m, sum_x), _grid(dims), g=g, estimator=estimator)
-        density, variance = np.zeros(dims), np.zeros(dims)
+        density = np.zeros(dims)
         for key in np.ndindex(*dims):
             ni, mi, sx = int(n[key]), int(m[key]), float(sum_x[key])
             if mi == 0:
@@ -145,10 +142,8 @@ class TestEstimateField:
             lam = mi / sx if estimator == "mean" else max((mi - 1) / sx, 0.0)
             scale = g * ((ni - 1) / ni)
             density[key] = scale * lam
-            variance[key] = scale ** 2 * (mi / sx ** 2)
         assert {0, 1} <= set(n.ravel()) and (m[n > 0] == 0).any()
         np.testing.assert_array_equal(field.density, density)
-        np.testing.assert_array_max_ulp(field.variance, variance, maxulp=1)
         np.testing.assert_array_equal(field.observed, n > 0)
 
     def test_turbid_scene_recovers_density(self, rng):
@@ -167,8 +162,7 @@ class TestFieldRoundTrip:
         field = random_field(rng)
         save_field(field, tmp_path / "f.rcdf")
         loaded = load_field(tmp_path / "f.rcdf")
-        assert loaded.grid.dims == field.grid.dims
-        assert loaded.g == field.g
+        assert (loaded.grid.dims, loaded.grid.row_index) == (field.grid.dims, field.grid.row_index)
         np.testing.assert_allclose(loaded.grid.origin, field.grid.origin)
         np.testing.assert_allclose(loaded.density, field.density, rtol=1e-6)
         np.testing.assert_array_equal(loaded.observed, field.observed)
@@ -181,47 +175,42 @@ class TestFieldRoundTrip:
     def test_truncated_file_rejected(self, tmp_path, rng):
         save_field(random_field(rng), tmp_path / "f.rcdf")
         data = (tmp_path / "f.rcdf").read_bytes()
-        for size in (20, len(data) - 1):
+        short = len(data) - 1
+        for size, fault in ((20, r"truncated header \(20 bytes\)"),
+                            (short, rf"{short} bytes where grid .* needs {len(data)}")):
             (tmp_path / "t.rcdf").write_bytes(data[:size])
-            with pytest.raises(DensityError, match="t.rcdf.*truncated"):
+            with pytest.raises(DensityError, match=rf"t\.rcdf: {fault}"):
                 load_field(tmp_path / "t.rcdf")
 
-    # planes after the 61-byte header: density, then variance, float32, row-major
-    @pytest.mark.parametrize("plane, voxel, value, fault", [
-        (0, (0, 1, 2), np.nan, "density=nan, variance=0.5, observed=True"),
-        (0, (0, 1, 2), -1.0, "density=-1.0, variance=0.5, observed=True"),
-        (0, (0, 1, 2), np.inf, "density=inf, variance=0.5, observed=True"),
-        (1, (1, 0, 1), np.nan, "density=3.0, variance=nan, observed=True"),
-        (1, (1, 0, 1), -0.25, "density=3.0, variance=-0.25, observed=True"),
-        (0, (1, 2, 3), 0.5, "density=0.5, variance=0.0, observed=False"),
-        (1, (1, 2, 3), 0.5, "density=0.0, variance=0.5, observed=False"),
-    ], ids=["nan-density", "negative-density", "inf-density", "nan-variance",
-            "negative-variance", "unobserved-density", "unobserved-variance"])
-    def test_bad_voxel_rejected(self, tmp_path, plane, voxel, value, fault):
+    # the density plane follows the 53-byte header: float32, row-major
+    @pytest.mark.parametrize("voxel, value, fault", [
+        ((0, 1, 2), np.nan, "density=nan, observed=True"),
+        ((0, 1, 2), -1.0, "density=-1.0, observed=True"),
+        ((0, 1, 2), np.inf, "density=inf, observed=True"),
+        ((1, 2, 3), 0.5, "density=0.5, observed=False"),
+    ], ids=["nan-density", "negative-density", "inf-density", "unobserved-density"])
+    def test_bad_voxel_rejected(self, tmp_path, voxel, value, fault):
         dims = (2, 3, 4)
         observed = np.ones(dims, dtype=bool)
         observed[1, 2, 3] = False
         field = DensityField(grid=_grid(dims), density=np.where(observed, 3.0, 0.0),
-                             variance=np.where(observed, 0.5, 0.0), observed=observed)
+                             observed=observed)
         save_field(field, tmp_path / "p.rcdf")
         data = bytearray((tmp_path / "p.rcdf").read_bytes())
-        offset = 61 + 4 * (plane * field.grid.voxel_count + np.ravel_multi_index(voxel, dims))
-        struct.pack_into("<f", data, offset, value)
+        struct.pack_into("<f", data, 53 + 4 * np.ravel_multi_index(voxel, dims), value)
         (tmp_path / "p.rcdf").write_bytes(bytes(data))
         with pytest.raises(DensityError, match=rf"p\.rcdf: voxel {re.escape(str(voxel))}: "
-                                               rf"{fault}: needs finite values >= 0, "
-                                               "both 0 where unobserved"):
+                                               rf"{fault}: needs a finite density >= 0, "
+                                               "and 0 where unobserved"):
             load_field(tmp_path / "p.rcdf")
 
-    # header: magic (5 bytes), dims <3i, voxel width <d, origin <3d, g <d, row index <i
+    # header: magic (5 bytes), dims <3i, voxel width <d, origin <3d, row index <i
     @pytest.mark.parametrize("offset, value, fault", [
         (17, 0.0, "voxel width 0.0 is not finite and positive"),
         (17, -0.1, "voxel width -0.1 is not finite and positive"),
         (17, np.nan, "voxel width nan is not finite and positive"),
         (33, np.inf, "grid origin .* is not finite"),
-        (49, 0.0, "g 0.0 is not finite and positive"),
-        (49, np.nan, "g nan is not finite and positive"),
-    ], ids=["zero-width", "negative-width", "nan-width", "inf-origin", "zero-g", "nan-g"])
+    ], ids=["zero-width", "negative-width", "nan-width", "inf-origin"])
     def test_bad_header_rejected(self, tmp_path, rng, offset, value, fault):
         save_field(random_field(rng), tmp_path / "h.rcdf")
         data = bytearray((tmp_path / "h.rcdf").read_bytes())
@@ -230,14 +219,34 @@ class TestFieldRoundTrip:
         with pytest.raises(DensityError, match=rf"h\.rcdf: {fault}"):
             load_field(tmp_path / "h.rcdf")
 
+    def test_version_1_file_rejected(self, tmp_path, rng):
+        # the version-1 layout: a header with g, then density, variance and observed bits
+        grid = random_field(rng).grid
+        header = struct.pack("<3id3ddi", *grid.dims, grid.voxel_width, *grid.origin, 2.0,
+                             grid.row_index)
+        count = grid.voxel_count
+        body = bytes(8 * count + (count + 7) // 8)
+        (tmp_path / "v1.rcdf").write_bytes(b"RCDF\x01" + header + body)
+        with pytest.raises(DensityError, match=r"v1\.rcdf: not a density field file "
+                                               r"\(RCDF version 2\)"):
+            load_field(tmp_path / "v1.rcdf")
+
+    def test_one_plane_and_observed_bits(self, tmp_path, rng):
+        field = random_field(rng)
+        save_field(field, tmp_path / "f.rcdf")
+        data = (tmp_path / "f.rcdf").read_bytes()
+        count = field.grid.voxel_count
+        assert data[:5] == b"RCDF\x02"
+        assert len(data) == 5 + struct.calcsize("<3id3di") + 4 * count + (count + 7) // 8
+
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(2, 500), m=st.integers(1, 500),
        sum_x=st.floats(1e-3, 1e3), c=st.floats(1e-3, 1e3))
 def test_scale_invariance(n, m, sum_x, c):
     m = min(m, n)
-    d1, _, _ = _one(n, m, sum_x)
-    d2, _, _ = _one(n, m, sum_x * c)
+    d1, _ = _one(n, m, sum_x)
+    d2, _ = _one(n, m, sum_x * c)
     assert d2 * c == pytest.approx(d1, rel=1e-9)
 
 
@@ -246,7 +255,7 @@ def test_scale_invariance(n, m, sum_x, c):
        sum_x=st.floats(1e-3, 1e3), delta=st.floats(0, 1e3))
 def test_extra_noncontact_ray_monotonicity(n, m, sum_x, delta):
     m = min(m, n)
-    d1, _, _ = _one(n, m, sum_x)
-    d2, _, _ = _one(n + 1, m, sum_x + delta)
+    d1, _ = _one(n, m, sum_x)
+    d2, _ = _one(n + 1, m, sum_x + delta)
     bound = d1 * (n / (n + 1)) / ((n - 1) / n)
     assert d2 <= bound * (1 + 1e-12)

@@ -158,7 +158,7 @@ class TestRunPipeline:
         for path in sorted(products):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
         assert digest.hexdigest() == \
-            "4d1bf3b8347de0d4a0137a512f7c17cd2ec5e802e6f54cb76b66c7098737ff8c"
+            "ceb4e24f9190f44cff9bd61a7a7a73e24ded53b28f7175a1975a58feba548110"
 
     @pytest.mark.slow
     def test_reruns_byte_identical(self, scan_file, tmp_path):

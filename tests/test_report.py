@@ -17,8 +17,7 @@ from conftest import random_field
 def _uniform_field(value=3.0, dims=(2, 4, 3), w=0.1):
     grid = VoxelGrid(origin=np.zeros(3), voxel_width=w, dims=dims)
     density = np.full(dims, float(value))
-    return DensityField(grid=grid, density=density, variance=np.zeros(dims),
-                        observed=np.ones(dims, dtype=bool))
+    return DensityField(grid=grid, density=density, observed=np.ones(dims, dtype=bool))
 
 
 class TestIntegrateAxis:

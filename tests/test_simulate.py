@@ -342,7 +342,7 @@ class TestExperiments:
         for estimator, kind, debias in (("debiased", "mean", True), ("ml-mode", "mode", False)):
             err, _ = bias_curves([lam], [n], trials, estimator, seed=4)
             m, x = sample_turbid(lam, n, 1.0, trials, make_rng(4))
-            est = estimate(n, m, x.sum(axis=1), g=1.0, estimator=kind, debias=debias)[0]
+            est = estimate(n, m, x.sum(axis=1), g=1.0, estimator=kind, debias=debias)
             assert err[0, 0] == ((est - lam) / lam).mean()
 
         normals, trials = NormalDistributionSpec(), 50
@@ -356,6 +356,6 @@ class TestExperiments:
             hit, x = _first_hits(starts, dirs, chord, tris, counts, trial_of_ray)
             m = np.bincount(trial_of_ray, weights=hit.astype(float), minlength=trials)
             sum_x = np.bincount(trial_of_ray, weights=x, minlength=trials)
-            want = estimate(10, m, sum_x, DEFAULT_G, debias=debias)[0]
+            want = estimate(10, m, sum_x, DEFAULT_G, debias=debias)
             assert (m > 0).any() and want.any()
             np.testing.assert_array_equal(got, want)

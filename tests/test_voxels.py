@@ -498,6 +498,10 @@ def _patched(path, offset, fmt, *values):
     path.write_bytes(bytes(data))
 
 
+_COUNTS = "needs 0 <= m <= n and a finite sum_x"
+_DEPTHS = "needs sum_x >= 0, and sum_x > 0 where m > 0"
+
+
 class TestStatsFile:
     GRID = VoxelGrid(origin=np.array([0.5, -2.0, 0.3]), voxel_width=0.12,
                      dims=(4, 9, 5), row_index=3)
@@ -570,17 +574,29 @@ class TestStatsFile:
             load_stats(tmp_path / "h.rcvs")
 
     @pytest.mark.parametrize("voxel, fault", [
-        (VoxelStats(2, 3, 0.1), "n=2, m=3, sum_x=0.1"),
-        (VoxelStats(2, -1, 0.1), "n=2, m=-1, sum_x=0.1"),
-        (VoxelStats(2, 1, float("nan")), "n=2, m=1, sum_x=nan"),
-        (VoxelStats(2, 1, float("inf")), "n=2, m=1, sum_x=inf"),
-    ], ids=["m-above-n", "negative-m", "nan-sum", "inf-sum"])
+        (VoxelStats(2, 3, 0.1), f"n=2, m=3, sum_x=0.1: {_COUNTS}"),
+        (VoxelStats(2, -1, 0.1), f"n=2, m=-1, sum_x=0.1: {_COUNTS}"),
+        (VoxelStats(2, 1, float("nan")), f"n=2, m=1, sum_x=nan: {_COUNTS}"),
+        (VoxelStats(2, 1, float("inf")), f"n=2, m=1, sum_x=inf: {_COUNTS}"),
+        (VoxelStats(5, 0, -0.3), f"n=5, m=0, sum_x=-0.3: {_DEPTHS}"),
+        (VoxelStats(5, 2, 0.0), f"n=5, m=2, sum_x=0.0: {_DEPTHS}"),
+    ], ids=["m-above-n", "negative-m", "nan-sum", "inf-sum", "negative-sum",
+            "zero-sum-with-contacts"])
     def test_bad_statistics_rejected(self, tmp_path, voxel, fault):
         stats = {(0, 0, 0): VoxelStats(5, 2, 0.3), (3, 8, 2): voxel}
         save_stats(stats, self.GRID, tmp_path / "v.rcvs")
-        with pytest.raises(VoxelGridError, match=rf"v\.rcvs: voxel \(3, 8, 2\): {fault}: "
-                                                 r"needs 0 <= m <= n and a finite sum_x"):
+        with pytest.raises(VoxelGridError, match=rf"v\.rcvs: voxel \(3, 8, 2\): {fault}$"):
             load_stats(tmp_path / "v.rcvs")
+
+    def test_voxel_count_past_int64_rejected(self, tmp_path):
+        # 2^21 * 2^21 * 2^22 voxels: a count that wraps to 0 in int64 would let a
+        # header-only file pass the size check
+        save_stats({}, self.GRID, tmp_path / "s.rcvs")
+        (tmp_path / "h.rcvs").write_bytes((tmp_path / "s.rcvs").read_bytes()[:53])
+        _patched(tmp_path / "h.rcvs", 5, "<3i", 2 ** 21, 2 ** 21, 2 ** 22)
+        with pytest.raises(VoxelGridError, match=r"h\.rcvs: 53 bytes where grid "
+                                                 r"\(2097152, 2097152, 4194304\) needs \d{21}"):
+            load_stats(tmp_path / "h.rcvs")
 
     def test_version_1_file_rejected(self, tmp_path):
         # the version-1 layout: the same header, then four planes (n, m, sum_x, sum_y)
