@@ -7,12 +7,12 @@ are half-open: a point exactly on a face belongs to the voxel with the
 larger index. One batched Amanatides & Woo walk (`_walk`) serves both
 `accumulate` and the one-ray `traverse`.
 
-A row's statistics are a dict of up to some 10^5 VoxelStats, one per voxel,
-stored as a binary file of three dense planes (`save_stats`). The dicts are
-built with cyclic garbage collection suspended (`gc_paused`): every few
-hundred tracked allocations start a collection that walks the young
-objects, and as the new objects hold only ints and floats, those
-collections free nothing while taking a large share of the build time.
+A row's statistics stay dense from the walk to the file: `accumulate` and
+`expand_undersampled` each reduce to one VoxelStats of arrays of the grid's
+shape, and `save_stats` writes those arrays as three planes. Both return a
+read-only `StatsView` mapping over the arrays, in the per-voxel form the
+tests and the benchmark's count hooks read: a voxel's scalar VoxelStats is
+built only when something looks it up, so the pipeline itself builds none.
 
 Both binary grid files, `.rcvs` here and `.rcdf` in `density`, start with
 a magic and one `<3id3di` grid header (dims, voxel width, origin, row
@@ -21,11 +21,10 @@ index). `write_grid_header` writes it and `read_grid_file` checks it.
 
 from __future__ import annotations
 
-import gc
-import itertools
 import math
+import operator
 import struct
-from contextlib import contextmanager
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,18 +40,6 @@ _EPS = 1e-12
 
 class VoxelGridError(ValueError):
     pass
-
-
-@contextmanager
-def gc_paused():
-    """Suspend cyclic garbage collection; restore its previous state on exit."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -89,6 +76,48 @@ class VoxelStats:
     n: int | np.ndarray = 0          # rays entering the voxel
     m: int | np.ndarray = 0          # rays ending in a contact inside it
     sum_x: float | np.ndarray = 0.0  # summed penetration depths, m
+
+
+class StatsView(Mapping):
+    """Read-only mapping from voxel index (i, j, k) to VoxelStats over dense
+    statistics `dense`: its keys are the voxels where `keys` is set, in C
+    order. A voxel's scalar VoxelStats (Python int n and m, float sum_x) is
+    built on its first lookup and kept, so each lookup returns the same
+    object. Where `own` is set, the voxel is `base[key]` instead: a voxel
+    that kept its own statistics is the caller's object."""
+
+    def __init__(self, dense: VoxelStats, keys: np.ndarray,
+                 base: Mapping | None = None, own: np.ndarray | None = None):
+        self.dense = dense
+        self._keys = keys
+        self._base = base
+        self._own = own
+        self._built: dict[tuple[int, int, int], VoxelStats] = {}
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._keys))
+
+    def __iter__(self):
+        return zip(*(a.tolist() for a in np.nonzero(self._keys)))
+
+    def __getitem__(self, key) -> VoxelStats:
+        try:
+            at = tuple(map(operator.index, key)) if isinstance(key, tuple) else ()
+        except TypeError:
+            at = ()
+        # no negative indexing: (-1, 0, 0) is not the last voxel
+        if not (len(at) == 3 and all(0 <= i < d for i, d in zip(at, self._keys.shape))
+                and self._keys[at]):
+            raise KeyError(key)
+        s = self._built.get(at)
+        if s is None:
+            if self._own is not None and self._own[at]:
+                s = self._base[at]
+            else:
+                d = self.dense
+                s = VoxelStats(int(d.n[at]), int(d.m[at]), float(d.sum_x[at]))
+            self._built[at] = s
+        return s
 
 
 def build_grid(row_cloud: RayCloud, voxel_width: float = DEFAULT_VOXEL_WIDTH,
@@ -214,7 +243,7 @@ def traverse(ray, grid: VoxelGrid) -> list[tuple[tuple[int, int, int], float, fl
     return list(zip(keys, t0.tolist(), t1.tolist()))
 
 
-def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int], VoxelStats]:
+def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> StatsView:
     """Accumulate per-voxel statistics for every ray of the cloud.
 
     For each voxel a ray enters: n += 1 and its penetration depth x adds to
@@ -223,7 +252,9 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
     inside the voxel increments m. The rays are walked together (`_walk`) and
     the records are reduced onto the whole grid, one bincount per statistic:
     sum_x is a left-to-right sum from 0.0 over each voxel's records in walk
-    order (by step, then by ray). Keys run in ascending linear voxel index.
+    order (by step, then by ray). Returns the grid-shaped planes (n and m
+    int64, sum_x float64) as a StatsView whose keys are the voxels with
+    n > 0, in ascending linear voxel index.
     """
     origins = row_cloud.origins
     deltas = row_cloud.endpoints - origins
@@ -240,17 +271,17 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> dict[tuple[int, int, int
     hits = row_cloud.contact[ray_id] & (vox == end_lin[ray_id])
 
     count = grid.voxel_count
-    n = np.bincount(vox, minlength=count)
-    m = np.bincount(vox[hits], minlength=count)
-    sum_x = np.bincount(vox, weights=x, minlength=count)
-    crossed = np.flatnonzero(n)
-    keys = zip(*(a.tolist() for a in np.unravel_index(crossed, grid.dims)))
-    with gc_paused():
-        return dict(zip(keys, map(VoxelStats, *(a[crossed].tolist() for a in (n, m, sum_x)))))
+    n = np.bincount(vox, minlength=count).reshape(grid.dims)
+    m = np.bincount(vox[hits], minlength=count).reshape(grid.dims)
+    sum_x = np.bincount(vox, weights=x, minlength=count).reshape(grid.dims)
+    return StatsView(VoxelStats(n, m, sum_x), n > 0)
 
 
-def _dense(stats: dict, dims) -> VoxelStats:
-    """A dict of per-voxel VoxelStats as int64/float64 arrays of shape `dims`."""
+def _dense(stats: Mapping, dims) -> VoxelStats:
+    """Per-voxel statistics as int64/float64 arrays of shape `dims`: a
+    StatsView's own arrays, or new ones filled from a mapping of VoxelStats."""
+    if isinstance(stats, StatsView) and stats.dense.n.shape == tuple(dims):
+        return stats.dense
     dense = VoxelStats(np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
                        np.zeros(dims))
     if stats:
@@ -272,22 +303,27 @@ def _window_sums(prefix: np.ndarray, radius, dims, ijk) -> np.ndarray:
             + prefix[H0, L1, L2] - prefix[L0, L1, L2])
 
 
-def expand_undersampled(stats: dict, grid: VoxelGrid,
-                        n_min: int = DEFAULT_N_MIN) -> dict[tuple[int, int, int], VoxelStats]:
+def expand_undersampled(stats: Mapping, grid: VoxelGrid,
+                        n_min: int = DEFAULT_N_MIN) -> StatsView:
     """Merge growing cubic neighbourhoods into voxels with n < n_min.
 
     The merged statistics replace the voxel's own for density estimation only;
     neighbours keep theirs. Covers every voxel of the grid, so unsampled
     voxels deep in the canopy borrow from their surroundings; voxels with
-    n = 0 after exhausting the grid stay empty (unobserved). Voxels with
-    n >= n_min keep the caller's own VoxelStats object. The search uses
+    n = 0 after exhausting the grid stay empty (unobserved). The search uses
     prefix sums (int64 for the counts) and, at each radius, evaluates only
     the voxels still short of n_min.
+
+    Returns new grid-shaped planes as a StatsView keyed by every voxel of
+    the grid in C order; a voxel with n >= n_min is served as the caller's
+    own VoxelStats object, `stats[key]`.
     """
+    if n_min < 1:
+        raise VoxelGridError(f"n_min {n_min} is below 1")
     dims = grid.dims
     dense = _dense(stats, dims)
-    prefixes = [np.pad(f, (1, 0)).cumsum(0).cumsum(1).cumsum(2)
-                for f in (dense.n, dense.m, dense.sum_x)]
+    planes = (dense.n, dense.m, dense.sum_x)
+    prefixes = [np.pad(f, (1, 0)).cumsum(0).cumsum(1).cumsum(2) for f in planes]
 
     own = dense.n >= n_min
     max_radius = max(dims) - 1
@@ -302,18 +338,14 @@ def expand_undersampled(stats: dict, grid: VoxelGrid,
         pending = pending[~enough]
 
     short = np.nonzero(~own)
-    merged = [np.zeros(dims, dtype=p.dtype) for p in prefixes]
-    for dense, p in zip(merged, prefixes):
-        dense[short] = _window_sums(p, radius[short], dims, short)
+    merged = [f.copy() for f in planes]
+    for f, p in zip(merged, prefixes):
+        f[short] = _window_sums(p, radius[short], dims, short)
     # n == 0 even over the whole grid: unobserved, all three fields zero
     unobserved = merged[0] == 0
-    for dense in merged[1:]:
-        dense[unobserved] = 0
-    with gc_paused():
-        full = dict(zip(itertools.product(*map(range, dims)),
-                        map(VoxelStats, *(a.ravel().tolist() for a in merged))))
-        full.update((key, stats[key]) for key in zip(*(a.tolist() for a in np.nonzero(own))))
-    return full
+    for f in merged[1:]:
+        f[unobserved] = 0
+    return StatsView(VoxelStats(*merged), np.ones(dims, dtype=bool), stats, own)
 
 
 _HEADER = struct.Struct("<3id3di")   # dims, voxel width, origin, row index
@@ -352,8 +384,10 @@ _MAGIC = b"RCVS\x02"
 _PLANES = ("<i8", "<i8", "<f8")      # n, m, sum_x: whole grid, row-major
 
 
-def save_stats(stats: dict, grid: VoxelGrid, path) -> None:
-    """Write a dict of per-voxel VoxelStats as the grid's three dense planes."""
+def save_stats(stats: Mapping, grid: VoxelGrid, path) -> None:
+    """Write per-voxel statistics as the grid's three dense planes: a
+    StatsView's own arrays as they are, or a mapping of VoxelStats (voxels
+    it leaves out are zero)."""
     dense = _dense(stats, grid.dims)
     with open(path, "wb") as fh:
         write_grid_header(fh, _MAGIC, grid)

@@ -1,7 +1,5 @@
 """Shared helpers for building small ray clouds and density fields."""
 
-import gc
-
 import numpy as np
 import pytest
 
@@ -43,11 +41,3 @@ def random_field(rng, max_dim=8) -> DensityField:
 def rng():
     return np.random.default_rng(12345)
 
-
-@pytest.fixture(autouse=True)
-def gc_left_enabled():
-    """Fail a test that leaves cyclic garbage collection disabled, then re-enable it."""
-    yield
-    enabled = gc.isenabled()
-    gc.enable()
-    assert enabled, "the test left cyclic garbage collection disabled"

@@ -12,6 +12,7 @@ from raycanopy.pipeline import (STAGES, PipelineConfig, PipelineError, apply_ove
                                 load_config, run_pipeline)
 from raycanopy.raycloud import save_raycloud
 from raycanopy.synthetic import VineyardSpec, simulate_scan
+from raycanopy.voxels import VoxelStats
 
 from conftest import make_cloud
 
@@ -266,6 +267,21 @@ class TestRunPipeline:
         assert err.value.stage == "ground"
         assert not (out / "ground_mesh.obj").exists()
         assert not (out / "flattened.ply").exists()
+
+    def test_run_builds_no_per_voxel_stats(self, scan_file, tmp_path, monkeypatch):
+        # voxel statistics stay grid-shaped arrays from the walk to the .rcvs
+        # file; a scalar VoxelStats is built only when a voxel is looked up
+        init = VoxelStats.__init__
+        scalar = []
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            scalar.append(np.ndim(self.n) == 0)
+
+        monkeypatch.setattr(VoxelStats, "__init__", counting_init)
+        run_pipeline(scan_file[1], tmp_path / "out")
+        assert scalar, "the run built no VoxelStats at all"
+        assert sum(scalar) == 0
 
     def test_manifest_records_config(self, scan_file, tmp_path):
         _, path = scan_file

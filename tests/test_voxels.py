@@ -1,6 +1,6 @@
 """Voxel grid construction, ray traversal and statistics accumulation."""
 
-import gc
+import itertools
 import struct
 import warnings
 
@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raycanopy.raycloud import Ray
-from raycanopy.voxels import (VoxelGrid, VoxelGridError, VoxelStats, accumulate,
-                              build_grid, expand_undersampled, gc_paused, load_stats,
-                              save_stats, traverse)
+from raycanopy.voxels import (StatsView, VoxelGrid, VoxelGridError, VoxelStats, accumulate,
+                              build_grid, expand_undersampled, load_stats, save_stats,
+                              traverse)
 
 from conftest import make_cloud
 
@@ -413,6 +413,12 @@ class TestExpand:
         out = _assert_same_expansion(stats, _grid(dims=(2, 2, 2)), 10)
         assert all(s == VoxelStats() for s in out.values())
 
+    @pytest.mark.parametrize("n_min", [0, -3])
+    def test_n_min_below_one_rejected(self, n_min):
+        # every voxel, crossed or not, would keep its own statistics
+        with pytest.raises(VoxelGridError, match=rf"n_min {n_min} is below 1"):
+            expand_undersampled({(0, 0, 0): VoxelStats(1, 0, 0.1)}, _grid(dims=(2, 1, 1)), n_min)
+
     def test_grid_short_of_n_min_merges_everything(self):
         stats = {(0, 1, 2): VoxelStats(n=3, m=1, sum_x=0.25),
                  (3, 0, 0): VoxelStats(n=4, m=2, sum_x=0.5)}
@@ -513,7 +519,7 @@ class TestStatsFile:
                          dims=tuple(int(v) for v in r.integers(2, 9, 3)), row_index=seed)
         cloud = make_cloud(r.uniform(-3, 6, (300, 3)), r.uniform(-3, 6, (300, 3)),
                            contact=r.random(300) < 0.7)
-        stats = accumulate(cloud, grid)
+        stats = dict(accumulate(cloud, grid))
         extremes = [5e-324, 1e-310, 1e308, 1.7976931348623157e308]
         keys = list(np.ndindex(*grid.dims))[::7]
         for key, x in zip(keys, extremes):
@@ -615,21 +621,103 @@ class TestStatsFile:
         assert len(data) == 5 + struct.calcsize("<3id3di") + 24 * self.GRID.voxel_count
 
 
-class TestGcPaused:
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_restores_previous_state(self, enabled):
-        try:
-            (gc.enable if enabled else gc.disable)()
-            with gc_paused():
-                assert not gc.isenabled()
-            assert gc.isenabled() == enabled
-            with pytest.raises(KeyError):
-                with gc_paused():
-                    assert not gc.isenabled()
-                    raise KeyError("inside")
-            assert gc.isenabled() == enabled
-        finally:
-            gc.enable()
+def _parent_accumulate_dict(dense):
+    """The dict accumulate built before it returned a StatsView, from the
+    same grid-shaped planes."""
+    n, m, sum_x = (a.ravel() for a in (dense.n, dense.m, dense.sum_x))
+    crossed = np.flatnonzero(n)
+    keys = zip(*(a.tolist() for a in np.unravel_index(crossed, dense.n.shape)))
+    return dict(zip(keys, map(VoxelStats, *(a[crossed].tolist() for a in (n, m, sum_x)))))
+
+
+def _parent_expand_dict(stats, merged, n_min):
+    """The dict expand_undersampled built before it returned a StatsView:
+    every voxel's merged statistics, then the caller's own objects where
+    n >= n_min."""
+    dims = merged.n.shape
+    full = dict(zip(itertools.product(*map(range, dims)),
+                    map(VoxelStats, *(a.ravel().tolist()
+                                      for a in (merged.n, merged.m, merged.sum_x)))))
+    own = np.zeros(dims, dtype=bool)
+    for key, s in stats.items():
+        own[key] = s.n >= n_min
+    full.update((key, stats[key]) for key in zip(*(a.tolist() for a in np.nonzero(own))))
+    return full
+
+
+def _assert_same_dict(view, want):
+    got = dict(view)
+    assert list(got) == list(want)
+    for key, s in got.items():
+        assert s == want[key]
+        assert type(s.n) is int and type(s.m) is int and type(s.sum_x) is float
+
+
+class TestStatsView:
+    def _view(self):
+        n = np.zeros((3, 2, 2), dtype=np.int64)
+        n[2, 0, 0] = 4
+        n[0, 1, 1] = 2
+        return StatsView(VoxelStats(n, n // 2, n * 0.25), n > 0)
+
+    @pytest.mark.parametrize("key", [(-1, 0, 0), (-3, 1, 1), (0, -1, 1), (3, 0, 0),
+                                     (0, 2, 0), (0, 0, 2), (1, 1, 1)])
+    def test_out_of_range_negative_and_empty_keys_raise(self, key):
+        # numpy would read (-1, 0, 0) as the last voxel along x, (2, 0, 0)
+        view = self._view()
+        with pytest.raises(KeyError):
+            view[key]
+        assert key not in view and view.get(key) is None
+
+    @pytest.mark.parametrize("key", [(2, 0), (2, 0, 0, 0), [2, 0, 0], "abc", 2, None,
+                                     (2, 0, "0"), (2, 0, None)])
+    def test_key_that_is_not_three_integers_raises(self, key):
+        view = self._view()
+        with pytest.raises(KeyError):
+            view[key]
+        assert view.get(key, "absent") == "absent"
+
+    def test_in_get_len_like_a_dict(self):
+        view = self._view()
+        want = {(0, 1, 1): VoxelStats(2, 1, 0.5), (2, 0, 0): VoxelStats(4, 2, 1.0)}
+        assert len(view) == 2 and list(view) == list(want) and view == want
+        for key in np.ndindex(4, 3, 3):
+            assert (key in view) == (key in want)
+            assert view.get(key) == want.get(key)
+        assert view[(2, 0, 0)] is view[(2, 0, 0)] is view.get((2, 0, 0))
+        assert view[(np.int64(2), 0, 0)] is view[(2, 0, 0)]
+        empty = StatsView(VoxelStats(*np.zeros((3, 2, 2, 2))), np.zeros((2, 2, 2), dtype=bool))
+        assert len(empty) == 0 and not empty and empty == {} and list(empty) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_dicts_it_replaced(self, seed):
+        r = np.random.default_rng(seed)
+        grid = VoxelGrid(origin=r.uniform(-2, 2, 3), voxel_width=float(r.uniform(0.2, 0.8)),
+                         dims=tuple(int(v) for v in r.integers(1, 9, 3)))
+        count = int(r.integers(1, 400))
+        cloud = make_cloud(r.uniform(-3, 5, (count, 3)), r.uniform(-3, 5, (count, 3)),
+                           contact=r.random(count) < 0.6)
+        stats = accumulate(cloud, grid)
+        _assert_same_dict(stats, _parent_accumulate_dict(stats.dense))
+        n_min = int(r.integers(1, 30))
+        full = expand_undersampled(stats, grid, n_min=n_min)
+        want = _parent_expand_dict(stats, full.dense, n_min)
+        _assert_same_dict(full, want)
+        assert all(full[key] is stats[key] for key, s in stats.items() if s.n >= n_min)
+        assert dict(full) == dict(expand_undersampled(dict(stats), grid, n_min=n_min))
+
+    @pytest.mark.parametrize("own_first", [True, False])
+    def test_own_voxels_are_the_same_object_in_both(self, own_first):
+        r = np.random.default_rng(7)
+        grid = _grid(w=0.5, dims=(6, 6, 6))
+        cloud = make_cloud(r.uniform(-1, 4, (600, 3)), r.uniform(-1, 4, (600, 3)))
+        stats = accumulate(cloud, grid)
+        full = expand_undersampled(stats, grid, n_min=10)
+        own = list(zip(*(a.tolist() for a in np.nonzero(stats.dense.n >= 10))))
+        assert own
+        first, second = (stats, full) if own_first else (full, stats)
+        read = [first[key] for key in own]
+        assert all(second[key] is s for key, s in zip(own, read))
 
 
 @settings(max_examples=40, deadline=None)
