@@ -205,8 +205,8 @@ def subtract_ground(mesh: GroundMesh, cloud: RayCloud) -> tuple[RayCloud, int]:
 
 def export_obj(mesh: GroundMesh, path) -> None:
     """Write the mesh as ASCII OBJ for inspection; nothing reads it back."""
+    vertices = tuple(mesh.vertices.ravel().tolist())
+    faces = tuple((mesh.triangles + 1).ravel().tolist())
     with open(path, "w") as f:
-        for v in mesh.vertices:
-            f.write("v %.9g %.9g %.9g\n" % tuple(v))
-        for t in mesh.triangles:
-            f.write("f %d %d %d\n" % tuple(t + 1))
+        f.write("v %.9g %.9g %.9g\n" * len(mesh.vertices) % vertices)
+        f.write("f %d %d %d\n" * len(mesh.triangles) % faces)

@@ -180,10 +180,8 @@ def _voxelize(rows: list[tuple[dict, RayCloud]], out: Path, c: PipelineConfig) -
                                          lateral_bounds=(-half, half))
         except voxels_mod.VoxelGridError:
             continue   # band without canopy returns (lane or edge strip)
-        stats = voxels_mod.accumulate(cloud, grid)
-        full = voxels_mod.expand_undersampled(stats, grid, n_min=c.n_min)
         name = f"row{grid.row_index:02d}_voxels.rcvs"
-        voxels_mod.save_stats(full, grid, out / name)
+        voxels_mod.save_stats(voxels_mod.accumulate(cloud, grid), grid, out / name)
         outputs.append(name)
     if not outputs:
         raise voxels_mod.VoxelGridError("no row produced a voxel grid")
@@ -195,10 +193,11 @@ def _load_voxels(out: Path, outputs: list[str]) -> list[tuple]:
 
 
 def _density(voxels: list[tuple], out: Path, c: PipelineConfig) -> list[str]:
-    """estimate each row's density field from its voxel statistics"""
+    """pool undersampled voxels, then estimate each row's density field"""
     outputs = []
     for stats, grid in voxels:
-        f = density_mod.estimate_field(stats, grid, g=c.g, estimator=c.estimator)
+        full = voxels_mod.expand_undersampled(stats, grid, n_min=c.n_min)
+        f = density_mod.estimate_field(full.dense, grid, g=c.g, estimator=c.estimator)
         name = f"row{grid.row_index:02d}_density.rcdf"
         density_mod.save_field(f, out / name)
         outputs.append(name)
@@ -250,8 +249,8 @@ class Stage:
 STAGES = (
     Stage("ground", ("curvature",), _ground, _load_ground),
     Stage("rows", ("bin_width", "direction"), _rows, _load_rows),
-    Stage("voxelize", ("voxel_width", "n_min"), _voxelize, _load_voxels),
-    Stage("density", ("g", "estimator"), _density, _load_fields),
+    Stage("voxelize", ("voxel_width",), _voxelize, _load_voxels),
+    Stage("density", ("n_min", "g", "estimator"), _density, _load_fields),
     Stage("integrate", ("panel_length", "row_spacing", "panel_mode", "max_density"),
           _integrate, None),
 )

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 LENGTH_TOL = 1e-6
-UNIT_TOL = 1e-9
 
 
 class RayCloudError(ValueError):

@@ -7,12 +7,15 @@ are half-open: a point exactly on a face belongs to the voxel with the
 larger index. One batched Amanatides & Woo walk (`_walk`) serves both
 `accumulate` and the one-ray `traverse`.
 
-A row's statistics stay dense from the walk to the file: `accumulate` and
-`expand_undersampled` each reduce to one VoxelStats of arrays of the grid's
-shape, and `save_stats` writes those arrays as three planes. Both return a
-read-only `StatsView` mapping over the arrays, in the per-voxel form the
-tests and the benchmark's count hooks read: a voxel's scalar VoxelStats is
-built only when something looks it up, so the pipeline itself builds none.
+A row's statistics stay dense from the walk to the file: `accumulate`
+reduces the walk to one VoxelStats of arrays of the grid's shape, and
+`save_stats` writes those arrays, the raw measurement, as three planes.
+Pooling undersampled voxels belongs to the estimator: the density stage
+reads the planes back with `load_stats` and runs `expand_undersampled` on
+them before it estimates. These three return a read-only `StatsView`
+mapping over their arrays, in the per-voxel form the tests and the
+benchmark's count hooks read: a voxel's scalar VoxelStats is built only
+when something looks it up, so the pipeline itself builds none.
 
 Both binary grid files, `.rcvs` here and `.rcdf` in `density`, start with
 a magic and one `<3id3di` grid header (dims, voxel width, origin, row
@@ -273,23 +276,9 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> StatsView:
     count = grid.voxel_count
     n = np.bincount(vox, minlength=count).reshape(grid.dims)
     m = np.bincount(vox[hits], minlength=count).reshape(grid.dims)
-    sum_x = np.bincount(vox, weights=x, minlength=count).reshape(grid.dims)
-    return StatsView(VoxelStats(n, m, sum_x), n > 0)
-
-
-def _dense(stats: Mapping, dims) -> VoxelStats:
-    """Per-voxel statistics as int64/float64 arrays of shape `dims`: a
-    StatsView's own arrays, or new ones filled from a mapping of VoxelStats."""
-    if isinstance(stats, StatsView) and stats.dense.n.shape == tuple(dims):
-        return stats.dense
-    dense = VoxelStats(np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64),
-                       np.zeros(dims))
-    if stats:
-        at = tuple(np.array(list(stats)).T)
-        dense.n[at] = [s.n for s in stats.values()]
-        dense.m[at] = [s.m for s in stats.values()]
-        dense.sum_x[at] = [s.sum_x for s in stats.values()]
-    return dense
+    # float even when no ray crosses: bincount of nothing is int64 whatever its weights
+    sum_x = np.bincount(vox, weights=x, minlength=count).astype(float, copy=False)
+    return StatsView(VoxelStats(n, m, sum_x.reshape(grid.dims)), n > 0)
 
 
 def _window_sums(prefix: np.ndarray, radius, dims, ijk) -> np.ndarray:
@@ -303,16 +292,18 @@ def _window_sums(prefix: np.ndarray, radius, dims, ijk) -> np.ndarray:
             + prefix[H0, L1, L2] - prefix[L0, L1, L2])
 
 
-def expand_undersampled(stats: Mapping, grid: VoxelGrid,
+def expand_undersampled(stats: StatsView, grid: VoxelGrid,
                         n_min: int = DEFAULT_N_MIN) -> StatsView:
     """Merge growing cubic neighbourhoods into voxels with n < n_min.
 
-    The merged statistics replace the voxel's own for density estimation only;
-    neighbours keep theirs. Covers every voxel of the grid, so unsampled
-    voxels deep in the canopy borrow from their surroundings; voxels with
-    n = 0 after exhausting the grid stay empty (unobserved). The search uses
-    prefix sums (int64 for the counts) and, at each radius, evaluates only
-    the voxels still short of n_min.
+    Reads the raw planes under `stats` (as `accumulate` or `load_stats`
+    returns them), which must have the grid's shape. The merged statistics
+    replace the voxel's own for density estimation only; neighbours keep
+    theirs. Covers every voxel of the grid, so unsampled voxels deep in the
+    canopy borrow from their surroundings; voxels with n = 0 after
+    exhausting the grid stay empty (unobserved). The search uses prefix sums
+    (int64 for the counts) and, at each radius, evaluates only the voxels
+    still short of n_min.
 
     Returns new grid-shaped planes as a StatsView keyed by every voxel of
     the grid in C order; a voxel with n >= n_min is served as the caller's
@@ -320,8 +311,9 @@ def expand_undersampled(stats: Mapping, grid: VoxelGrid,
     """
     if n_min < 1:
         raise VoxelGridError(f"n_min {n_min} is below 1")
-    dims = grid.dims
-    dense = _dense(stats, dims)
+    dims, dense = tuple(grid.dims), stats.dense
+    if dense.n.shape != dims:
+        raise VoxelGridError(f"statistics of shape {dense.n.shape} do not fit grid {dims}")
     planes = (dense.n, dense.m, dense.sum_x)
     prefixes = [np.pad(f, (1, 0)).cumsum(0).cumsum(1).cumsum(2) for f in planes]
 
@@ -380,25 +372,25 @@ def read_grid_file(path, magic: bytes, kind: str, body_size,
     return grid, memoryview(data)[start:]
 
 
-_MAGIC = b"RCVS\x02"
+_MAGIC = b"RCVS\x03"
 _PLANES = ("<i8", "<i8", "<f8")      # n, m, sum_x: whole grid, row-major
 
 
-def save_stats(stats: Mapping, grid: VoxelGrid, path) -> None:
-    """Write per-voxel statistics as the grid's three dense planes: a
-    StatsView's own arrays as they are, or a mapping of VoxelStats (voxels
-    it leaves out are zero)."""
-    dense = _dense(stats, grid.dims)
+def save_stats(stats: StatsView, grid: VoxelGrid, path) -> None:
+    """Write the raw statistics that `accumulate` returns as the grid's three
+    dense planes, bit for bit."""
+    dense = stats.dense
     with open(path, "wb") as fh:
         write_grid_header(fh, _MAGIC, grid)
         for plane, dtype in zip((dense.n, dense.m, dense.sum_x), _PLANES):
             fh.write(plane.astype(dtype).tobytes())
 
 
-def load_stats(path) -> tuple[VoxelStats, VoxelGrid]:
-    """Read a save_stats file back as dense statistics (arrays of the grid's
-    shape: n and m int64, sum_x float64) plus its grid. Each fault
-    raises VoxelGridError naming the file, and the voxel where there is one."""
+def load_stats(path) -> tuple[StatsView, VoxelGrid]:
+    """Read a save_stats file back as `accumulate` returned it: a StatsView
+    over the planes (n and m int64, sum_x float64), keyed by the voxels with
+    n > 0, plus the grid. Each fault raises VoxelGridError naming the file,
+    and the voxel where there is one."""
     grid, body = read_grid_file(path, _MAGIC, "voxel statistics",
                                 lambda count: 8 * len(_PLANES) * count)
     count = grid.voxel_count
@@ -406,12 +398,14 @@ def load_stats(path) -> tuple[VoxelStats, VoxelGrid]:
                    for i, dt in enumerate(_PLANES))
     for bad, needs in (((m < 0) | (m > n) | ~np.isfinite(sum_x), "0 <= m <= n and a finite sum_x"),
                        ((sum_x < 0) | ((m > 0) & (sum_x == 0)),
-                        "sum_x >= 0, and sum_x > 0 where m > 0")):
+                        "sum_x >= 0, and sum_x > 0 where m > 0"),
+                       # a stray depth in an uncrossed voxel would leak into every pooled window
+                       ((n == 0) & (sum_x != 0), "sum_x = 0 where n = 0")):
         if bad.any():
             v = tuple(int(i) for i in np.argwhere(bad)[0])
             raise VoxelGridError(f"{path}: voxel {v}: n={n[v]}, m={m[v]}, sum_x={sum_x[v]}: "
                                  f"needs {needs}")
-    return VoxelStats(n, m, sum_x), grid
+    return StatsView(VoxelStats(n, m, sum_x), n > 0), grid
 
 
 # the names perfbench/spans.py traces as voxels.dump_csv_s and voxels.load_csv_s

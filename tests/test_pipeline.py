@@ -195,6 +195,22 @@ class TestRunPipeline:
         assert timings["voxelize"] == "0.000s"
         assert timings["density"] != "0.000s"     # g feeds the estimator
 
+    def test_n_min_change_reruns_only_density_and_integrate(self, scan_file, tmp_path):
+        # voxelize stores the raw statistics; pooling runs in the density stage
+        _, path = scan_file
+        out, config = tmp_path / "out", PipelineConfig(n_min=4)
+        run_pipeline(path, out, PipelineConfig())
+        run_pipeline(path, out, config)
+        timings = dict(line.split("\t") for line in
+                       (out / "timings.txt").read_text().splitlines())
+        assert [timings[s] for s in ("ground", "rows", "voxelize")] == ["0.000s"] * 3
+        assert timings["density"] != "0.000s" and timings["integrate"] != "0.000s"
+        run_pipeline(path, tmp_path / "fresh", config)
+        products = sorted(p.name for p in out.iterdir() if p.suffix in (".rcdf", ".csv"))
+        assert len(products) == 6
+        for name in products:
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
     def test_source_change_reruns_every_stage(self, scan_file, tmp_path, monkeypatch):
         _, path = scan_file
         out = tmp_path / "out"

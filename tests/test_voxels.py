@@ -21,6 +21,16 @@ def _grid(origin=(0, 0, 0), w=1.0, dims=(5, 5, 5)):
     return VoxelGrid(origin=np.asarray(origin, dtype=float), voxel_width=w, dims=dims)
 
 
+def _view(voxels: dict, dims) -> StatsView:
+    """The statistics of `voxels` (index -> VoxelStats; other voxels zero) as
+    `load_stats` returns them: a StatsView keyed by the voxels with n > 0."""
+    planes = [np.zeros(dims, dtype=np.int64), np.zeros(dims, dtype=np.int64), np.zeros(dims)]
+    for key, s in voxels.items():
+        for a, v in zip(planes, (s.n, s.m, s.sum_x)):
+            a[key] = v
+    return StatsView(VoxelStats(*planes), planes[0] > 0)
+
+
 def _contact_cloud(points, max_range=100.0):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return make_cloud(points + [0, 0, 5.0], points, max_range=max_range)
@@ -239,7 +249,11 @@ class TestAccumulate:
     def test_rays_missing_the_grid_give_no_voxels(self, rng):
         origins = rng.uniform(-3, -2, (20, 3))
         cloud = make_cloud(origins, origins + [0, 0, -1.0])
-        assert accumulate(cloud, _grid()) == {}
+        stats = accumulate(cloud, _grid())
+        assert stats == {}
+        # np.bincount of no records gives int64 whatever its weights
+        assert [a.dtype for a in (stats.dense.n, stats.dense.m, stats.dense.sum_x)] == \
+            [np.int64, np.int64, np.float64]
 
     def test_endpoints_outside_the_grid_give_no_contacts(self, rng):
         # contacts that cross the grid but end beyond every face
@@ -330,7 +344,7 @@ class TestAccumulate:
 class TestExpand:
     def test_well_sampled_voxel_unchanged(self):
         grid = _grid(dims=(3, 3, 3))
-        stats = {(1, 1, 1): VoxelStats(n=15, m=4, sum_x=7.5)}
+        stats = _view({(1, 1, 1): VoxelStats(n=15, m=4, sum_x=7.5)}, grid.dims)
         out = expand_undersampled(stats, grid, n_min=10)
         assert out[(1, 1, 1)] is stats[(1, 1, 1)]
 
@@ -340,7 +354,7 @@ class TestExpand:
         for key in np.ndindex(3, 3, 3):
             if key != (1, 1, 1):
                 stats[key] = VoxelStats(n=1, m=1, sum_x=0.2)
-        out = expand_undersampled(stats, grid, n_min=10)
+        out = expand_undersampled(_view(stats, grid.dims), grid, n_min=10)
         assert out[(1, 1, 1)].n == 26
         assert out[(1, 1, 1)].m == 26
         assert out[(1, 1, 1)].sum_x == pytest.approx(26 * 0.2)
@@ -358,13 +372,14 @@ class TestExpand:
                 x = rng.uniform(0.1, 1.0, n) * rng.uniform(0, 1, n)
                 stats[key] = VoxelStats(n=n, m=m, sum_x=float(x.sum()))
         n_min = 10
-        out = expand_undersampled(stats, grid, n_min=n_min)
+        view = _view(stats, dims)
+        out = expand_undersampled(view, grid, n_min=n_min)
         for key in np.ndindex(*dims):
             s = out[key]
             assert s.m <= s.n
             own = stats.get(key)
             if own is not None and own.n >= n_min:
-                assert s is own
+                assert s is view[key] == own
                 continue
             # brute force: grow Chebyshev shells until n >= n_min
             for r in range(1, max(dims)):
@@ -381,7 +396,7 @@ class TestExpand:
     def test_expansion_never_decreases_n(self, rng):
         dims = (4, 4, 4)
         grid = _grid(dims=dims)
-        stats = {(0, 0, 0): VoxelStats(n=2, m=1, sum_x=0.3)}
+        stats = _view({(0, 0, 0): VoxelStats(n=2, m=1, sum_x=0.3)}, dims)
         out = expand_undersampled(stats, grid, n_min=10)
         assert out[(0, 0, 0)].n >= 2
         # grid holds only 2 rays in total: expansion exhausts it
@@ -417,7 +432,14 @@ class TestExpand:
     def test_n_min_below_one_rejected(self, n_min):
         # every voxel, crossed or not, would keep its own statistics
         with pytest.raises(VoxelGridError, match=rf"n_min {n_min} is below 1"):
-            expand_undersampled({(0, 0, 0): VoxelStats(1, 0, 0.1)}, _grid(dims=(2, 1, 1)), n_min)
+            expand_undersampled(_view({(0, 0, 0): VoxelStats(1, 0, 0.1)}, (2, 1, 1)),
+                                _grid(dims=(2, 1, 1)), n_min)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (1, 2, 2), (2, 2, 2, 1)])
+    def test_planes_that_do_not_fit_the_grid_rejected(self, dims):
+        with pytest.raises(VoxelGridError, match=r"statistics of shape .* do not fit "
+                                                 r"grid \(2, 2, 2\)"):
+            expand_undersampled(_view({}, dims), _grid(dims=(2, 2, 2)))
 
     def test_grid_short_of_n_min_merges_everything(self):
         stats = {(0, 1, 2): VoxelStats(n=3, m=1, sum_x=0.25),
@@ -466,7 +488,8 @@ def _expand_reference(stats, grid, n_min):
 
 
 def _assert_same_expansion(stats, grid, n_min):
-    out = expand_undersampled(stats, grid, n_min=n_min)
+    view = _view(stats, grid.dims)
+    out = expand_undersampled(view, grid, n_min=n_min)
     ref = _expand_reference(stats, grid, n_min)
     assert list(out) == list(ref)
     for key, s in out.items():
@@ -474,7 +497,7 @@ def _assert_same_expansion(stats, grid, n_min):
         assert type(s.n) is int and type(s.m) is int and type(s.sum_x) is float
         own = stats.get(key)
         if own is not None and own.n >= n_min:
-            assert s is own
+            assert s is view[key]
         elif s.n == 0:
             assert s == VoxelStats()
     return out
@@ -511,6 +534,8 @@ _DEPTHS = "needs sum_x >= 0, and sum_x > 0 where m > 0"
 class TestStatsFile:
     GRID = VoxelGrid(origin=np.array([0.5, -2.0, 0.3]), voxel_width=0.12,
                      dims=(4, 9, 5), row_index=3)
+    EMPTY = _view({}, GRID.dims)
+    ONE = _view({(1, 1, 1): VoxelStats(4, 1, 0.1)}, GRID.dims)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_round_trip_is_bit_exact(self, tmp_path, seed):
@@ -519,27 +544,42 @@ class TestStatsFile:
                          dims=tuple(int(v) for v in r.integers(2, 9, 3)), row_index=seed)
         cloud = make_cloud(r.uniform(-3, 6, (300, 3)), r.uniform(-3, 6, (300, 3)),
                            contact=r.random(300) < 0.7)
-        stats = dict(accumulate(cloud, grid))
+        dense = accumulate(cloud, grid).dense
+        want = [dense.n, dense.m, dense.sum_x]
         extremes = [5e-324, 1e-310, 1e308, 1.7976931348623157e308]
         keys = list(np.ndindex(*grid.dims))[::7]
         for key, x in zip(keys, extremes):
-            stats[key] = VoxelStats(2 ** 62, 2 ** 40, x)
-        save_stats(stats, grid, tmp_path / "s.rcvs")
+            for a, v in zip(want, (2 ** 62, 2 ** 40, x)):
+                a[key] = v
+        save_stats(StatsView(dense, dense.n > 0), grid, tmp_path / "s.rcvs")
         loaded, g2 = load_stats(tmp_path / "s.rcvs")
         assert (g2.dims, g2.voxel_width, g2.row_index) == (grid.dims, grid.voxel_width, seed)
         assert g2.origin.tobytes() == grid.origin.tobytes()
-        want = [np.zeros(grid.dims, dtype=np.int64), np.zeros(grid.dims, dtype=np.int64),
-                np.zeros(grid.dims)]
-        for key, s in stats.items():
-            for a, v in zip(want, (s.n, s.m, s.sum_x)):
-                a[key] = v
-        _assert_same_bits(loaded, want)
+        _assert_same_bits(loaded.dense, want)
 
-    def test_empty_dict_gives_zero_planes(self, tmp_path):
-        save_stats({}, self.GRID, tmp_path / "s.rcvs")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip_gives_back_what_accumulate_returned(self, tmp_path, seed):
+        r = np.random.default_rng(seed)
+        grid = VoxelGrid(origin=r.uniform(-3, 3, 3), voxel_width=float(r.uniform(0.1, 0.5)),
+                         dims=tuple(int(v) for v in r.integers(1, 9, 3)), row_index=seed)
+        lo, hi = grid.origin - 0.5, grid.upper + 0.5
+        cloud = make_cloud(r.uniform(lo, hi, (300, 3)), r.uniform(lo, hi, (300, 3)),
+                           contact=r.random(300) < 0.7)
+        stats = accumulate(cloud, grid)
+        save_stats(stats, grid, tmp_path / "s.rcvs")
+        loaded, _ = load_stats(tmp_path / "s.rcvs")
+        assert list(loaded) == list(stats) and len(stats) > 0
+        for key, s in stats.items():
+            assert loaded[key] == s
+            assert type(loaded[key].n) is int and type(loaded[key].sum_x) is float
+        d = stats.dense
+        _assert_same_bits(loaded.dense, (d.n, d.m, d.sum_x))
+
+    def test_empty_view_gives_zero_planes(self, tmp_path):
+        save_stats(self.EMPTY, self.GRID, tmp_path / "s.rcvs")
         loaded, grid = load_stats(tmp_path / "s.rcvs")
-        assert grid.dims == self.GRID.dims
-        for array in (loaded.n, loaded.m, loaded.sum_x):
+        assert grid.dims == self.GRID.dims and len(loaded) == 0
+        for array in (loaded.dense.n, loaded.dense.m, loaded.dense.sum_x):
             assert array.shape == grid.dims and not array.any()
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -548,14 +588,14 @@ class TestStatsFile:
             load_stats(tmp_path / "w.rcvs")
 
     def test_truncated_header_rejected(self, tmp_path):
-        save_stats({}, self.GRID, tmp_path / "s.rcvs")
+        save_stats(self.EMPTY, self.GRID, tmp_path / "s.rcvs")
         (tmp_path / "t.rcvs").write_bytes((tmp_path / "s.rcvs").read_bytes()[:30])
         with pytest.raises(VoxelGridError, match=r"t\.rcvs: truncated header \(30 bytes\)"):
             load_stats(tmp_path / "t.rcvs")
 
     @pytest.mark.parametrize("change", [-1, -8, 1, 8])
     def test_short_or_long_body_rejected(self, tmp_path, change):
-        save_stats({(1, 1, 1): VoxelStats(4, 1, 0.1)}, self.GRID, tmp_path / "s.rcvs")
+        save_stats(self.ONE, self.GRID, tmp_path / "s.rcvs")
         data = (tmp_path / "s.rcvs").read_bytes()
         (tmp_path / "b.rcvs").write_bytes(data[:change] if change < 0 else data + bytes(change))
         with pytest.raises(VoxelGridError, match=rf"b\.rcvs: {len(data) + change} bytes where "
@@ -574,7 +614,7 @@ class TestStatsFile:
     ], ids=["negative-dims", "zero-width", "negative-width", "nan-width", "inf-width",
             "nan-origin", "inf-origin"])
     def test_bad_grid_header_rejected(self, tmp_path, offset, fmt, values, fault):
-        save_stats({}, self.GRID, tmp_path / "h.rcvs")
+        save_stats(self.EMPTY, self.GRID, tmp_path / "h.rcvs")
         _patched(tmp_path / "h.rcvs", offset, fmt, *values)
         with pytest.raises(VoxelGridError, match=rf"h\.rcvs: {fault}"):
             load_stats(tmp_path / "h.rcvs")
@@ -586,18 +626,19 @@ class TestStatsFile:
         (VoxelStats(2, 1, float("inf")), f"n=2, m=1, sum_x=inf: {_COUNTS}"),
         (VoxelStats(5, 0, -0.3), f"n=5, m=0, sum_x=-0.3: {_DEPTHS}"),
         (VoxelStats(5, 2, 0.0), f"n=5, m=2, sum_x=0.0: {_DEPTHS}"),
+        (VoxelStats(0, 0, 0.25), "n=0, m=0, sum_x=0.25: needs sum_x = 0 where n = 0"),
     ], ids=["m-above-n", "negative-m", "nan-sum", "inf-sum", "negative-sum",
-            "zero-sum-with-contacts"])
+            "zero-sum-with-contacts", "sum-without-rays"])
     def test_bad_statistics_rejected(self, tmp_path, voxel, fault):
         stats = {(0, 0, 0): VoxelStats(5, 2, 0.3), (3, 8, 2): voxel}
-        save_stats(stats, self.GRID, tmp_path / "v.rcvs")
+        save_stats(_view(stats, self.GRID.dims), self.GRID, tmp_path / "v.rcvs")
         with pytest.raises(VoxelGridError, match=rf"v\.rcvs: voxel \(3, 8, 2\): {fault}$"):
             load_stats(tmp_path / "v.rcvs")
 
     def test_voxel_count_past_int64_rejected(self, tmp_path):
         # 2^21 * 2^21 * 2^22 voxels: a count that wraps to 0 in int64 would let a
         # header-only file pass the size check
-        save_stats({}, self.GRID, tmp_path / "s.rcvs")
+        save_stats(self.EMPTY, self.GRID, tmp_path / "s.rcvs")
         (tmp_path / "h.rcvs").write_bytes((tmp_path / "s.rcvs").read_bytes()[:53])
         _patched(tmp_path / "h.rcvs", 5, "<3i", 2 ** 21, 2 ** 21, 2 ** 22)
         with pytest.raises(VoxelGridError, match=r"h\.rcvs: 53 bytes where grid "
@@ -606,18 +647,27 @@ class TestStatsFile:
 
     def test_version_1_file_rejected(self, tmp_path):
         # the version-1 layout: the same header, then four planes (n, m, sum_x, sum_y)
-        save_stats({(1, 1, 1): VoxelStats(4, 1, 0.1)}, self.GRID, tmp_path / "s.rcvs")
+        save_stats(self.ONE, self.GRID, tmp_path / "s.rcvs")
         data = (tmp_path / "s.rcvs").read_bytes()
         sum_y = bytes(8 * self.GRID.voxel_count)
         (tmp_path / "v1.rcvs").write_bytes(b"RCVS\x01" + data[5:] + sum_y)
         with pytest.raises(VoxelGridError, match=r"v1\.rcvs: not a voxel statistics file "
-                                                 r"\(RCVS version 2\)"):
+                                                 r"\(RCVS version 3\)"):
             load_stats(tmp_path / "v1.rcvs")
 
-    def test_three_planes_of_24_bytes_per_voxel(self, tmp_path):
-        save_stats({}, self.GRID, tmp_path / "s.rcvs")
+    def test_version_2_file_rejected(self, tmp_path):
+        # the version-2 layout: the same header and planes, holding merged sums
+        save_stats(self.ONE, self.GRID, tmp_path / "s.rcvs")
         data = (tmp_path / "s.rcvs").read_bytes()
-        assert data[:5] == b"RCVS\x02"
+        (tmp_path / "v2.rcvs").write_bytes(b"RCVS\x02" + data[5:])
+        with pytest.raises(VoxelGridError, match=r"v2\.rcvs: not a voxel statistics file "
+                                                 r"\(RCVS version 3\)"):
+            load_stats(tmp_path / "v2.rcvs")
+
+    def test_three_planes_of_24_bytes_per_voxel(self, tmp_path):
+        save_stats(self.EMPTY, self.GRID, tmp_path / "s.rcvs")
+        data = (tmp_path / "s.rcvs").read_bytes()
+        assert data[:5] == b"RCVS\x03"
         assert len(data) == 5 + struct.calcsize("<3id3di") + 24 * self.GRID.voxel_count
 
 
@@ -704,7 +754,6 @@ class TestStatsView:
         want = _parent_expand_dict(stats, full.dense, n_min)
         _assert_same_dict(full, want)
         assert all(full[key] is stats[key] for key, s in stats.items() if s.n >= n_min)
-        assert dict(full) == dict(expand_undersampled(dict(stats), grid, n_min=n_min))
 
     @pytest.mark.parametrize("own_first", [True, False])
     def test_own_voxels_are_the_same_object_in_both(self, own_first):
