@@ -51,7 +51,7 @@ def main() -> int:
         area = field.total_leaf_area()
         total += area
         series = along_row_series(field)
-        panels = with_lai(panel_aggregate(series, 7.0), 7.0, row_spacing)
+        panels = with_lai(panel_aggregate(series, 7.0), row_spacing)
         print(f"\n{path.stem}: {area:.1f} m^2 leaf area")
         for p in panels:
             print(f"  panel {p.panel_index}: {p.integrated_density:.2f} m^2/m "

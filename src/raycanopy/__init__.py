@@ -14,7 +14,7 @@ from .ground import (GroundMesh, extract_ground, height_at, heights_at,
 from .pipeline import PipelineConfig, run_pipeline
 from .raycloud import Ray, RayCloud, load_raycloud, save_raycloud
 from .report import (DensityImage, PanelSummary, RowSeries, along_row_series,
-                     integrate_axis, panel_aggregate, panel_lai, render_colormap, rrmse)
+                     integrate_axis, panel_aggregate, render_colormap, rrmse, with_lai)
 from .rows import RowSegment, Trajectory, row_direction, split_rows, to_row_coordinates
 from .simulate import (NormalDistributionSpec, bias_curves, debiased_error_surface,
                        sample_turbid, trawl_vs_spin, triangle_bias_experiment)

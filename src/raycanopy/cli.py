@@ -27,19 +27,14 @@ EXPERIMENTS = ("turbid-bias", "triangle-bias", "error-surface", "trawl-vs-spin")
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
     for f in fields(PipelineConfig):
-        if f.name != "panel_mode":   # set by --sum
-            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           help=f"default: {f.default}")
-    p.add_argument("--sum", action="store_true",
-                   help="aggregate panels by sum instead of mean")
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       help=f"default: {f.default}")
 
 
 def _build_config(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
-                 if getattr(args, f.name, None) is not None}
-    if args.sum:
-        overrides["panel_mode"] = "sum"
+                 if getattr(args, f.name) is not None}
     return apply_overrides(config, overrides)
 
 
@@ -72,36 +67,6 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--output", help="comparison CSV path")
     s.add_argument("--panel-length", type=float, default=report_mod.DEFAULT_PANEL_LENGTH)
     return p
-
-
-def _load_series_csv(path) -> report_mod.RowSeries:
-    """Read a series CSV: a header line, then one `y,value` line per step."""
-    rows = []
-    with open(path) as f:
-        f.readline()
-        for ln, line in enumerate(f, 2):
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError:
-                row = []
-            if len(row) != 2 or not np.all(np.isfinite(row)):
-                raise report_mod.ReportError(
-                    f"{path}:{ln}: {line.strip()!r}: expected two finite numbers")
-            if row[1] < 0:
-                raise report_mod.ReportError(f"{path}:{ln}: negative value {row[1]:g}")
-            rows.append(row)
-    if len(rows) < 2:
-        raise report_mod.ReportError(
-            f"{path}: a series needs at least two data lines, found {len(rows)}")
-    data = np.array(rows)
-    steps = np.diff(data[:, 0])
-    step = float(steps[0])
-    if not step > 0:
-        raise report_mod.ReportError(f"{path}:3: y does not increase from line 2")
-    for ln, s in enumerate(steps[1:], 4):   # half a step: a line missing or repeated,
-        if abs(s - step) > step / 2:         # not the writer's %.6g rounding
-            raise report_mod.ReportError(f"{path}:{ln}: y step {s:g} differs from {step:g}")
-    return report_mod.RowSeries(values=data[:, 1], step=step)
 
 
 def _cmd_ingest(args) -> int:
@@ -164,8 +129,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    a = _load_series_csv(args.series_a)
-    b = _load_series_csv(args.series_b)
+    a = report_mod.load_series_csv(args.series_a)
+    b = report_mod.load_series_csv(args.series_b)
     pa = report_mod.panel_aggregate(a, args.panel_length)
     pb = report_mod.panel_aggregate(b, args.panel_length)
     count = min(len(pa), len(pb))

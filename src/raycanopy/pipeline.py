@@ -49,7 +49,6 @@ class PipelineConfig:
     row_spacing: float | None = None
     max_density: float = report_mod.DEFAULT_MAX_DENSITY
     estimator: str = "mean"
-    panel_mode: str = "mean"
     direction: tuple[float, float] | None = None   # fixed row direction override
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class PipelineConfig:
                                  f"{self.direction!r}")
         if self.estimator not in ("mean", "mode"):
             raise ValueError(f"estimator must be 'mean' or 'mode', not {self.estimator!r}")
-        if self.panel_mode not in ("mean", "sum"):
-            raise ValueError(f"panel_mode must be 'mean' or 'sum', not {self.panel_mode!r}")
 
 
 def load_config(path) -> PipelineConfig:
@@ -99,7 +96,7 @@ def apply_overrides(config: PipelineConfig, values: dict) -> PipelineConfig:
     """`config` with `values` set; a value that fails to convert names its field."""
     fields = {"voxel_width": float, "n_min": int, "g": float, "curvature": float,
               "bin_width": float, "panel_length": float, "row_spacing": float,
-              "max_density": float, "estimator": str, "panel_mode": str}
+              "max_density": float, "estimator": str}
     kwargs = {}
     for key, raw in values.items():
         if key != "direction" and key not in fields:
@@ -221,9 +218,9 @@ def _integrate(fields: list[density_mod.DensityField], out: Path,
         report_mod.render_colormap(top, c.max_density, out / f"{tag}_top.png")
         series = report_mod.along_row_series(f)
         report_mod.export_series_csv(series, out / f"{tag}_series.csv")
-        panels = report_mod.panel_aggregate(series, c.panel_length, mode=c.panel_mode)
+        panels = report_mod.panel_aggregate(series, c.panel_length)
         if c.row_spacing is not None:
-            panels = report_mod.with_lai(panels, c.panel_length, c.row_spacing)
+            panels = report_mod.with_lai(panels, c.row_spacing)
         report_mod.export_panels_csv(panels, out / f"{tag}_panels.csv", row_index=idx)
         outputs += [f"{tag}_side.png", f"{tag}_top.png",
                     f"{tag}_series.csv", f"{tag}_panels.csv"]
@@ -251,8 +248,7 @@ STAGES = (
     Stage("rows", ("bin_width", "direction"), _rows, _load_rows),
     Stage("voxelize", ("voxel_width",), _voxelize, _load_voxels),
     Stage("density", ("n_min", "g", "estimator"), _density, _load_fields),
-    Stage("integrate", ("panel_length", "row_spacing", "panel_mode", "max_density"),
-          _integrate, None),
+    Stage("integrate", ("panel_length", "row_spacing", "max_density"), _integrate, None),
 )
 STAGE_NAMES = tuple(s.name for s in STAGES)
 

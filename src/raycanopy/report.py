@@ -1,15 +1,16 @@
 """Spatial integration of density fields and derived agronomic summaries.
 
 Turns per-voxel canopy densities into integrated images (m²/m²), along-row
-series (m²/m), per-panel aggregates with optional LAI, repeatability metrics
-and colour-mapped rasters.
+series (m²/m), per-panel means (m²/m) with optional LAI, repeatability metrics
+and colour-mapped rasters. It defines, writes and reads both tables of the
+integrate stage: the series CSV and the panel CSV.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +62,10 @@ class RowSeries:
 
 @dataclass(frozen=True)
 class PanelSummary:
-    """Per-panel aggregate of the along-row series."""
+    """Per-panel mean of the along-row series."""
 
     panel_index: int
-    integrated_density: float   # m^2/m (mean) or m^2 (sum), per aggregation mode
+    integrated_density: float   # m^2/m, mean leaf area per metre of row
     length: float               # m
     lai: float | None = None    # set only when row spacing is configured
 
@@ -87,18 +88,15 @@ def along_row_series(field: DensityField) -> RowSeries:
     return RowSeries(values=values, step=w)
 
 
-def panel_aggregate(series: RowSeries, panel_length: float = DEFAULT_PANEL_LENGTH,
-                    mode: str = "mean") -> list[PanelSummary]:
-    """Aggregate the series into consecutive panel windows from y = 0.
+def panel_aggregate(series: RowSeries,
+                    panel_length: float = DEFAULT_PANEL_LENGTH) -> list[PanelSummary]:
+    """Mean of the series over consecutive panel windows from y = 0, m^2/m.
 
     A trailing partial panel is kept if at least half a panel long, otherwise
-    merged into the previous one. `mode` selects the per-panel mean (m^2/m)
-    or sum scaled by step (m^2).
+    merged into the previous one.
     """
-    if panel_length <= 0:
-        raise ReportError("panel_length must be positive")
-    if mode not in ("mean", "sum"):
-        raise ReportError(f"unknown aggregation mode {mode!r}")
+    if not (np.isfinite(panel_length) and panel_length > 0):
+        raise ReportError(f"panel_length must be positive and finite, not {panel_length!r}")
     per_panel = max(int(round(panel_length / series.step)), 1)
     count = len(series.values)
     if count == 0:
@@ -107,29 +105,18 @@ def panel_aggregate(series: RowSeries, panel_length: float = DEFAULT_PANEL_LENGT
     # merge a short trailing window into its predecessor
     if len(starts) > 1 and count - starts[-1] < per_panel / 2:
         starts.pop()
-    panels = []
-    for idx, s in enumerate(starts):
-        e = starts[idx + 1] if idx + 1 < len(starts) else count
-        vals = series.values[s:e]
-        length = (e - s) * series.step
-        value = float(vals.mean()) if mode == "mean" else float(vals.sum() * series.step)
-        panels.append(PanelSummary(panel_index=idx, integrated_density=value,
-                                   length=length))
-    return panels
+    ends = starts[1:] + [count]
+    return [PanelSummary(panel_index=idx, integrated_density=float(series.values[s:e].mean()),
+                         length=(e - s) * series.step)
+            for idx, (s, e) in enumerate(zip(starts, ends))]
 
 
-def panel_lai(panel: PanelSummary, panel_length: float, row_spacing: float) -> float:
-    """Leaf area index: panel leaf area over its ground footprint."""
-    if panel_length <= 0 or row_spacing <= 0:
-        raise ReportError("panel_length and row_spacing must be positive")
-    leaf_area = panel.integrated_density * panel.length
-    return leaf_area / (panel_length * row_spacing)
-
-
-def with_lai(panels: list[PanelSummary], panel_length: float,
-             row_spacing: float) -> list[PanelSummary]:
-    return [PanelSummary(p.panel_index, p.integrated_density, p.length,
-                         lai=panel_lai(p, panel_length, row_spacing)) for p in panels]
+def with_lai(panels: list[PanelSummary], row_spacing: float) -> list[PanelSummary]:
+    """The panels with their leaf area index: each panel's leaf area over its
+    own length x row spacing footprint, which is its mean over the spacing."""
+    if not (np.isfinite(row_spacing) and row_spacing > 0):
+        raise ReportError(f"row_spacing must be positive and finite, not {row_spacing!r}")
+    return [replace(p, lai=p.integrated_density / row_spacing) for p in panels]
 
 
 def rrmse(a, b) -> float:
@@ -220,11 +207,47 @@ def write_png(rgb: np.ndarray, path) -> None:
 # CSV outputs
 
 
+SERIES_HEADER = "y_m,density_m2_per_m"
+
+
 def export_series_csv(series: RowSeries, path) -> None:
     with open(path, "w") as f:
-        f.write("y_m,density_m2_per_m\n")
+        f.write(SERIES_HEADER + "\n")
         for i, v in enumerate(series.values):
             f.write(f"{(i + 0.5) * series.step:.6g},{v:.9g}\n")
+
+
+def load_series_csv(path) -> RowSeries:
+    """Read a series CSV: the header line, then one `y,value` line per step.
+
+    A fault raises ReportError naming `file:line`, or the file for too few lines.
+    """
+    rows = []
+    with open(path) as f:
+        header = f.readline().strip()
+        if header != SERIES_HEADER:
+            raise ReportError(f"{path}:1: {header!r}: expected the header {SERIES_HEADER!r}")
+        for ln, line in enumerate(f, 2):
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != 2 or not np.all(np.isfinite(row)):
+                raise ReportError(f"{path}:{ln}: {line.strip()!r}: expected two finite numbers")
+            if row[1] < 0:
+                raise ReportError(f"{path}:{ln}: negative value {row[1]:g}")
+            rows.append(row)
+    if len(rows) < 2:
+        raise ReportError(f"{path}: a series needs at least two data lines, found {len(rows)}")
+    data = np.array(rows)
+    steps = np.diff(data[:, 0])
+    step = float(steps[0])
+    if not step > 0:
+        raise ReportError(f"{path}:3: y does not increase from line 2")
+    for ln, s in enumerate(steps[1:], 4):   # half a step: a line missing or repeated,
+        if abs(s - step) > step / 2:         # not the writer's %.6g rounding
+            raise ReportError(f"{path}:{ln}: y step {s:g} differs from {step:g}")
+    return RowSeries(values=data[:, 1], step=step)
 
 
 def export_panels_csv(panels: list[PanelSummary], path, row_index: int = 0) -> None:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes and output files."""
 
+import argparse
 import dataclasses
 import json
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from raycanopy.cli import _build_config, _parser, main
-from raycanopy.pipeline import PipelineConfig
+from raycanopy.pipeline import STAGE_NAMES, PipelineConfig
 from raycanopy.raycloud import load_raycloud, save_raycloud
 from raycanopy.synthetic import VineyardSpec, simulate_scan
 
@@ -126,22 +127,26 @@ def test_compare_reports_rrmse(tmp_path, capsys):
     assert (tmp_path / "cmp.csv").read_text().count("\n") >= 4
 
 
+HEADER = "y_m,density_m2_per_m\n"
+
+
 @pytest.mark.parametrize("body, fault", [
-    ("0.05,1\n0.15,abc\n", r"b\.csv:3: '0\.15,abc': expected two finite numbers"),
-    ("0.05,1\n0.15\n", r"b\.csv:3: '0\.15': expected two finite numbers"),
-    ("0.05,1\n0.15,1,2\n", r"b\.csv:3: '0\.15,1,2': expected two finite numbers"),
-    ("0.05,1\n0.15,inf\n", r"b\.csv:3: '0\.15,inf': expected two finite numbers"),
-    ("0.05,1\n0.15,-1\n", r"b\.csv:3: negative value -1"),
-    ("", r"b\.csv: a series needs at least two data lines, found 0"),
-    ("0.05,1\n", r"b\.csv: a series needs at least two data lines, found 1"),
-    ("0.15,1\n0.05,1\n", r"b\.csv:3: y does not increase"),
-    ("0.06,1\n0.18,1\n0.5,1\n0.62,1\n", r"b\.csv:4: y step 0\.32 differs from 0\.12"),
+    (HEADER + "0.05,1\n0.15,abc\n", r"b\.csv:3: '0\.15,abc': expected two finite numbers"),
+    (HEADER + "0.05,1\n0.15\n", r"b\.csv:3: '0\.15': expected two finite numbers"),
+    (HEADER + "0.05,1\n0.15,1,2\n", r"b\.csv:3: '0\.15,1,2': expected two finite numbers"),
+    (HEADER + "0.05,1\n0.15,inf\n", r"b\.csv:3: '0\.15,inf': expected two finite numbers"),
+    (HEADER + "0.05,1\n0.15,-1\n", r"b\.csv:3: negative value -1"),
+    (HEADER, r"b\.csv: a series needs at least two data lines, found 0"),
+    (HEADER + "0.05,1\n", r"b\.csv: a series needs at least two data lines, found 1"),
+    (HEADER + "0.15,1\n0.05,1\n", r"b\.csv:3: y does not increase"),
+    (HEADER + "0.06,1\n0.18,1\n0.5,1\n0.62,1\n", r"b\.csv:4: y step 0\.32 differs from 0\.12"),
+    ("0.05,1\n0.15,2\n0.25,3\n",
+     r"b\.csv:1: '0\.05,1': expected the header 'y_m,density_m2_per_m'"),
 ], ids=["text", "one-field", "three-fields", "inf", "negative", "header-only",
-        "one-row", "decreasing-y", "uneven-step"])
+        "one-row", "decreasing-y", "uneven-step", "no-header"])
 def test_compare_rejects_bad_series(tmp_path, capsys, body, fault):
-    header = "y_m,density_m2_per_m\n"
-    (tmp_path / "a.csv").write_text(header + "0.05,1\n0.15,2\n")
-    (tmp_path / "b.csv").write_text(header + body)
+    (tmp_path / "a.csv").write_text(HEADER + "0.05,1\n0.15,2\n")
+    (tmp_path / "b.csv").write_text(body)
     assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 1
     assert re.search("error: .*" + fault, capsys.readouterr().err)
 
@@ -150,16 +155,23 @@ def test_every_config_field_set_by_its_flag():
     flags = {"voxel_width": "0.09", "n_min": "4", "g": "1.5", "curvature": "0.2",
              "bin_width": "0.3", "panel_length": "3.5", "row_spacing": "2.5",
              "max_density": "8", "estimator": "mode", "direction": "0,1"}
-    argv = ["pipeline", "scan.ply", "out", "--sum"]
+    argv = ["pipeline", "scan.ply", "out"]
     for name, value in flags.items():
         argv += ["--" + name.replace("_", "-"), value]
     config = _build_config(_parser().parse_args(argv))
     assert config == PipelineConfig(voxel_width=0.09, n_min=4, g=1.5, curvature=0.2,
                                      bin_width=0.3, panel_length=3.5, row_spacing=2.5,
-                                     max_density=8.0, estimator="mode", panel_mode="sum",
+                                     max_density=8.0, estimator="mode",
                                      direction=(0.0, 1.0))
     for f in dataclasses.fields(PipelineConfig):
         assert getattr(config, f.name) != f.default, f.name
+    expected = {"--config"} | {"--" + f.name.replace("_", "-")
+                               for f in dataclasses.fields(PipelineConfig)}
+    subcommands = next(a for a in _parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("pipeline", *STAGE_NAMES):
+        options = {o for a in subcommands[command]._actions for o in a.option_strings}
+        assert options - {"-h", "--help"} == expected, command
 
 
 @pytest.mark.parametrize("flag, value, fault", [

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,14 +49,15 @@ class TestConfig:
 
     def test_file_round_trip(self, tmp_path):
         (tmp_path / "c.cfg").write_text(
-            "voxel_width=0.15\nrow_spacing=2.5\ndirection=1,0\npanel_mode=sum\n")
+            "voxel_width=0.15\nrow_spacing=2.5\ndirection=1,0\nestimator=mode\n")
         assert load_config(tmp_path / "c.cfg") == PipelineConfig(
-            voxel_width=0.15, row_spacing=2.5, direction=(1.0, 0.0), panel_mode="sum")
+            voxel_width=0.15, row_spacing=2.5, direction=(1.0, 0.0), estimator="mode")
 
     @pytest.mark.parametrize("line, fault", [
         ("voxel_width 0.2", "expected key=value"),
         ("voxel_width=abc", "could not convert string to float: 'abc'"),
         ("bogus=1", "unknown config key 'bogus'"),
+        ("panel_mode=sum", "unknown config key 'panel_mode'"),
         ("n_min=2.5", "invalid literal for int"),
         ("voxel_width=-1", "voxel_width must be positive"),
     ])
@@ -85,8 +88,6 @@ class TestConfig:
             PipelineConfig(n_min=0)
         with pytest.raises(ValueError, match="estimator"):
             PipelineConfig(estimator="bogus")
-        with pytest.raises(ValueError, match="panel_mode"):
-            PipelineConfig(panel_mode="median")
 
     @pytest.mark.parametrize("field", ["voxel_width", "panel_length", "row_spacing"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -115,6 +116,14 @@ class TestConfig:
     def test_every_field_read_by_one_stage(self):
         read = [name for stage in STAGES for name in stage.fields]
         assert sorted(read) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
+
+    def test_readme_stage_table_lists_each_stages_fields(self):
+        # the README's "| stage | fields |" table, one row per entry of STAGES
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = text[text.index("| stage | fields |"):].split("\n\n", 1)[0]
+        rows = [line.strip("|").split("|") for line in table.splitlines()[2:]]
+        assert {stage.strip(): re.findall(r"`(\w+)`", cells) for stage, cells in rows} == \
+            {stage.name: list(stage.fields) for stage in STAGES}
 
 
 class TestRunPipeline:
@@ -298,6 +307,16 @@ class TestRunPipeline:
         run_pipeline(scan_file[1], tmp_path / "out")
         assert scalar, "the run built no VoxelStats at all"
         assert sum(scalar) == 0
+
+    def test_lai_is_each_panels_mean_over_row_spacing(self, scan_file, tmp_path):
+        # 7 m panels at 0.12 m voxels are 58 steps (6.96 m), and the tail differs
+        _, path = scan_file
+        run_pipeline(path, tmp_path / "out", PipelineConfig(row_spacing=2.5))
+        lines = [line.split(",") for csv in sorted((tmp_path / "out").glob("row*_panels.csv"))
+                 for line in csv.read_text().splitlines()[1:]]
+        assert lines
+        for row, panel, mean, lai in lines:   # both printed to 9 digits
+            assert float(lai) == pytest.approx(float(mean) / 2.5, rel=2e-8), (row, panel)
 
     def test_manifest_records_config(self, scan_file, tmp_path):
         _, path = scan_file

@@ -7,7 +7,7 @@ from raycanopy.density import DensityField
 from raycanopy.report import (DensityImage, ReportError, RowSeries, along_row_series,
                               colormap_rgb, export_comparison_csv,
                               export_panels_csv, export_series_csv, integrate_axis,
-                              panel_aggregate, panel_lai, render_colormap, rrmse,
+                              load_series_csv, panel_aggregate, render_colormap, rrmse,
                               trend_line, with_lai, write_png)
 from raycanopy.voxels import VoxelGrid
 
@@ -63,30 +63,39 @@ class TestPanels:
         panels = panel_aggregate(series, panel_length=10.0)
         assert len(panels) == 1
         assert panels[0].length == pytest.approx(12.0)
+        # 1 m^2/m over 2.5 m rows is LAI 0.4 over the panel's own 12 m
+        assert with_lai(panels, row_spacing=2.5)[0].lai == pytest.approx(0.4, rel=1e-12)
 
     def test_long_tail_kept(self):
         series = RowSeries(values=np.ones(16), step=1.0)
         panels = panel_aggregate(series, panel_length=10.0)
         assert len(panels) == 2
         assert panels[1].length == pytest.approx(6.0)
+        assert with_lai(panels, row_spacing=2.5)[1].lai == pytest.approx(0.4, rel=1e-12)
 
-    def test_sum_mode(self):
-        series = RowSeries(values=np.full(20, 2.0), step=0.5)
-        panels = panel_aggregate(series, panel_length=5.0, mode="sum")
-        assert panels[0].integrated_density == pytest.approx(2.0 * 10 * 0.5)
+    @pytest.mark.parametrize("panel_length", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_panel_length_rejected(self, panel_length):
+        series = RowSeries(values=np.ones(10), step=1.0)
+        with pytest.raises(ReportError, match="panel_length must be positive and finite"):
+            panel_aggregate(series, panel_length)
 
     def test_lai_arithmetic(self):
-        p = panel_aggregate(RowSeries(values=np.full(27, 32.24 / 5.4), step=0.2),
-                            panel_length=5.4)[0]
-        lai = panel_lai(p, panel_length=5.4, row_spacing=3.0)
+        p, = with_lai(panel_aggregate(RowSeries(values=np.full(27, 32.24 / 5.4), step=0.2),
+                                      panel_length=5.4), row_spacing=3.0)
         # leaf area 32.24 m^2 over a 5.4 m x 3 m footprint
-        assert lai == pytest.approx(32.24 / (5.4 * 3.0), rel=1e-9)
-        assert lai == pytest.approx(1.99, abs=0.01)
+        assert p.lai == pytest.approx(32.24 / (5.4 * 3.0), rel=1e-9)
+        assert p.lai == pytest.approx(1.99, abs=0.01)
 
     def test_with_lai_fills_field(self):
         series = RowSeries(values=np.ones(10), step=1.0)
-        panels = with_lai(panel_aggregate(series, 5.0), 5.0, 2.5)
+        panels = with_lai(panel_aggregate(series, 5.0), 2.5)
         assert all(p.lai is not None for p in panels)
+
+    @pytest.mark.parametrize("row_spacing", [float("nan"), float("inf"), 0.0, -2.5])
+    def test_bad_row_spacing_rejected(self, row_spacing):
+        panels = panel_aggregate(RowSeries(values=np.ones(10), step=1.0), 5.0)
+        with pytest.raises(ReportError, match="row_spacing must be positive and finite"):
+            with_lai(panels, row_spacing)
 
     def test_empty_series(self):
         assert panel_aggregate(RowSeries(values=np.zeros(0), step=0.1), 7.0) == []
@@ -175,14 +184,17 @@ class TestCsvOutputs:
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0] == "y_m,density_m2_per_m"
         assert lines[1].startswith("0.25,")
+        back = load_series_csv(tmp_path / "s.csv")
+        np.testing.assert_array_equal(back.values, [1.0, 2.0])
+        assert back.step == 0.5
 
     def test_panels_csv_with_lai(self, tmp_path):
         series = RowSeries(values=np.ones(10), step=1.0)
-        panels = with_lai(panel_aggregate(series, 5.0), 5.0, 2.5)
+        panels = with_lai(panel_aggregate(series, 5.0), 2.5)
         export_panels_csv(panels, tmp_path / "p.csv", row_index=2)
         lines = (tmp_path / "p.csv").read_text().splitlines()
         assert lines[0] == "row,panel,mean_density,lai"
-        assert lines[1].startswith("2,0,1,")
+        assert lines[1] == "2,0,1,0.4"
 
     def test_comparison_csv_has_trend(self, tmp_path):
         export_comparison_csv([0, 1, 2], [1.0, 2.0, 3.0], [1.1, 2.0, 2.9],
