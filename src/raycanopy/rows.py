@@ -95,19 +95,6 @@ def straightness_value(positions_2d: np.ndarray, i: int, j: int) -> float:
     return l * l / w
 
 
-def row_direction_exhaustive(traj: Trajectory) -> tuple[np.ndarray, float]:
-    """O(N^2) search over all (i, j); the oracle for the greedy scan."""
-    pos2 = traj.positions[:, :2]
-    n = len(pos2)
-    best_v, best = -1.0, (0, n - 1)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            v = straightness_value(pos2, i, j)
-            if v > best_v:
-                best_v, best = v, (i, j)
-    return _chord_direction(pos2, *best), best_v
-
-
 def row_direction(traj: Trajectory) -> np.ndarray:
     """Estimate the row axis as the direction of the straightest long trajectory run.
 

@@ -4,18 +4,23 @@ Each voxel records three numbers, the sufficient statistics of the
 censored-exponential density estimator: the entering-ray count n, the
 contact count m and the summed penetration depths sum_x. Voxel intervals
 are half-open: a point exactly on a face belongs to the voxel with the
-larger index. One batched Amanatides & Woo walk (`_walk`) serves both
-`accumulate` and the one-ray `traverse`.
+larger index, and a ray lying in an upper face of the grid misses it. One
+batched Amanatides & Woo walk (`_walk`) serves both `accumulate` and the
+one-ray `traverse`. It keeps each ray's state as one 1D array per axis and
+the linear voxel index, stepped by stride, and filters every state array
+down to the rays still walking after each step.
 
 A row's statistics stay dense from the walk to the file: `accumulate`
 reduces the walk to one VoxelStats of arrays of the grid's shape, and
 `save_stats` writes those arrays, the raw measurement, as three planes.
 Pooling undersampled voxels belongs to the estimator: the density stage
 reads the planes back with `load_stats` and runs `expand_undersampled` on
-them before it estimates. These three return a read-only `StatsView`
-mapping over their arrays, in the per-voxel form the tests and the
-benchmark's count hooks read: a voxel's scalar VoxelStats is built only
-when something looks it up, so the pipeline itself builds none.
+them before it estimates; its window sums read the raveled prefix-sum
+arrays at flat corner offsets, 32-bit while those arrays have fewer than
+2^31 entries. These three return a read-only `StatsView` mapping over
+their arrays, in the per-voxel form the tests and the benchmark's count
+hooks read: a voxel's scalar VoxelStats is built only when something looks
+it up, so the pipeline itself builds none.
 
 Both binary grid files, `.rcvs` here and `.rcdf` in `density`, start with
 a magic and one `<3id3di` grid header (dims, voxel width, origin, row
@@ -170,8 +175,8 @@ def _clip_to_grid(origins: np.ndarray, deltas: np.ndarray, grid: VoxelGrid):
         t_hi = (grid.upper - origins) * inv
     t_near = np.where(deltas != 0, np.minimum(t_lo, t_hi), -np.inf)
     t_far = np.where(deltas != 0, np.maximum(t_lo, t_hi), np.inf)
-    # zero-direction axes hit nothing if the origin lies outside the slab
-    outside = (deltas == 0) & ((origins < grid.origin) | (origins > grid.upper))
+    # zero-direction axes hit nothing if the origin lies outside the half-open slab
+    outside = (deltas == 0) & ((origins < grid.origin) | (origins >= grid.upper))
     t_near = np.where(outside, np.inf, t_near)
     t0 = np.maximum(t_near.max(axis=1), 0.0)
     t1 = np.minimum(t_far.min(axis=1), 1.0)
@@ -184,50 +189,56 @@ def _walk(origins: np.ndarray, deltas: np.ndarray, grid: VoxelGrid):
 
     Returns, per record (a voxel a ray crosses for longer than _EPS), the ray
     id, linear voxel index, entry t and exit t (capped at the ray's end), each
-    ray's records in walk order. All axes tied at an exit advance together,
-    so an edge or corner crossing gives no zero-length record.
+    ray's records in walk order and each step's records in ray order. All axes
+    tied at an exit advance together, so an edge or corner crossing gives no
+    zero-length record.
+
+    The state of the rays still walking is one 1D array per axis for t_max,
+    t_delta, voxel index and step, plus the linear voxel index, which moves by
+    step × stride along with each axis. After each step every state array is
+    filtered down to the rays that go on, so a step costs only those rays.
     """
-    dims = np.asarray(grid.dims)
     w = grid.voxel_width
     t0, t_end = _clip_to_grid(origins, deltas, grid)
     ids = np.nonzero(t_end - t0 > _EPS)[0]
     o = origins[ids]
     d = deltas[ids]
-    t = t0[ids].copy()
+    t = t0[ids]
     tend = t_end[ids]
 
     p0 = o + t[:, None] * d
     ijk = np.floor((p0 - grid.origin) / w).astype(np.int64)
-    np.clip(ijk, 0, dims - 1, out=ijk)
+    np.clip(ijk, 0, np.asarray(grid.dims) - 1, out=ijk)
     step = np.sign(d).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_delta = np.where(d != 0, np.abs(w / d), np.inf)
         next_bound = grid.origin + (ijk + (step > 0)) * w
         t_max = np.where(d != 0, (next_bound - o) / d, np.inf)
+    lin = np.ravel_multi_index(ijk.T, grid.dims)
+    _, d1, d2 = grid.dims
+    # per axis: t_max, t_delta, voxel index, step and step × stride
+    axes = [[a[:, k].copy() for a in (t_max, t_delta, ijk, step)] + [step[:, k] * stride]
+            for k, stride in enumerate((d1 * d2, d2, 1))]
 
     empty = np.zeros(0, dtype=np.int64)
     records = [(empty, empty, empty.astype(float), empty.astype(float))]
-
-    alive = np.ones(len(ids), dtype=bool)
-    while np.any(alive):
-        a = np.nonzero(alive)[0]
-        t_exit = t_max[a].min(axis=1)
-        t_emit = np.minimum(t_exit, tend[a])
-        emit = t_emit - t[a] > _EPS
+    while len(ids):
+        t_exit = np.minimum(np.minimum(axes[0][0], axes[1][0]), axes[2][0])
+        t_emit = np.minimum(t_exit, tend)
+        emit = t_emit - t > _EPS
         if np.any(emit):
-            e = a[emit]
-            records.append((ids[e], np.ravel_multi_index(ijk[e].T, grid.dims),
-                            t[e], t_emit[emit]))
-        done = t_exit >= tend[a]
-        adv = a[~done]
-        if len(adv):
-            tied = t_max[adv] == t_max[adv].min(axis=1, keepdims=True)
-            ijk[adv] += np.where(tied, step[adv], 0)
-            t_max[adv] += np.where(tied, t_delta[adv], 0.0)
-            t[adv] = t_exit[~done]
-            inside = np.all((ijk[adv] >= 0) & (ijk[adv] < dims), axis=1)
-            alive[adv[~inside]] = False
-        alive[a[done]] = False
+            records.append((ids[emit], lin[emit], t[emit], t_emit[emit]))
+        go = t_exit < tend
+        for (tm, td, ix, st, lin_step), dim in zip(axes, grid.dims):
+            tied = tm == t_exit
+            tm += np.where(tied, td, 0.0)
+            ix += np.where(tied, st, 0)
+            lin += np.where(tied, lin_step, 0)
+            go &= ix.view(np.uint64) < dim   # an index of -1 reads as 2^64 - 1
+        t = t_exit
+        if not np.all(go):
+            ids, lin, t, tend = ids[go], lin[go], t[go], tend[go]
+            axes = [[a[go] for a in axis] for axis in axes]
     return tuple(map(np.concatenate, zip(*records)))
 
 
@@ -281,15 +292,37 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> StatsView:
     return StatsView(VoxelStats(n, m, sum_x.reshape(grid.dims)), n > 0)
 
 
-def _window_sums(prefix: np.ndarray, radius, dims, ijk) -> np.ndarray:
-    """Sum over the cube of Chebyshev radius `radius` around each voxel of
-    `ijk` (three index arrays), clamped to the grid, from an inclusive 3D
-    prefix-sum array. `radius` is a scalar or one radius per voxel."""
-    L0, L1, L2 = (np.clip(ix - radius, 0, d - 1) for ix, d in zip(ijk, dims))
-    H0, H1, H2 = (np.clip(ix + radius, 0, d - 1) + 1 for ix, d in zip(ijk, dims))
-    return (prefix[H0, H1, H2] - prefix[L0, H1, H2] - prefix[H0, L1, H2]
-            - prefix[H0, H1, L2] + prefix[L0, L1, H2] + prefix[L0, H1, L2]
-            + prefix[H0, L1, L2] - prefix[L0, L1, L2])
+def _index_dtype(count: int) -> type:
+    """The integer type of flat offsets into an array of `count` entries: 32-bit
+    while every offset fits, which halves the offsets' memory."""
+    return np.int32 if count < 2**31 else np.int64
+
+
+def _corners(ijk, radius, dims, strides) -> tuple:
+    """Flat offsets into a raveled inclusive 3D prefix-sum array (`strides` per
+    axis) of the eight corners of the cube of Chebyshev radius `radius` around
+    each voxel of `ijk` (three index arrays), clamped to the grid. `radius` is
+    a scalar or one radius per voxel. Returns them in `_window_sums`' order."""
+    # ix - radius <= d - 1 and ix + radius >= 0, so each clamp has one side
+    l0, l1, l2 = (np.maximum(ix - radius, 0) * s for ix, s in zip(ijk, strides))
+    h0, h1, h2 = ((np.minimum(ix + radius, d - 1) + 1) * s
+                  for ix, d, s in zip(ijk, dims, strides))
+    hh, lh, hl, ll = h0 + h1, l0 + h1, h0 + l1, l0 + l1
+    return hh + h2, lh + h2, hl + h2, hh + l2, ll + h2, lh + l2, hl + l2, ll + l2
+
+
+def _window_sums(prefix: np.ndarray, corners) -> np.ndarray:
+    """Window sums from the raveled prefix-sum array `prefix` at the `corners`
+    of `_corners`, by inclusion-exclusion, added left to right."""
+    hhh, lhh, hlh, hhl, llh, lhl, hll, lll = corners
+    s = prefix.take(hhh) - prefix.take(lhh)
+    s -= prefix.take(hlh)
+    s -= prefix.take(hhl)
+    s += prefix.take(llh)
+    s += prefix.take(lhl)
+    s += prefix.take(hll)
+    s -= prefix.take(lll)
+    return s
 
 
 def expand_undersampled(stats: StatsView, grid: VoxelGrid,
@@ -303,7 +336,9 @@ def expand_undersampled(stats: StatsView, grid: VoxelGrid,
     canopy borrow from their surroundings; voxels with n = 0 after
     exhausting the grid stay empty (unobserved). The search uses prefix sums
     (int64 for the counts) and, at each radius, evaluates only the voxels
-    still short of n_min.
+    still short of n_min. Windows are read from the raveled prefix arrays at
+    flat corner offsets, 32-bit while the prefix arrays have fewer than 2^31
+    entries; the last pass reads all three planes at one set of corners.
 
     Returns new grid-shaped planes as a StatsView keyed by every voxel of
     the grid in C order; a voxel with n >= n_min is served as the caller's
@@ -315,24 +350,35 @@ def expand_undersampled(stats: StatsView, grid: VoxelGrid,
     if dense.n.shape != dims:
         raise VoxelGridError(f"statistics of shape {dense.n.shape} do not fit grid {dims}")
     planes = (dense.n, dense.m, dense.sum_x)
-    prefixes = [np.pad(f, (1, 0)).cumsum(0).cumsum(1).cumsum(2) for f in planes]
+    prefixes = []
+    for f in planes:
+        p = np.pad(f, (1, 0))
+        for axis in range(3):   # in place: one grid-sized array per plane at a time
+            np.cumsum(p, axis, out=p)
+        prefixes.append(p.reshape(-1))
+    _, d1, d2 = dims
+    strides = ((d1 + 1) * (d2 + 1), d2 + 1, 1)
+    index = _index_dtype(prefixes[0].size)
 
     own = dense.n >= n_min
     max_radius = max(dims) - 1
+    short = np.flatnonzero(~own)
+    ijk = [a.astype(index) for a in np.unravel_index(short, dims)]
     # whole grid, unless a smaller cube reaches n_min
-    radius = np.full(dims, max_radius, dtype=np.int64)
-    pending = np.flatnonzero(~own)
+    radius = np.full(len(short), max_radius, dtype=index)
+    pending, at = np.arange(len(short)), ijk
     for r in range(1, max_radius):
         if len(pending) == 0:
             break
-        enough = _window_sums(prefixes[0], r, dims, np.unravel_index(pending, dims)) >= n_min
-        radius.flat[pending[enough]] = r
+        enough = _window_sums(prefixes[0], _corners(at, r, dims, strides)) >= n_min
+        radius[pending[enough]] = r
         pending = pending[~enough]
+        at = [a[~enough] for a in at]
 
-    short = np.nonzero(~own)
+    corners = _corners(ijk, radius, dims, strides)
     merged = [f.copy() for f in planes]
     for f, p in zip(merged, prefixes):
-        f[short] = _window_sums(p, radius[short], dims, short)
+        f.put(short, _window_sums(p, corners))
     # n == 0 even over the whole grid: unobserved, all three fields zero
     unobserved = merged[0] == 0
     for f in merged[1:]:

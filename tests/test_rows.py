@@ -5,7 +5,7 @@ import pytest
 
 from raycanopy.raycloud import RayCloud
 from raycanopy.rows import (MIN_STEP, RowSegment, RowSegmentationError, Trajectory,
-                            row_direction, row_direction_exhaustive, split_rows,
+                            _chord_direction, row_direction, split_rows,
                             straightness_value, to_row_coordinates)
 
 from conftest import make_cloud
@@ -32,6 +32,19 @@ def _boustrophedon(rng, lanes=(0.0, 3.0, 6.0), length=25.0, step=0.4, noise=0.03
                 yc = length if k % 2 == 0 else 0.0
                 pts.append([x + t * (lanes[k + 1] - x), yc + 0.8 * np.sin(np.pi * t)])
     return _traj(pts)
+
+
+def row_direction_exhaustive(traj: Trajectory) -> tuple[np.ndarray, float]:
+    """O(N^2) search over all (i, j); the oracle for the greedy scan."""
+    pos2 = traj.positions[:, :2]
+    n = len(pos2)
+    best_v, best = -1.0, (0, n - 1)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            v = straightness_value(pos2, i, j)
+            if v > best_v:
+                best_v, best = v, (i, j)
+    return _chord_direction(pos2, *best), best_v
 
 
 def _angle(u, v):

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raycanopy.raycloud import Ray
-from raycanopy.voxels import (StatsView, VoxelGrid, VoxelGridError, VoxelStats, accumulate,
-                              build_grid, expand_undersampled, load_stats, save_stats,
-                              traverse)
+from raycanopy.voxels import (_EPS, StatsView, VoxelGrid, VoxelGridError, VoxelStats,
+                              _clip_to_grid, _index_dtype, _walk, accumulate, build_grid,
+                              expand_undersampled, load_stats, save_stats, traverse)
 
 from conftest import make_cloud
 
@@ -104,6 +104,12 @@ class TestBuildGrid:
             build_grid(cloud, voxel_width=width)
 
 
+# rays of a 2x2x2 grid of 1 m voxels lying in one of its upper faces
+_UPPER_FACE_RAYS = [((2.0, -1.0, 0.5), (2.0, 3.0, 0.5)),
+                    ((0.5, 2.0, -1.0), (0.5, 2.0, 3.0)),
+                    ((-1.0, 0.5, 2.0), (3.0, 0.5, 2.0))]
+
+
 class TestTraverse:
     def test_axis_aligned_through_centres(self):
         grid = _grid(w=1.0, dims=(5, 1, 1))
@@ -141,6 +147,22 @@ class TestTraverse:
         for (_, t0, t1), (_, e0, e1) in zip(out, expect):
             assert t0 == pytest.approx(e0, abs=1e-12) and t1 == pytest.approx(e1, abs=1e-12)
             assert t1 - t0 > 0.1   # no zero-length record at a corner
+
+    @pytest.mark.parametrize("origin, end", _UPPER_FACE_RAYS)
+    def test_ray_in_an_upper_face_is_outside(self, origin, end):
+        # the grid is half-open: the plane x = upper (or y, or z) is outside it
+        out = traverse(Ray(np.array(origin), np.array(end), 0.0, True), _grid(dims=(2, 2, 2)))
+        assert out == []
+
+    @pytest.mark.parametrize("origin, end", _UPPER_FACE_RAYS)
+    def test_ray_in_a_lower_face_is_inside(self, origin, end):
+        # the same ray moved to the lower face lies in the first voxels' layer
+        axis = next(a for a in range(3) if origin[a] == end[a] == 2.0)
+        origin, end = np.array(origin), np.array(end)
+        origin[axis] = end[axis] = 0.0
+        out = traverse(Ray(origin, end, 0.0, True), _grid(dims=(2, 2, 2)))
+        assert [v[axis] for v, _, _ in out] == [0, 0]
+        assert [(t0, t1) for _, t0, t1 in out] == [(0.25, 0.5), (0.5, 0.75)]
 
     def test_miss_returns_empty(self):
         grid = _grid()
@@ -188,7 +210,7 @@ def _clip_length(o, e, lo, hi):
         t2s = np.where(d != 0, (hi - o) / d, np.inf)
     tmin = np.minimum(t1s, t2s)
     tmax = np.maximum(t1s, t2s)
-    outside = (d == 0) & ((o < lo) | (o > hi))
+    outside = (d == 0) & ((o < lo) | (o >= hi))
     t0 = max(np.where(outside, np.inf, tmin).max(), 0.0)
     t1 = min(tmax.min(), 1.0)
     return max(t1 - t0, 0.0) * np.linalg.norm(d)
@@ -254,6 +276,14 @@ class TestAccumulate:
         # np.bincount of no records gives int64 whatever its weights
         assert [a.dtype for a in (stats.dense.n, stats.dense.m, stats.dense.sum_x)] == \
             [np.int64, np.int64, np.float64]
+
+    def test_rays_in_upper_faces_give_no_voxels(self):
+        # contacts and pass-throughs lying in the planes x, y or z = upper
+        origins, ends = (np.array(a) for a in zip(*_UPPER_FACE_RAYS))
+        mid = (origins + ends) / 2
+        cloud = make_cloud(np.vstack([origins, origins]), np.vstack([ends, mid]),
+                           contact=[False] * 3 + [True] * 3)
+        assert accumulate(cloud, _grid(dims=(2, 2, 2))) == {}
 
     def test_endpoints_outside_the_grid_give_no_contacts(self, rng):
         # contacts that cross the grid but end beyond every face
@@ -341,6 +371,92 @@ class TestAccumulate:
         assert pairwise_differs
 
 
+def _lattice_rays(rng, grid, n=240):
+    """Rays whose origins and endpoints are binary fractions on a lattice of
+    an eighth of a voxel around the grid, so that rays pass exactly through
+    faces, edges and corners. A quarter are lattice diagonals from voxel
+    corners, which tie two or three axes at every exit; a quarter lie in a
+    face plane (lower, inner or upper) with a zero direction component; a few
+    have zero length. Origins and endpoints lie inside and up to two voxels
+    beyond the grid."""
+    w, lo, dims = grid.voxel_width, grid.origin, np.asarray(grid.dims)
+    eighths = rng.integers(0, 8 * (dims + 4) + 1, (2, n, 3))
+    origins, ends = lo - 2 * w + eighths * (w / 8)
+    q = n // 4
+    corners = lo + rng.integers(-2, dims + 3, (q, 3)) * w
+    dirs = rng.choice([-1, 0, 1], (q, 3)) * rng.integers(1, 9, (q, 1)) * (w / 2)
+    dirs[np.all(dirs == 0, axis=1)] = w / 2
+    origins[:q], ends[:q] = corners, corners + dirs
+    axis = rng.integers(0, 3, q)
+    face = lo[axis] + rng.integers(0, dims[axis] + 1) * w
+    rows = np.arange(q, 2 * q)
+    origins[rows, axis] = ends[rows, axis] = face
+    ends[-3:] = origins[-3:]
+    return origins, ends
+
+
+class TestWalk:
+    @pytest.mark.parametrize("seed", range(48))
+    def test_records_match_the_reference_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = _grid(origin=rng.integers(-8, 9, 3) / 4, w=float(rng.choice([0.25, 0.5, 1.0])),
+                     dims=tuple(int(d) for d in rng.integers(1, 7, 3)))
+        origins, ends = _lattice_rays(rng, grid)
+        got = _walk(origins, ends - origins, grid)
+        want = _walk_reference(origins, ends - origins, grid)
+        assert len(want[0]) > 0
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))   # bit for bit
+
+
+def _walk_reference(origins, deltas, grid):
+    """The loop that _walk replaced: every ray's state, as (rays, 3) arrays,
+    for the whole loop, gathered through np.nonzero(alive) at each step."""
+    dims = np.asarray(grid.dims)
+    w = grid.voxel_width
+    t0, t_end = _clip_to_grid(origins, deltas, grid)
+    ids = np.nonzero(t_end - t0 > _EPS)[0]
+    o = origins[ids]
+    d = deltas[ids]
+    t = t0[ids].copy()
+    tend = t_end[ids]
+
+    p0 = o + t[:, None] * d
+    ijk = np.floor((p0 - grid.origin) / w).astype(np.int64)
+    np.clip(ijk, 0, dims - 1, out=ijk)
+    step = np.sign(d).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_delta = np.where(d != 0, np.abs(w / d), np.inf)
+        next_bound = grid.origin + (ijk + (step > 0)) * w
+        t_max = np.where(d != 0, (next_bound - o) / d, np.inf)
+
+    empty = np.zeros(0, dtype=np.int64)
+    records = [(empty, empty, empty.astype(float), empty.astype(float))]
+
+    alive = np.ones(len(ids), dtype=bool)
+    while np.any(alive):
+        a = np.nonzero(alive)[0]
+        t_exit = t_max[a].min(axis=1)
+        t_emit = np.minimum(t_exit, tend[a])
+        emit = t_emit - t[a] > _EPS
+        if np.any(emit):
+            e = a[emit]
+            records.append((ids[e], np.ravel_multi_index(ijk[e].T, grid.dims),
+                            t[e], t_emit[emit]))
+        done = t_exit >= tend[a]
+        adv = a[~done]
+        if len(adv):
+            tied = t_max[adv] == t_max[adv].min(axis=1, keepdims=True)
+            ijk[adv] += np.where(tied, step[adv], 0)
+            t_max[adv] += np.where(tied, t_delta[adv], 0.0)
+            t[adv] = t_exit[~done]
+            inside = np.all((ijk[adv] >= 0) & (ijk[adv] < dims), axis=1)
+            alive[adv[~inside]] = False
+        alive[a[done]] = False
+    return tuple(map(np.concatenate, zip(*records)))
+
+
 class TestExpand:
     def test_well_sampled_voxel_unchanged(self):
         grid = _grid(dims=(3, 3, 3))
@@ -406,7 +522,8 @@ class TestExpand:
 
     @pytest.mark.parametrize("n_min", [1, 5, 10, 50])
     def test_matches_per_voxel_reference(self, rng, n_min):
-        for dims, fill in (((7, 5, 6), 0.3), ((9, 4, 3), 0.05), ((2, 6, 1), 0.5)):
+        for dims, fill in (((7, 5, 6), 0.3), ((9, 4, 3), 0.05), ((2, 6, 1), 0.5),
+                           ((2, 31, 3), 0.03)):
             stats = {}
             for key in np.ndindex(*dims):
                 if rng.random() < fill:
@@ -415,6 +532,19 @@ class TestExpand:
                     stats[key] = VoxelStats(n=n, m=int(rng.integers(0, n + 1)),
                                             sum_x=float(x.sum()))
             _assert_same_expansion(stats, _grid(dims=dims), n_min)
+            # n_min above the grid's total n: every short voxel pools the whole grid
+            total = sum(s.n for s in stats.values())
+            _assert_same_expansion(stats, _grid(dims=dims), total + n_min)
+        # one long axis with rays at one end only: the far end reaches n_min at the
+        # last radius the search tries, max_radius - 1, short of the whole grid
+        stats = {(0, 0, 0): VoxelStats(n=1, m=0, sum_x=0.25),
+                 (0, 1, 0): VoxelStats(n=n_min, m=1, sum_x=0.375)}
+        out = _assert_same_expansion(stats, _grid(dims=(1, 24, 2)), n_min)
+        assert out[(0, 23, 0)].n == out[(0, 23, 1)].n == n_min
+
+    def test_offsets_are_32_bit_below_2_31_prefix_entries(self):
+        assert _index_dtype(2**31 - 1) is np.int32
+        assert _index_dtype(2**31) is np.int64
 
     @pytest.mark.parametrize("n", [0, 3, 12])
     def test_single_voxel_grid(self, n):
