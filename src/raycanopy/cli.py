@@ -84,6 +84,7 @@ def _cmd_run(args) -> int:
 
 
 def _write_table(path, col_names, row_names, table) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write("," + ",".join(str(c) for c in col_names) + "\n")
         for name, row in zip(row_names, np.atleast_2d(table)):
@@ -93,11 +94,8 @@ def _write_table(path, col_names, row_names, table) -> None:
 def _cmd_simulate(args) -> int:
     kw = {"seed": args.seed}
     if args.trials is not None:   # otherwise each experiment's own default
-        if args.trials < 1:
-            raise simulate_mod.SimulationError("--trials must be at least 1")
         kw["trials"] = args.trials
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.output_dir)   # made by the first table written, after its experiment ran
     if args.experiment == "turbid-bias":
         lam = [0.1, 0.2, 0.5, 1.0, 2.0, 3.0]
         ns = [2, 4, 8, 16, 32]

@@ -8,6 +8,9 @@ anisotropic leaf-normal ellipsoids, all estimated with `density.estimate`.
 The triangular-leaf experiments are flattened across trials: all scenes of a
 cell are generated as one triangle array (`_leaf_scenes`), and ray/leaf
 intersection runs over a single (ray, triangle) pair list (`_first_hits`).
+Most pairs cannot hit, so `_first_hits` runs Möller–Trumbore only on the
+pairs whose ray passes through the leaf's padded centroid ball or runs
+nearly parallel to the leaf; culling changes no output bit.
 `clipped_area` clips that array plane by plane, each plane working only on
 the polygons with a vertex outside it, so leaves wholly inside the voxel
 are never clipped.
@@ -35,6 +38,22 @@ VOXEL_WIDTH = 0.1   # m, side of the simulated voxel in every triangular-leaf ex
 ERROR_SURFACE_SIDES = np.linspace(0.025, 0.10, 7)
 ERROR_SURFACE_AREAS = np.linspace(0.001, 0.031, 7)
 TRAWL_LEAF = (0.06, 0.02)   # Table 1 leaves: (side length l [m], total leaf area A [m^2])
+
+# `_first_hits` culls a ray/leaf pair when the ray's line passes farther than
+# r·(1 + CULL_REL_MARGIN) + CULL_ABS_MARGIN from the leaf's centroid, r being
+# the radius of the centroid-centred ball that holds the leaf. The exact
+# line/plane intersection then lies at least that padding outside the leaf,
+# so the exact u, v fail. Möller's det is d·(e2 × e1), which shrinks with
+# |n̂·d̂|, so its rounding moves the tested point by about
+# 10·2^-53·(|s| + l)/|n̂·d̂| (s = start − v0, l ≤ 2r the longest edge). Pairs
+# with |n̂·d̂| ≤ CULL_PARALLEL are always tested; for the rest that error is at
+# most 1.1e-9·(|s| + l). The relative margin covers the l part 200 times over,
+# and the absolute one covers |s| up to about 90 m, 900 voxel widths. The
+# cull's own distance has a rounding error near 1e-16 m² at these scales, far
+# below the padding (at least 2·CULL_REL_MARGIN·r²).
+CULL_REL_MARGIN = 1e-6
+CULL_ABS_MARGIN = 1e-7      # m
+CULL_PARALLEL = 1e-6        # |n̂·d̂| at or below which a pair is always tested
 
 
 class SimulationError(ValueError):
@@ -96,11 +115,24 @@ def _turbid_estimates(m: np.ndarray, x: np.ndarray, estimator: str) -> np.ndarra
     return estimate(n, m, sum_x, 1.0, "mean" if debiased else "mode", debias=debiased)
 
 
+def _check_counts(trials: int, n_name: str, n_values) -> None:
+    """Every experiment needs two trials for a standard error and two rays
+    per voxel for an estimate: the raw bias reference 1/(n-1) and the
+    debias factor (n-1)/n both fail at n = 1."""
+    if not trials >= 2:
+        raise SimulationError(f"trials must be at least 2, got {trials}")
+    small = [n for n in np.ravel(n_values).tolist() if not n >= 2]
+    if small:
+        got = small if np.ndim(n_values) else small[0]
+        raise SimulationError(f"{n_name} must be at least 2, got {got}")
+
+
 def bias_curves(lambda_grid, n_grid, trials: int = 100_000, estimator: str = "debiased",
                 y: float = 1.0, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Mean normalised error (est - lam)/lam per (lambda, n) cell, with its
     standard error. `y = inf` disables censoring (for the unbiased estimator).
     """
+    _check_counts(trials, "n_grid", n_grid)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     n_grid = np.asarray(n_grid, dtype=int)
     err = np.zeros((len(lambda_grid), len(n_grid)))
@@ -216,13 +248,10 @@ def _rays_uniform_chords(count: int, w: float, rng) -> tuple[np.ndarray, np.ndar
         uv = rng.uniform(0.0, w, size=(k, 2))
         pts = np.empty((k, 3))
         axis = face // 2
-        side = (face % 2).astype(float) * w
-        for a in range(3):
-            sel = axis == a
-            others = [b for b in range(3) if b != a]
-            pts[sel, a] = side[sel]
-            pts[sel, others[0]] = uv[sel, 0]
-            pts[sel, others[1]] = uv[sel, 1]
+        rows = np.arange(k)
+        pts[rows, axis] = (face % 2).astype(float) * w
+        pts[rows, (axis == 0).astype(np.int64)] = uv[:, 0]   # the lower other axis
+        pts[rows, 2 - (axis == 2)] = uv[:, 1]                # the upper other axis
         return pts, face
 
     p1, f1 = surface_points(count)
@@ -313,6 +342,27 @@ def _leaf_scenes(w: float, side: float, area: float, trials: int,
     return tris, counts, rho
 
 
+def _leaf_bounds(tris: np.ndarray) -> np.ndarray:
+    """The cull's per-leaf rows: centroid (3), unit normal (3) and the squared
+    padded radius of the centroid-centred ball that holds the leaf. A
+    degenerate leaf has no normal; its radius is infinite, so that every
+    pair with it is tested.
+    """
+    v = tris.transpose(1, 2, 0)                  # (vertex, axis, leaf)
+    rows = np.empty((7, len(tris)))
+    centre, normal = rows[:3], rows[3:6]
+    np.add(v[0] + v[1], v[2], out=centre)
+    centre /= 3.0
+    normal[:] = np.cross(v[1] - v[0], v[2] - v[0], axis=0)
+    norm = np.linalg.norm(normal, axis=0)
+    flat = ~(norm > 0.0)
+    normal /= np.where(flat, 1.0, norm)
+    off = v - centre
+    radius = np.sqrt(np.einsum("ijk,ijk->ik", off, off).max(axis=0))
+    rows[6] = np.where(flat, np.inf, (radius * (1.0 + CULL_REL_MARGIN) + CULL_ABS_MARGIN) ** 2)
+    return rows
+
+
 def _first_hits(starts: np.ndarray, dirs: np.ndarray, chord: np.ndarray,
                 tris: np.ndarray, counts: np.ndarray, trial_of_ray: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -321,22 +371,45 @@ def _first_hits(starts: np.ndarray, dirs: np.ndarray, chord: np.ndarray,
     Ray i is tested against the counts[trial_of_ray[i]] triangles of its
     trial's block of `tris`. Returns (hit mask, penetration depth x): x is the
     distance to the nearest hit inside the voxel, or the chord if none.
+
+    Only pairs that can hit reach `_moller`: a pair is culled when the ray's
+    line misses the leaf's centroid ball padded by CULL_REL_MARGIN and
+    CULL_ABS_MARGIN, unless the ray is within CULL_PARALLEL of the leaf's
+    plane, where Möller's u and v lose precision (the constants' comment
+    bounds the error). Kept pairs get the same arithmetic on the same values,
+    and the nearest hit is a minimum over the valid ones, so every output
+    bit is as without the cull.
     """
     n_rays = len(starts)
     if not len(tris):
         return np.zeros(n_rays, dtype=bool), chord.copy()
     pairs_per_ray = counts[trial_of_ray]
     ray_idx = np.repeat(np.arange(n_rays), pairs_per_ray)
-    tri_start = np.concatenate([[0], np.cumsum(counts)])[:-1]
     # triangle ids of each pair: offsets within the ray's trial block
-    offs = np.arange(pairs_per_ray.sum()) - np.repeat(
-        np.concatenate([[0], np.cumsum(pairs_per_ray)])[:-1], pairs_per_ray)
-    tri_idx = tri_start[trial_of_ray[ray_idx]] + offs
-    hit, t = _moller(starts[ray_idx], dirs[ray_idx],
-                     tris[tri_idx, 0], tris[tri_idx, 1], tris[tri_idx, 2])
-    valid = hit & (t >= 0.0) & (t <= chord[ray_idx])
+    first_pair = np.cumsum(pairs_per_ray) - pairs_per_ray
+    first_tri = np.cumsum(counts) - counts
+    tri_idx = np.arange(len(ray_idx)) - np.repeat(first_pair - first_tri[trial_of_ray],
+                                                  pairs_per_ray)
+
+    # the cull works on one row per coordinate; np.take gathers rows fastest
+    ray = np.empty((6, n_rays))
+    ray[:3] = starts.T
+    ray[3:] = dirs.T / np.linalg.norm(dirs, axis=1)
+    leaf = np.take(_leaf_bounds(tris), tri_idx, axis=1)
+    ray = np.repeat(ray, pairs_per_ray, axis=1)
+    w = leaf[:3] - ray[:3]                       # centroid - start
+    wd = np.einsum("ij,ij->j", w, ray[3:])
+    nd = np.einsum("ij,ij->j", leaf[3:6], ray[3:])
+    near = np.einsum("ij,ij->j", w, w) - wd * wd <= leaf[6]
+    keep = np.flatnonzero(near | (nd * nd <= CULL_PARALLEL ** 2))
+    ray_idx, tri_idx = ray_idx[keep], tri_idx[keep]
+
+    v = np.take(tris, tri_idx, axis=0)
+    hit, t = _moller(np.take(starts, ray_idx, axis=0), np.take(dirs, ray_idx, axis=0),
+                     v[:, 0], v[:, 1], v[:, 2])
+    valid = np.flatnonzero(hit & (t >= 0.0) & (t <= chord[ray_idx]))
     t_near = np.full(n_rays, np.inf)
-    np.minimum.at(t_near, ray_idx, np.where(valid, t, np.inf))
+    np.minimum.at(t_near, ray_idx[valid], t[valid])
     hit_mask = t_near < chord
     return hit_mask, np.where(hit_mask, t_near, chord)
 
@@ -358,56 +431,71 @@ def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
     return estimate(n, m, sum_x, DEFAULT_G, debias=debias), rho
 
 
-def _cell_errors(cells, shape, trials: int, seed: int, debias: bool = True) -> np.ndarray:
-    """Normalised error (mean estimate - mean truth) / mean truth per cell.
+def _cell_errors(cells, shape, trials: int, seed: int, debias: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised error (mean estimate - mean truth) / mean truth per cell, and
+    its Monte Carlo standard error.
 
     `cells` lists (side, area, n, ray kind, normals) in row-major order of
-    `shape`, run in that order on one generator. NaN where no leaf was realised.
+    `shape`, run in that order on one generator. The standard error is the
+    delta method's for a ratio of means: with q = mean estimate / mean truth,
+    SD(estimate - q * truth) / (sqrt(trials) * mean truth). Both are NaN
+    where no leaf was realised.
     """
     rng = make_rng(seed)
-    err = np.empty(len(cells))
+    err = np.full(len(cells), np.nan)
+    se = np.full(len(cells), np.nan)
     for i, (side, area, n, kind, normals) in enumerate(cells):
         est, rho = _simulate_cell(VOXEL_WIDTH, side, area, n, trials, kind, normals, rng,
                                   debias=debias)
         truth = rho.mean()
-        err[i] = (est.mean() - truth) / truth if truth else np.nan
-    return err.reshape(shape)
+        if truth:
+            err[i] = (est.mean() - truth) / truth
+            resid = est - est.mean() / truth * rho
+            se[i] = resid.std(ddof=1) / (np.sqrt(trials) * truth)
+    return err.reshape(shape), se.reshape(shape)
 
 
 def triangle_bias_experiment(configs=TRIANGLE_BIAS_CONFIGS, n_values=range(2, 15),
                              trials: int = 4000, seed: int = 0) -> dict:
     """Normalised error of the raw (undebiased) estimator per (config, n).
 
-    Returns {"configs", "n_values", "error" (configs x n), "reference"} where
-    reference is the expected bias curve 1/(n-1) the errors should track.
+    Returns {"configs", "n_values", "error" (configs x n), "se", "reference"}
+    where se is each cell's Monte Carlo standard error and reference is the
+    expected bias curve 1/(n-1) the errors should track.
     """
     n_values = list(n_values)
+    _check_counts(trials, "n_values", n_values)
     normals = NormalDistributionSpec()
     cells = [(side, area, int(n), "uniform-random", normals)
              for side, area in configs for n in n_values]
-    err = _cell_errors(cells, (len(configs), len(n_values)), trials, seed, debias=False)
+    err, se = _cell_errors(cells, (len(configs), len(n_values)), trials, seed, debias=False)
     reference = np.array([1.0 / (n - 1) for n in n_values])
     return {"configs": list(configs), "n_values": n_values,
-            "error": err, "reference": reference}
+            "error": err, "se": se, "reference": reference}
 
 
 def debiased_error_surface(n: int = 20, trials: int = 1600, seed: int = 0) -> dict:
-    """Normalised error surface of the debiased estimator over (l, A)."""
+    """Normalised error surface of the debiased estimator over (l, A), with
+    each cell's Monte Carlo standard error as "se"."""
+    _check_counts(trials, "n", n)
     normals = NormalDistributionSpec()
     cells = [(float(side), float(area), n, "uniform-random", normals)
              for side in ERROR_SURFACE_SIDES for area in ERROR_SURFACE_AREAS]
-    err = _cell_errors(cells, (len(ERROR_SURFACE_SIDES), len(ERROR_SURFACE_AREAS)),
-                       trials, seed)
+    err, se = _cell_errors(cells, (len(ERROR_SURFACE_SIDES), len(ERROR_SURFACE_AREAS)),
+                           trials, seed)
     return {"l_values": ERROR_SURFACE_SIDES.copy(), "a_values": ERROR_SURFACE_AREAS.copy(),
-            "error": err}
+            "error": err, "se": se}
 
 
 def trawl_vs_spin(normal_specs=TABLE1_NORMAL_SPECS, n: int = 50, trials: int = 400,
                   seed: int = 0) -> dict:
-    """Percentage density error per (leaf-normal ellipsoid, ray distribution)."""
+    """Percentage density error per (leaf-normal ellipsoid, ray distribution),
+    with each cell's Monte Carlo standard error in percent as "se"."""
+    _check_counts(trials, "n", n)
     kinds = ("trawling", "spinning")
     cells = [(*TRAWL_LEAF, n, kind, NormalDistributionSpec(tuple(float(e) for e in spec)))
              for spec in normal_specs for kind in kinds]
-    err = _cell_errors(cells, (len(normal_specs), len(kinds)), trials, seed)
+    err, se = _cell_errors(cells, (len(normal_specs), len(kinds)), trials, seed)
     return {"normal_specs": list(normal_specs),
-            "distributions": kinds, "error_percent": 100.0 * err}
+            "distributions": kinds, "error_percent": 100.0 * err, "se": 100.0 * se}

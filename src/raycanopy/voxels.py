@@ -242,16 +242,27 @@ def _walk(origins: np.ndarray, deltas: np.ndarray, grid: VoxelGrid):
     return tuple(map(np.concatenate, zip(*records)))
 
 
+def _reject_zero_length(lengths: np.ndarray) -> None:
+    # `_walk` gives a zero-length ray inside the grid a record spanning t 0 -> 1,
+    # which would count as a crossing (and a contact) with x = 0
+    zero = int(np.count_nonzero(lengths == 0.0))
+    if zero:
+        raise VoxelGridError(f"{zero} zero-length ray{'s' if zero > 1 else ''}: "
+                             "origin equals endpoint")
+
+
 def traverse(ray, grid: VoxelGrid) -> list[tuple[tuple[int, int, int], float, float]]:
     """One ray's walk through the grid: `_walk`, the walk `accumulate` runs,
     called on this ray alone.
 
     Returns ordered (voxel index, entry_param, exit_param) with parameters as
     fractions of the full ray and the exit capped at the ray's clipped end;
-    contiguous, and empty if the ray misses.
+    contiguous, and empty if the ray misses. A zero-length ray raises
+    VoxelGridError, as in `accumulate`.
     """
     origin = np.asarray(ray.origin, dtype=float)[None, :]
     delta = np.asarray(ray.endpoint, dtype=float) - origin
+    _reject_zero_length(np.linalg.norm(delta, axis=1))
     _, vox, t0, t1 = _walk(origin, delta, grid)
     keys = zip(*(a.tolist() for a in np.unravel_index(vox, grid.dims)))
     return list(zip(keys, t0.tolist(), t1.tolist()))
@@ -268,11 +279,13 @@ def accumulate(row_cloud: RayCloud, grid: VoxelGrid) -> StatsView:
     sum_x is a left-to-right sum from 0.0 over each voxel's records in walk
     order (by step, then by ray). Returns the grid-shaped planes (n and m
     int64, sum_x float64) as a StatsView whose keys are the voxels with
-    n > 0, in ascending linear voxel index.
+    n > 0, in ascending linear voxel index. Zero-length rays, which
+    `RayCloud.validate` also rejects, raise VoxelGridError naming how many.
     """
     origins = row_cloud.origins
     deltas = row_cloud.endpoints - origins
     lengths = np.linalg.norm(deltas, axis=1)
+    _reject_zero_length(lengths)
     ray_id, vox, ta, tb = _walk(origins, deltas, grid)
     x = (tb - ta) * lengths[ray_id]
     in_grid = np.all((row_cloud.endpoints >= grid.origin)

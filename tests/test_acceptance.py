@@ -46,9 +46,10 @@ def test_criterion_1_raw_bias_curve():
     deviations = np.abs(res["error"] - res["reference"][None, :])
     mask = n_values >= 3
     worst = float(deviations[:, mask].max())
+    worst_se = float(res["se"][:, mask].flat[np.argmax(deviations[:, mask])])
     ok = worst < 0.15 and elapsed < 120.0
     _report(1, "raw-estimator bias tracks 1/(n-1) for n>=3", ok,
-            f"max deviation {worst:.3f} (limit 0.15), {elapsed:.0f}s")
+            f"max deviation {worst:.3f} (limit 0.15, SE {worst_se:.3f}), {elapsed:.0f}s")
     assert elapsed < 120.0
     assert worst < 0.15, (
         f"worst |error - 1/(n-1)| = {worst:.3f} at "
@@ -108,8 +109,9 @@ def test_criterion_3_trawl_vs_spin_table():
     order_y = abs(table[1, 1]) < abs(table[1, 0])
     iso_ok = abs(table[3, 0]) < 10.0 and abs(table[3, 1]) < 10.0
     ok = cells_ok and order_x and order_y and iso_ok and elapsed < 60.0
+    worst_se = float(res["se"].flat[np.argmax(diff)])
     _report(3, "trawl vs spin error table", ok,
-            f"max cell gap {diff.max():.1f}pp (<=8), "
+            f"max cell gap {diff.max():.1f}pp (<=8, SE {worst_se:.1f}pp), "
             f"spin<trawl x:{order_x} y:{order_y}, iso<10%:{iso_ok}, {elapsed:.0f}s")
     assert elapsed < 60.0
     assert order_x and order_y, "spinning must beat trawling for x/y-aligned normals"

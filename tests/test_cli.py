@@ -84,7 +84,7 @@ def test_unknown_experiment_is_usage_error(tmp_path, capsys):
 
 
 def test_simulate_minimal_trials_writes_valid_csv(tmp_path):
-    assert main(["simulate", "triangle-bias", str(tmp_path), "--trials", "1",
+    assert main(["simulate", "triangle-bias", str(tmp_path), "--trials", "2",
                  "--seed", "4"]) == 0
     table = np.genfromtxt(tmp_path / "triangle_bias.csv", delimiter=",",
                           skip_header=1)
@@ -95,7 +95,14 @@ def test_simulate_minimal_trials_writes_valid_csv(tmp_path):
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_simulate_rejects_trials_below_one(tmp_path, capsys, trials):
     assert main(["simulate", "trawl-vs-spin", str(tmp_path / "out"), "--trials", trials]) == 1
-    assert "--trials must be at least 1" in capsys.readouterr().err
+    assert f"error: trials must be at least 2, got {trials}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_one_trial(tmp_path, capsys):
+    # one trial has no standard error: the turbid tables' SD would divide by zero
+    assert main(["simulate", "turbid-bias", str(tmp_path / "out"), "--trials", "1"]) == 1
+    assert "error: trials must be at least 2, got 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from raycanopy.density import DEFAULT_G, estimate
-from raycanopy.simulate import (SPIN_MAX_ANGLE_DEG, NormalDistributionSpec, SimulationError,
-                                _first_hits, _leaf_scenes, _rays_spinning, _rays_trawling,
-                                _rays_uniform_chords, _simulate_cell, bias_curves,
-                                clipped_area, make_rng, sample_turbid, trawl_vs_spin,
-                                triangle_bias_experiment)
+from raycanopy.simulate import (ERROR_SURFACE_SIDES, RAY_MODELS, SPIN_MAX_ANGLE_DEG,
+                                TABLE1_NORMAL_SPECS, TRIANGLE_AREA_FACTOR, VOXEL_WIDTH, NormalDistributionSpec,
+                                SimulationError, _first_hits, _leaf_bounds, _leaf_scenes,
+                                _moller, _rays_spinning, _rays_trawling, _rays_uniform_chords,
+                                _simulate_cell, bias_curves, clipped_area,
+                                debiased_error_surface, make_rng, sample_turbid,
+                                trawl_vs_spin, triangle_bias_experiment)
 
 
 class TestSampleTurbid:
@@ -225,6 +227,210 @@ class TestCastRays:
         assert hit.any()
 
 
+def _first_hits_reference(starts: np.ndarray, dirs: np.ndarray, chord: np.ndarray,
+                          tris: np.ndarray, counts: np.ndarray, trial_of_ray: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest leaf hit of each ray within its own trial's scene.
+
+    Ray i is tested against the counts[trial_of_ray[i]] triangles of its
+    trial's block of `tris`. Returns (hit mask, penetration depth x): x is the
+    distance to the nearest hit inside the voxel, or the chord if none.
+    """
+    n_rays = len(starts)
+    if not len(tris):
+        return np.zeros(n_rays, dtype=bool), chord.copy()
+    pairs_per_ray = counts[trial_of_ray]
+    ray_idx = np.repeat(np.arange(n_rays), pairs_per_ray)
+    tri_start = np.concatenate([[0], np.cumsum(counts)])[:-1]
+    # triangle ids of each pair: offsets within the ray's trial block
+    offs = np.arange(pairs_per_ray.sum()) - np.repeat(
+        np.concatenate([[0], np.cumsum(pairs_per_ray)])[:-1], pairs_per_ray)
+    tri_idx = tri_start[trial_of_ray[ray_idx]] + offs
+    hit, t = _moller(starts[ray_idx], dirs[ray_idx],
+                     tris[tri_idx, 0], tris[tri_idx, 1], tris[tri_idx, 2])
+    valid = hit & (t >= 0.0) & (t <= chord[ray_idx])
+    t_near = np.full(n_rays, np.inf)
+    np.minimum.at(t_near, ray_idx, np.where(valid, t, np.inf))
+    hit_mask = t_near < chord
+    return hit_mask, np.where(hit_mask, t_near, chord)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+# |n.d| of the nearly parallel rays: Moller's det passes its 1e-14 test down
+# to about 1e-12 for the largest leaves, and its u, v carry rounding errors
+# wider than the cull's padding below about 1e-9
+NEAR_PARALLEL = (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 5e-11, 3e-11, 2e-11, 1e-11, 3e-12, 1e-12,
+                 1e-13)
+
+
+def _adversarial_rays(tri, rng):
+    """(point on the ray, unit direction) pairs aimed at one leaf's edge
+    cases: through each vertex and edge midpoint, along each edge, in the
+    leaf's plane, tangent to its centroid ball (at and just beyond each
+    vertex), and nearly parallel to its plane, passing at and just outside
+    a vertex."""
+    c = tri.mean(axis=0)
+    n = _unit(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
+    aims = [(v, _unit(rng.normal(size=3))) for v in tri]
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        aims += [((tri[a] + tri[b]) / 2, _unit(rng.normal(size=3))),
+                 (tri[a], _unit(tri[b] - tri[a]))]
+    in_plane = _unit(np.cross(n, rng.normal(size=3)))
+    across = np.cross(n, in_plane)
+    r = max(np.linalg.norm(v - c) for v in tri)
+    aims += [(c + f * r * across, in_plane) for f in (0.0, 0.5, 1.0, 1.5)]
+    for v in tri:
+        out = _unit(v - c)
+        tangent = _unit(np.cross(out, rng.normal(size=3)))
+        aims += [(c + f * (v - c), tangent) for f in (1.0, 1 + 1e-9, 1 + 1e-7, 1 + 1e-6)]
+        side = np.cross(n, out)
+        for cos in NEAR_PARALLEL:
+            d = np.sqrt(1.0 - cos * cos) * side + cos * n
+            aims += [(v + off * out, d) for off in (0.0, 1e-7, 2e-7, 5e-7, 1e-6)]
+    return aims
+
+
+def _oracle_scene(seed):
+    """A seeded multi-trial scene of one ray model and leaf size, plus
+    adversarial rays at up to two leaves of each trial."""
+    rng = make_rng(seed)
+    kind = tuple(RAY_MODELS)[seed % 3]
+    side = float(ERROR_SURFACE_SIDES[seed % 7])
+    normals = NormalDistributionSpec(TABLE1_NORMAL_SPECS[seed % 4])
+    trials, n = 4, 12
+    area = (2.0, 6.0, 15.0)[seed % 3] * TRIANGLE_AREA_FACTOR * side ** 2   # leaves per trial
+    tris, counts, _ = _leaf_scenes(VOXEL_WIDTH, side, area, trials, normals, rng)
+    starts, dirs, chord = RAY_MODELS[kind](trials * n, VOXEL_WIDTH, rng)
+    trial_of_ray = np.repeat(np.arange(trials), n)
+    first = np.cumsum(counts) - counts
+    extra = []
+    for trial in range(trials):
+        for leaf in range(first[trial], first[trial] + min(counts[trial], 2)):
+            for point, d in _adversarial_rays(tris[leaf], rng):
+                d = d * rng.choice((-1.0, 1.0))
+                before = rng.uniform(0.0, 0.1)
+                extra.append((point - before * d, d, before + rng.choice((0.0, 0.05)), trial))
+    if extra:
+        s, d, c, t = (np.array(a) for a in zip(*extra))
+        starts, dirs = np.vstack([starts, s]), np.vstack([dirs, d])
+        chord, trial_of_ray = np.concatenate([chord, c]), np.concatenate([trial_of_ray, t])
+    return starts, dirs, chord, tris, counts, trial_of_ray
+
+
+def _rays_uniform_chords_reference(count: int, w: float, rng
+                                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random chords: endpoint pairs uniform on the voxel surface (distinct faces)."""
+    def surface_points(k):
+        face = rng.integers(0, 6, k)
+        uv = rng.uniform(0.0, w, size=(k, 2))
+        pts = np.empty((k, 3))
+        axis = face // 2
+        side = (face % 2).astype(float) * w
+        for a in range(3):
+            sel = axis == a
+            others = [b for b in range(3) if b != a]
+            pts[sel, a] = side[sel]
+            pts[sel, others[0]] = uv[sel, 0]
+            pts[sel, others[1]] = uv[sel, 1]
+        return pts, face
+
+    p1, f1 = surface_points(count)
+    p2, f2 = surface_points(count)
+    bad = f1 == f2
+    while np.any(bad):   # same-face chords lie on the surface; resample them
+        k = int(bad.sum())
+        p2[bad], f2[bad] = surface_points(k)
+        bad = f1 == f2
+    delta = p2 - p1
+    chord = np.linalg.norm(delta, axis=1)
+    dirs = delta / chord[:, None]
+    return p1, dirs, chord
+
+
+class _CountingRng:
+    def __init__(self, seed):
+        self.rng = make_rng(seed)
+        self.face_draws = 0
+
+    def integers(self, *args):
+        self.face_draws += 1
+        return self.rng.integers(*args)
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
+
+class TestCullOracle:
+    """`_first_hits` culls pairs before Moller-Trumbore; every bit must equal
+    the unculled reference's."""
+
+    @pytest.mark.parametrize("seed", range(42))
+    def test_matches_the_unculled_reference(self, seed):
+        args = _oracle_scene(seed)
+        hit, x = _first_hits(*args)
+        want_hit, want_x = _first_hits_reference(*args)
+        assert hit.tobytes() == want_hit.tobytes()
+        assert x.tobytes() == want_x.tobytes()
+        assert want_hit.any()
+
+    @pytest.mark.parametrize("side", [0.025, 0.1])
+    def test_near_parallel_hits_outside_the_ball_are_kept(self, side):
+        # Moller's rounding makes some nearly parallel rays that pass outside
+        # the padded ball hit; only the near-parallel rule keeps them. Each
+        # leaf is a trial of its own, met only by the rays aimed at it.
+        rng = make_rng(3)
+        tris, _, _ = _leaf_scenes(VOXEL_WIDTH, side, 0.05, 1, NormalDistributionSpec(), rng)
+        aims = [(*a, i) for i, tri in enumerate(tris) for a in _adversarial_rays(tri, rng)]
+        point, dirs, trial_of_ray = (np.array(a) for a in zip(*aims))
+        starts = point - 0.05 * dirs
+        args = (starts, dirs, np.full(len(starts), 0.2), tris, np.ones(len(tris), dtype=np.int64),
+                trial_of_ray)
+        hit, x = _first_hits(*args)
+        want_hit, want_x = _first_hits_reference(*args)
+        assert hit.tobytes() == want_hit.tobytes() and x.tobytes() == want_x.tobytes()
+
+        rows = _leaf_bounds(tris)[:, trial_of_ray]
+        w = rows[:3].T - starts
+        wd = np.einsum("ij,ij->i", w, dirs)
+        outside = np.einsum("ij,ij->i", w, w) - wd * wd > rows[6]
+        assert np.any(want_hit & outside)
+        assert np.all(np.abs(np.einsum("ij,ji->i", dirs, rows[3:6]))[want_hit & outside] <= 1e-6)
+
+    def test_every_pair_culled(self):
+        tris = np.array([[[5.0, 5.0, 5.0], [5.1, 5.0, 5.0], [5.0, 5.1, 5.0]]])
+        starts, dirs, chord = _rays_trawling(10, 0.1, make_rng(1))
+        hit, x = _first_hits(starts, dirs, chord, tris, np.array([1]),
+                             np.zeros(10, dtype=np.int64))
+        assert not hit.any() and x.tobytes() == chord.tobytes()
+
+    def test_degenerate_leaf_keeps_every_pair(self):
+        # a leaf with collinear vertices has no normal; its rounding hits
+        # (if any) must come out as in the reference
+        tris = np.array([[[0.0, 0.0, 0.05], [0.1, 0.1, 0.05], [0.05, 0.05, 0.05]]])
+        starts, dirs, chord = _rays_uniform_chords(400, 0.1, make_rng(5))
+        trial_of_ray = np.zeros(400, dtype=np.int64)
+        assert np.isinf(_leaf_bounds(tris)[6, 0])
+        got = _first_hits(starts, dirs, chord, tris, np.array([1]), trial_of_ray)
+        want = _first_hits_reference(starts, dirs, chord, tris, np.array([1]), trial_of_ray)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_uniform_chords_match_the_masked_loop(self, seed):
+        for count in (1, 7, 60, 500):
+            rng = _CountingRng(seed)
+            got = _rays_uniform_chords(count, VOXEL_WIDTH, rng)
+            ref_rng = make_rng(seed)
+            want = _rays_uniform_chords_reference(count, VOXEL_WIDTH, ref_rng)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+            assert rng.rng.uniform() == ref_rng.uniform()   # same draws consumed
+            if count >= 60:
+                assert rng.face_draws > 2   # the same-face resample ran
+
+
 def _on_square_boundary(xy, w, tol=1e-12):
     inside = np.all((xy >= -tol) & (xy <= w + tol), axis=1)
     return inside & np.any((np.abs(xy) <= tol) | (np.abs(xy - w) <= tol), axis=1)
@@ -330,6 +536,50 @@ class TestExperiments:
         res = trawl_vs_spin(normal_specs=((1, 1, 1),), n=20, trials=60, seed=2)
         assert res["error_percent"].shape == (1, 2)
         assert res["distributions"] == ("trawling", "spinning")
+
+    def test_every_error_table_has_its_standard_errors(self):
+        tri = triangle_bias_experiment(configs=((0.05, 0.01), (0.1, 0.04)), n_values=[3, 8],
+                                       trials=40, seed=1)
+        surface = debiased_error_surface(n=20, trials=20, seed=1)
+        trawl = trawl_vs_spin(normal_specs=((1, 1, 1), (1, 1, 10)), n=10, trials=30, seed=1)
+        for res, key in ((tri, "error"), (surface, "error"), (trawl, "error_percent")):
+            assert res["se"].shape == res[key].shape
+            assert np.all(res["se"] > 0)
+
+    def test_standard_error_matches_the_spread_over_seeds(self):
+        res = [triangle_bias_experiment(configs=((0.05, 0.01),), n_values=[6], trials=200,
+                                        seed=seed) for seed in range(30)]
+        err = np.array([r["error"][0, 0] for r in res])
+        se = np.array([r["se"][0, 0] for r in res])
+        assert 0.7 <= err.std(ddof=1) / se.mean() <= 1.4
+
+    def test_standard_error_is_the_delta_method_of_the_ratio(self):
+        normals, trials = NormalDistributionSpec(), 50
+        res = triangle_bias_experiment(configs=((0.05, 0.01),), n_values=[10], trials=trials,
+                                       seed=21)
+        est, rho = _simulate_cell(0.1, 0.05, 0.01, 10, trials, "uniform-random", normals,
+                                  make_rng(21), debias=False)
+        ratio = est.mean() / rho.mean()
+        assert res["error"][0, 0] == (est.mean() - rho.mean()) / rho.mean()
+        want = (est - ratio * rho).std(ddof=1) / (np.sqrt(trials) * rho.mean())
+        assert res["se"][0, 0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: triangle_bias_experiment(configs=((0.05, 0.01),), n_values=[1, 4], trials=10),
+         "n_values must be at least 2, got [1]"),
+        (lambda: trawl_vs_spin(normal_specs=((1, 1, 1),), n=0, trials=10),
+         "n must be at least 2, got 0"),
+        (lambda: trawl_vs_spin(trials=-1), "trials must be at least 2, got -1"),
+        (lambda: bias_curves([1.0], [4], trials=1), "trials must be at least 2, got 1"),
+        (lambda: bias_curves([1.0], [4, 1], trials=10), "n_grid must be at least 2, got [1]"),
+        (lambda: debiased_error_surface(n=1, trials=10), "n must be at least 2, got 1"),
+        (lambda: debiased_error_surface(trials=1), "trials must be at least 2, got 1"),
+    ], ids=["triangle-n1", "trawl-n0", "trawl-trials-1", "bias-trials1", "bias-n1",
+            "surface-n1", "surface-trials1"])
+    def test_inputs_without_an_estimate_rejected(self, call, message):
+        with pytest.raises(SimulationError) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_unknown_ray_kind_rejected(self):
         with pytest.raises(SimulationError, match="unknown ray distribution 'sweeping'"):

@@ -164,6 +164,11 @@ class TestTraverse:
         assert [v[axis] for v, _, _ in out] == [0, 0]
         assert [(t0, t1) for _, t0, t1 in out] == [(0.25, 0.5), (0.5, 0.75)]
 
+    def test_zero_length_ray_rejected(self):
+        ray = Ray(np.array([0.5, 0.5, 0.5]), np.array([0.5, 0.5, 0.5]), 0.0, True)
+        with pytest.raises(VoxelGridError, match="^1 zero-length ray: origin equals endpoint$"):
+            traverse(ray, _grid(dims=(2, 2, 2)))
+
     def test_miss_returns_empty(self):
         grid = _grid()
         ray = Ray(np.array([-5.0, -5.0, -5.0]), np.array([-1.0, -5.0, -5.0]), 0.0, True)
@@ -267,6 +272,17 @@ class TestAccumulate:
         stats = accumulate(cloud, grid)
         assert stats[(29, 0, 0)].m == 1
         assert sum(s.m for s in stats.values()) == 1
+
+    def test_zero_length_rays_rejected(self):
+        # a zero-length contact inside the grid used to count as a crossing
+        # with x = 0 and a contact, which load_stats then refused
+        grid = _grid(dims=(2, 2, 2))
+        with pytest.raises(VoxelGridError, match="^1 zero-length ray: origin equals endpoint$"):
+            accumulate(make_cloud([[0.5, 0.5, 0.5]], [[0.5, 0.5, 0.5]], contact=[True]), grid)
+        cloud = make_cloud([[0.5, 0.5, 3.0], [1.5, 0.5, 0.5], [9.0, 9.0, 9.0]],
+                           [[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [9.0, 9.0, 9.0]])
+        with pytest.raises(VoxelGridError, match="^2 zero-length rays: origin equals endpoint$"):
+            accumulate(cloud, grid)
 
     def test_rays_missing_the_grid_give_no_voxels(self, rng):
         origins = rng.uniform(-3, -2, (20, 3))
