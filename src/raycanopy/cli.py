@@ -92,6 +92,7 @@ def _write_table(path, col_names, row_names, table) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    """Each experiment's error table, and its standard errors in *_se.csv."""
     kw = {"seed": args.seed}
     if args.trials is not None:   # otherwise each experiment's own default
         kw["trials"] = args.trials
@@ -100,19 +101,22 @@ def _cmd_simulate(args) -> int:
         lam = [0.1, 0.2, 0.5, 1.0, 2.0, 3.0]
         ns = [2, 4, 8, 16, 32]
         for estimator in ("ml-mode", "debiased"):
-            err, _ = simulate_mod.bias_curves(lam, ns, estimator=estimator, **kw)
+            err, se = simulate_mod.bias_curves(lam, ns, estimator=estimator, **kw)
             _write_table(out / f"turbid_{estimator}.csv", ns, lam, err)
+            _write_table(out / f"turbid_{estimator}_se.csv", ns, lam, se)
         print(f"turbid bias tables -> {out}")
     elif args.experiment == "triangle-bias":
         res = simulate_mod.triangle_bias_experiment(**kw)
-        names = [f"l={l}_A={a}" for l, a in res["configs"]] + ["reference"]
+        names = [f"l={l}_A={a}" for l, a in res["configs"]]
         table = np.vstack([res["error"], res["reference"]])
-        _write_table(out / "triangle_bias.csv", res["n_values"], names, table)
+        _write_table(out / "triangle_bias.csv", res["n_values"], names + ["reference"], table)
+        _write_table(out / "triangle_bias_se.csv", res["n_values"], names, res["se"])
         print(f"triangle bias table -> {out}")
     elif args.experiment == "error-surface":
         res = simulate_mod.debiased_error_surface(**kw)
-        _write_table(out / "error_surface.csv", np.round(res["a_values"], 4),
-                     np.round(res["l_values"], 4), res["error"])
+        for name, table in (("error_surface", res["error"]), ("error_surface_se", res["se"])):
+            _write_table(out / f"{name}.csv", np.round(res["a_values"], 4),
+                         np.round(res["l_values"], 4), table)
         img = report_mod.DensityImage(values=np.abs(res["error"]), axis="z",
                                       pixel_size=1.0)
         report_mod.render_colormap(img, 0.10, out / "error_surface.png")
@@ -120,8 +124,9 @@ def _cmd_simulate(args) -> int:
     else:
         res = simulate_mod.trawl_vs_spin(**kw)
         names = ["-".join(str(v) for v in s) for s in res["normal_specs"]]
-        _write_table(out / "trawl_vs_spin.csv", res["distributions"], names,
-                     res["error_percent"])
+        for name, table in (("trawl_vs_spin", res["error_percent"]),
+                            ("trawl_vs_spin_se", res["se"])):
+            _write_table(out / f"{name}.csv", res["distributions"], names, table)
         print(f"trawl vs spin table -> {out}")
     return 0
 

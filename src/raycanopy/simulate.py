@@ -5,15 +5,21 @@ exponential model, 3D triangular-leaf voxel trials, and a comparison of
 trawling (push-broom) versus spinning lidar ray distributions over
 anisotropic leaf-normal ellipsoids, all estimated with `density.estimate`.
 
-The triangular-leaf experiments are flattened across trials: all scenes of a
-cell are generated as one triangle array (`_leaf_scenes`), and ray/leaf
-intersection runs over a single (ray, triangle) pair list (`_first_hits`).
+The triangular-leaf experiments run in two phases. Draw: each cell's leaf
+scenes, then its rays, come from the one generator in cell order
+(`_draw_cell`). Measure: consecutive cells whose expected rays plus
+ray/leaf pairs fit PAIR_BUDGET run together (`_measure`), with one
+`clipped_area` call for their true densities, one `_first_hits` call over
+a single (ray, triangle) pair list whose trial ids run across the cells,
+and one bincount per statistic; `estimate`, the mean and the standard
+error then run on each cell's slice. A batch is measured before the next
+cell is drawn, which bounds memory, and `_simulate_cell` is the one-cell
+batch. No output bit depends on where batches end.
 Most pairs cannot hit, so `_first_hits` runs Möller–Trumbore only on the
 pairs whose ray passes through the leaf's padded centroid ball or runs
-nearly parallel to the leaf; culling changes no output bit.
-`clipped_area` clips that array plane by plane, each plane working only on
-the polygons with a vertex outside it, so leaves wholly inside the voxel
-are never clipped.
+nearly parallel to the leaf; culling changes no output bit. `clipped_area`
+keeps the plain area of leaves wholly inside the voxel and clips the rest
+plane by plane, each plane working only on the polygons that reach past it.
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ TRAWL_LEAF = (0.06, 0.02)   # Table 1 leaves: (side length l [m], total leaf are
 CULL_REL_MARGIN = 1e-6
 CULL_ABS_MARGIN = 1e-7      # m
 CULL_PARALLEL = 1e-6        # |n̂·d̂| at or below which a pair is always tested
+# The triangle-leaf experiments measure consecutive cells in one batch while
+# their expected rays plus ray/leaf pairs stay within this budget; a larger
+# cell is measured alone. It bounds a batch's memory and moves no output bit.
+# On the validation benchmark (2-vCPU VM) 1 << 16 raised the peak RSS by up
+# to 2.4 MB over measuring cell by cell; 1 << 15 did not.
+PAIR_BUDGET = 1 << 15
 
 
 class SimulationError(ValueError):
@@ -97,17 +109,16 @@ def sample_turbid(lam: float, n: int, y: float, trials: int, rng: np.random.Gene
     """
     if not (lam > 0 and n >= 1 and y > 0):
         raise SimulationError(f"invalid turbid cell: lam={lam}, n={n}, y={y}")
-    draws = rng.exponential(1.0 / lam, size=(trials, n))
-    intercepted = draws <= y
-    x = np.where(intercepted, draws, y)
-    return intercepted.sum(axis=1), x
+    x = rng.exponential(1.0 / lam, size=(trials, n))
+    m = np.count_nonzero(x <= y, axis=1)
+    np.minimum(x, y, out=x)
+    return m, x
 
 
 def _turbid_estimates(m: np.ndarray, x: np.ndarray, estimator: str) -> np.ndarray:
     sum_x = x.sum(axis=1)
     n = x.shape[1]
-    if estimator == "uncensored":
-        # requires y = inf data: every ray intercepted
+    if estimator == "uncensored":   # every ray intercepted: y = inf (bias_curves checks)
         return (n - 1) / sum_x
     if estimator not in ("debiased", "ml-mode"):
         raise SimulationError(f"unknown estimator {estimator!r}")
@@ -130,9 +141,12 @@ def _check_counts(trials: int, n_name: str, n_values) -> None:
 def bias_curves(lambda_grid, n_grid, trials: int = 100_000, estimator: str = "debiased",
                 y: float = 1.0, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Mean normalised error (est - lam)/lam per (lambda, n) cell, with its
-    standard error. `y = inf` disables censoring (for the unbiased estimator).
+    standard error. `y = inf` disables censoring, which the "uncensored"
+    estimator (n-1)/sum(x) needs.
     """
     _check_counts(trials, "n_grid", n_grid)
+    if estimator == "uncensored" and y != np.inf:
+        raise SimulationError(f"the uncensored estimator needs y = inf, got y={y}")
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     n_grid = np.asarray(n_grid, dtype=int)
     err = np.zeros((len(lambda_grid), len(n_grid)))
@@ -151,14 +165,25 @@ def bias_curves(lambda_grid, n_grid, trials: int = 100_000, estimator: str = "de
 # triangle-leaf geometry
 
 
+def _cross(a, b, out):
+    """out = a x b on per-coordinate rows (a[0] holds every x), with
+    np.cross's products in its order, so every bit is np.cross's."""
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
+    return out
+
+
 def _triangle_vertices(centres: np.ndarray, normals: np.ndarray, phi: np.ndarray,
                        side: float) -> np.ndarray:
     """Equilateral triangles of the given side, centred and oriented as specified."""
     ref = np.where(np.abs(normals[:, 2:3]) < 0.9,
                    np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    u = np.cross(normals, ref)
+    u = np.empty_like(normals)
+    _cross(normals.T, ref.T, u.T)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(normals, u)
+    v = np.empty_like(normals)
+    _cross(normals.T, u.T, v.T)
     r = side / np.sqrt(3.0)   # circumradius
     angles = phi[:, None] + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])[None, :]
     return (centres[:, None, :]
@@ -166,75 +191,111 @@ def _triangle_vertices(centres: np.ndarray, normals: np.ndarray, phi: np.ndarray
                    + np.sin(angles)[..., None] * v[:, None, :]))
 
 
+def _half_norm(c) -> np.ndarray:
+    """Half the length of each column of rows c, summed as np.linalg.norm does."""
+    return 0.5 * np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+
+
 def clipped_area(triangles: np.ndarray, w: float) -> np.ndarray:
     """Area of each triangle clipped to the voxel box [0, w]^3.
 
-    Sutherland-Hodgman against the six box planes, vectorised over padded
-    polygon arrays. Each plane clips only the polygons with a vertex outside
-    it; every other polygon would pass through that plane unchanged, so it
-    is left as it is. A polygon gains at most one vertex per plane, so the
-    padded width grows by one slot per applied plane, from three to nine.
+    A triangle wholly inside the box keeps its plain area. The others are
+    clipped by Sutherland-Hodgman against the six box planes (`_clip`),
+    and each area is the fan sum of cross products from the first vertex.
     """
-    n_tri = len(triangles)
-    polys = np.zeros((n_tri, 9, 3))
-    polys[:, :3] = triangles
-    counts = np.full(n_tri, 3, dtype=np.int64)
-    width = 3
+    v = triangles.transpose(2, 1, 0)             # (axis, vertex, triangle)
+    area = np.empty(len(triangles))
+    inside = np.all((v >= 0.0) & (v <= w), axis=(0, 1))
+    a = v[:, :, inside]
+    area[inside] = _half_norm(_cross(a[:, 1] - a[:, 0], a[:, 2] - a[:, 0],
+                                     np.empty(a[:, 0].shape)))
+    crossing = ~inside
+    if crossing.any():
+        poly, count = _clip(v[:, :, crossing], w)
+        k = len(count)
+        fan = np.zeros((3, k))
+        part = np.empty((3, k))
+        o = poly[:, :k]
+        for i in range(1, int(count.max()) - 1):
+            _cross(poly[:, i * k:(i + 1) * k] - o, poly[:, (i + 1) * k:(i + 2) * k] - o, part)
+            np.add(fan, part, out=fan, where=i + 1 < count)
+        area[crossing] = _half_norm(fan)
+    return area
 
+
+def _clip(tri: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sutherland-Hodgman clip of triangles (axis, vertex, triangle) to
+    [0, w]^3; returns (rows, vertex count of each polygon).
+
+    Polygon j's slot i is column i * k + j of the three coordinate rows, so
+    one slot of every polygon is a contiguous run. A plane clips only the
+    polygons with a vertex outside it, as any other would pass unchanged,
+    and computes intersections only on the edges that cross it. Rounding can
+    make a clipped polygon cross a later plane more than twice, so slots are
+    added as the counts need them.
+    """
+    k = tri.shape[2]
+    poly = tri.reshape(3, 3 * k)
+    count = np.full(k, 3)
+    width = 3
     for axis in range(3):
         for sign, bound in ((1.0, 0.0), (-1.0, w)):
-            slots = np.arange(width)
-            valid = slots[None, :] < counts[:, None]
-            outside = valid & ~(sign * (polys[:, :width, axis] - bound) >= 0)
-            act = np.flatnonzero(outside.any(axis=1))
+            slots = np.arange(width)[:, None]
+            d = sign * (poly[axis].reshape(width, k) - bound)
+            act = np.flatnonzero(np.any((slots < count) & ~(d >= 0), axis=0))
             if not len(act):
                 continue
-            width += 1
-            slots = np.arange(width)
-            p = polys[act, :width]
-            c = counts[act]
-            valid = slots[None, :] < c[:, None]
-            nxt = slots[None, :] + 1
-            nxt = np.where(nxt >= c[:, None], 0, nxt)
-            v_next = p[np.arange(len(act))[:, None], nxt]
-            da = sign * (p[:, :, axis] - bound)
-            db = sign * (v_next[:, :, axis] - bound)
-            keep_v = valid & (da >= 0)
-            crossing = valid & ((da >= 0) != (db >= 0))
-            denom = np.where(crossing, da - db, 1.0)
-            inter = p + (v_next - p) * (da / denom)[..., None]
+            c = count[act]
+            at = slots * k + act                 # (slot, polygon) columns of poly
+            d = d[:, act]
+            g = d >= 0
+            g_next = np.roll(g, -1, axis=0)
+            g_next[c - 1, np.arange(len(act))] = g[0]   # the last edge closes the polygon
+            valid = slots < c
+            keep = valid & g
+            cross = valid & (g != g_next)
+            emit = keep.astype(np.int64) + cross
+            first = np.zeros_like(emit)          # output slot of each vertex
+            for slot in range(1, width):         # a cumsum down so few rows is slower
+                np.add(first[slot - 1], emit[slot - 1], out=first[slot])
+            new_count = first[-1] + emit[-1]
 
-            flags = np.stack([keep_v, crossing], axis=2).reshape(len(act), 2 * width)
-            cand = np.stack([p, inter], axis=2).reshape(len(act), 2 * width, 3)
-            pos = np.cumsum(flags, axis=1) - 1
-            out = np.zeros_like(p)
-            r_idx, c_idx = np.nonzero(flags)
-            out[r_idx, pos[r_idx, c_idx]] = cand[r_idx, c_idx]
-            polys[act, :width] = out
-            counts[act] = flags.sum(axis=1)
+            kf = np.flatnonzero(keep)
+            kept = np.take(poly, at.ravel()[kf], axis=1)
+            kept_at = first.ravel()[kf] * k + act[kf % len(act)]
+            cf = np.flatnonzero(cross)
+            i, col = np.divmod(cf, len(act))
+            j = np.where(i + 1 < c[col], i + 1, 0)
+            da = d.ravel()[cf]
+            t = da / (da - d[j, col])
+            start = np.take(poly, at.ravel()[cf], axis=1)
+            inter = start + (np.take(poly, j * k + act[col], axis=1) - start) * t
+            inter_at = (first.ravel()[cf] + keep.ravel()[cf]) * k + act[col]
 
-    v0 = polys[:, 0]
-    cross_sum = np.zeros((n_tri, 3))
-    for i in range(1, width - 1):
-        mask = (i + 1) < counts
-        if not np.any(mask):
-            break
-        cross_sum[mask] += np.cross(polys[mask, i] - v0[mask],
-                                    polys[mask, i + 1] - v0[mask])
-    return 0.5 * np.linalg.norm(cross_sum, axis=1)
+            if new_count.max() > width:
+                grown = int(new_count.max())
+                poly = np.concatenate([poly, np.zeros((3, (grown - width) * k))], axis=1)
+                width = grown
+            for a in range(3):
+                poly[a, kept_at] = kept[a]
+                poly[a, inter_at] = inter[a]
+            count[act] = new_count
+    return poly, count
 
 
 def _moller(starts, dirs, v0, v1, v2):
     """Pairwise ray/triangle test; returns (hit mask, distance along ray)."""
     e1 = v1 - v0
     e2 = v2 - v0
-    h = np.cross(dirs, e2)
+    h = np.empty_like(e2)
+    _cross(dirs.T, e2.T, h.T)
     det = np.einsum("ij,ij->i", e1, h)
     ok = np.abs(det) > 1e-14
     inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
     s = starts - v0
     u = inv * np.einsum("ij,ij->i", s, h)
-    q = np.cross(s, e1)
+    q = np.empty_like(s)
+    _cross(s.T, e1.T, q.T)
     v = inv * np.einsum("ij,ij->i", dirs, q)
     t = inv * np.einsum("ij,ij->i", e2, q)
     hit = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
@@ -317,29 +378,43 @@ RAY_MODELS = {"uniform-random": _rays_uniform_chords, "trawling": _rays_trawling
 # flattened multi-trial engine for the 3D experiments
 
 
-def _leaf_scenes(w: float, side: float, area: float, trials: int,
-                 normals: NormalDistributionSpec, rng: np.random.Generator
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leaf scenes of `trials` voxels with the requested expected leaf area.
+def _mean_leaves(side: float, area: float) -> float:
+    """Expected leaves per trial: area / triangle area."""
+    return area / (TRIANGLE_AREA_FACTOR * side ** 2)
 
-    Each trial's leaf count is Poisson around area / triangle area (a spatial
-    Poisson process implies Poisson counts). Returns the triangles of all
-    trials in trial order (T, 3, 3), the leaf count per trial and each
-    trial's true density: its clipped one-sided leaf area / voxel volume,
-    measured from the geometry so the sampling choice cannot bias validation.
-    """
-    mean_count = area / (TRIANGLE_AREA_FACTOR * side ** 2)
-    counts = rng.poisson(mean_count, trials)
+
+def _draw_leaves(w: float, side: float, area: float, trials: int,
+                 normals: NormalDistributionSpec, rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf triangles of `trials` voxels in trial order (T, 3, 3), and the
+    leaf count per trial: Poisson around `_mean_leaves` (a spatial Poisson
+    process implies Poisson counts)."""
+    counts = rng.poisson(_mean_leaves(side, area), trials)
     total = int(counts.sum())
     if not total:
-        return np.zeros((0, 3, 3)), counts, np.zeros(trials)
+        return np.zeros((0, 3, 3)), counts
     centres = rng.uniform(0.0, w, size=(total, 3))
     n_vec = normals.sample(total, rng)
     phi = rng.uniform(0.0, 2 * np.pi, total)
-    tris = _triangle_vertices(centres, n_vec, phi, side)
-    trial_of_tri = np.repeat(np.arange(trials), counts)
-    rho = np.bincount(trial_of_tri, weights=clipped_area(tris, w), minlength=trials) / w ** 3
-    return tris, counts, rho
+    return _triangle_vertices(centres, n_vec, phi, side), counts
+
+
+def _true_density(tris: np.ndarray, counts: np.ndarray, w: float) -> np.ndarray:
+    """Each trial's clipped one-sided leaf area / voxel volume, trial t
+    holding the counts[t] triangles after the previous trials'. It is
+    measured from the geometry, so the sampling choice cannot bias
+    validation."""
+    trial_of_tri = np.repeat(np.arange(len(counts)), counts)
+    return np.bincount(trial_of_tri, weights=clipped_area(tris, w), minlength=len(counts)) / w ** 3
+
+
+def _leaf_scenes(w: float, side: float, area: float, trials: int,
+                 normals: NormalDistributionSpec, rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leaf scenes of `trials` voxels with the requested expected leaf area:
+    the triangles, the leaf count per trial and each trial's true density."""
+    tris, counts = _draw_leaves(w, side, area, trials, normals, rng)
+    return tris, counts, _true_density(tris, counts, w)
 
 
 def _leaf_bounds(tris: np.ndarray) -> np.ndarray:
@@ -353,7 +428,7 @@ def _leaf_bounds(tris: np.ndarray) -> np.ndarray:
     centre, normal = rows[:3], rows[3:6]
     np.add(v[0] + v[1], v[2], out=centre)
     centre /= 3.0
-    normal[:] = np.cross(v[1] - v[0], v[2] - v[0], axis=0)
+    _cross(v[1] - v[0], v[2] - v[0], normal)
     norm = np.linalg.norm(normal, axis=0)
     flat = ~(norm > 0.0)
     normal /= np.where(flat, 1.0, norm)
@@ -414,88 +489,138 @@ def _first_hits(starts: np.ndarray, dirs: np.ndarray, chord: np.ndarray,
     return hit_mask, np.where(hit_mask, t_near, chord)
 
 
+def _draw_cell(w: float, side: float, area: float, n: int, trials: int, kind: str,
+               normals: NormalDistributionSpec, rng: np.random.Generator) -> tuple:
+    """One cell's draws, leaf scenes then rays (RAY_MODELS[kind]):
+    (n, triangles, leaf counts, starts, dirs, chords)."""
+    if kind not in RAY_MODELS:
+        raise SimulationError(f"unknown ray distribution {kind!r}")
+    tris, counts = _draw_leaves(w, side, area, trials, normals, rng)
+    return (n, tris, counts, *RAY_MODELS[kind](trials * n, w, rng))
+
+
+def _measure(batch: list[tuple], w: float, debias: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-trial (estimated density, true density) of each drawn cell in
+    `batch`.
+
+    One `clipped_area`, one `_first_hits` and one bincount per statistic
+    run over the whole batch, with trial ids running across its cells. Each
+    result is per trial or per ray, and bincount adds each trial's values in
+    the same order, so every bit is as when each cell is measured alone.
+    `estimate` runs on each cell's slice.
+    """
+    ns = [cell[0] for cell in batch]
+    trials = [len(cell[2]) for cell in batch]
+    tris, counts, starts, dirs, chord = (parts[0] if len(parts) == 1 else np.concatenate(parts)
+                                         for parts in list(zip(*batch))[1:])
+    trial_of_ray = np.repeat(np.arange(len(counts)), np.repeat(ns, trials))
+    rho = _true_density(tris, counts, w)
+    hit_mask, x = _first_hits(starts, dirs, chord, tris, counts, trial_of_ray)
+    m = np.bincount(trial_of_ray, weights=hit_mask.astype(float), minlength=len(counts))
+    sum_x = np.bincount(trial_of_ray, weights=x, minlength=len(counts))
+    bounds = np.cumsum([0] + trials)
+    return [(estimate(n, m[lo:hi], sum_x[lo:hi], DEFAULT_G, debias=debias), rho[lo:hi])
+            for n, lo, hi in zip(ns, bounds, bounds[1:])]
+
+
 def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
                    kind: str, normals: NormalDistributionSpec,
                    rng: np.random.Generator,
                    debias: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (estimated density, true density) of one cell; rays follow RAY_MODELS[kind]."""
-    if kind not in RAY_MODELS:
-        raise SimulationError(f"unknown ray distribution {kind!r}")
-    tris, counts, rho = _leaf_scenes(w, side, area, trials, normals, rng)
-    starts, dirs, chord = RAY_MODELS[kind](trials * n, w, rng)
-    trial_of_ray = np.repeat(np.arange(trials), n)
-    hit_mask, x = _first_hits(starts, dirs, chord, tris, counts, trial_of_ray)
+    return _measure([_draw_cell(w, side, area, n, trials, kind, normals, rng)], w, debias)[0]
 
-    m = np.bincount(trial_of_ray, weights=hit_mask.astype(float), minlength=trials)
-    sum_x = np.bincount(trial_of_ray, weights=x, minlength=trials)
-    return estimate(n, m, sum_x, DEFAULT_G, debias=debias), rho
+
+def _measured_cells(cells, trials: int, rng: np.random.Generator, debias: bool):
+    """Yield `_simulate_cell`'s (estimates, truths) for each of `cells` in
+    order, drawn from `rng` in that order.
+
+    Consecutive cells are measured in one batch while their expected rays
+    plus ray/leaf pairs stay within PAIR_BUDGET, and each batch is measured
+    before the next cell is drawn.
+    """
+    batch, size = [], 0.0
+    for side, area, n, kind, normals in cells:
+        cost = trials * n * (1.0 + _mean_leaves(side, area))
+        if batch and size + cost > PAIR_BUDGET:
+            yield from _measure(batch, VOXEL_WIDTH, debias)
+            batch, size = [], 0.0
+        batch.append(_draw_cell(VOXEL_WIDTH, side, area, n, trials, kind, normals, rng))
+        size += cost
+    yield from _measure(batch, VOXEL_WIDTH, debias)
 
 
 def _cell_errors(cells, shape, trials: int, seed: int, debias: bool = True
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised error (mean estimate - mean truth) / mean truth per cell, and
-    its Monte Carlo standard error.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalised error (mean estimate - mean truth) / mean truth per cell,
+    its Monte Carlo standard error, and the number of trials with leaf area.
 
     `cells` lists (side, area, n, ray kind, normals) in row-major order of
     `shape`, run in that order on one generator. The standard error is the
     delta method's for a ratio of means: with q = mean estimate / mean truth,
-    SD(estimate - q * truth) / (sqrt(trials) * mean truth). Both are NaN
-    where no leaf was realised.
+    SD(estimate - q * truth) / (sqrt(trials) * mean truth). The error is
+    NaN where no trial has leaf area, and the standard error where fewer
+    than two do: one trial then holds all the truth, and the SD says nothing.
     """
     rng = make_rng(seed)
     err = np.full(len(cells), np.nan)
     se = np.full(len(cells), np.nan)
-    for i, (side, area, n, kind, normals) in enumerate(cells):
-        est, rho = _simulate_cell(VOXEL_WIDTH, side, area, n, trials, kind, normals, rng,
-                                  debias=debias)
+    leafy = np.zeros(len(cells), dtype=np.int64)
+    for i, (est, rho) in enumerate(_measured_cells(cells, trials, rng, debias)):
+        leafy[i] = np.count_nonzero(rho)
         truth = rho.mean()
         if truth:
             err[i] = (est.mean() - truth) / truth
+        if leafy[i] >= 2:
             resid = est - est.mean() / truth * rho
             se[i] = resid.std(ddof=1) / (np.sqrt(trials) * truth)
-    return err.reshape(shape), se.reshape(shape)
+    return err.reshape(shape), se.reshape(shape), leafy.reshape(shape)
 
 
 def triangle_bias_experiment(configs=TRIANGLE_BIAS_CONFIGS, n_values=range(2, 15),
                              trials: int = 4000, seed: int = 0) -> dict:
     """Normalised error of the raw (undebiased) estimator per (config, n).
 
-    Returns {"configs", "n_values", "error" (configs x n), "se", "reference"}
-    where se is each cell's Monte Carlo standard error and reference is the
-    expected bias curve 1/(n-1) the errors should track.
+    Returns {"configs", "n_values", "error" (configs x n), "se", "leafy",
+    "reference"} where se is each cell's Monte Carlo standard error, leafy
+    its number of trials with leaf area, and reference the expected bias
+    curve 1/(n-1) the errors should track.
     """
     n_values = list(n_values)
     _check_counts(trials, "n_values", n_values)
     normals = NormalDistributionSpec()
     cells = [(side, area, int(n), "uniform-random", normals)
              for side, area in configs for n in n_values]
-    err, se = _cell_errors(cells, (len(configs), len(n_values)), trials, seed, debias=False)
+    err, se, leafy = _cell_errors(cells, (len(configs), len(n_values)), trials, seed,
+                                  debias=False)
     reference = np.array([1.0 / (n - 1) for n in n_values])
     return {"configs": list(configs), "n_values": n_values,
-            "error": err, "se": se, "reference": reference}
+            "error": err, "se": se, "leafy": leafy, "reference": reference}
 
 
 def debiased_error_surface(n: int = 20, trials: int = 1600, seed: int = 0) -> dict:
     """Normalised error surface of the debiased estimator over (l, A), with
-    each cell's Monte Carlo standard error as "se"."""
+    each cell's Monte Carlo standard error as "se" and its number of trials
+    with leaf area as "leafy"."""
     _check_counts(trials, "n", n)
     normals = NormalDistributionSpec()
     cells = [(float(side), float(area), n, "uniform-random", normals)
              for side in ERROR_SURFACE_SIDES for area in ERROR_SURFACE_AREAS]
-    err, se = _cell_errors(cells, (len(ERROR_SURFACE_SIDES), len(ERROR_SURFACE_AREAS)),
-                           trials, seed)
+    err, se, leafy = _cell_errors(cells, (len(ERROR_SURFACE_SIDES), len(ERROR_SURFACE_AREAS)),
+                                  trials, seed)
     return {"l_values": ERROR_SURFACE_SIDES.copy(), "a_values": ERROR_SURFACE_AREAS.copy(),
-            "error": err, "se": se}
+            "error": err, "se": se, "leafy": leafy}
 
 
 def trawl_vs_spin(normal_specs=TABLE1_NORMAL_SPECS, n: int = 50, trials: int = 400,
                   seed: int = 0) -> dict:
     """Percentage density error per (leaf-normal ellipsoid, ray distribution),
-    with each cell's Monte Carlo standard error in percent as "se"."""
+    with each cell's Monte Carlo standard error in percent as "se" and its
+    number of trials with leaf area as "leafy"."""
     _check_counts(trials, "n", n)
     kinds = ("trawling", "spinning")
     cells = [(*TRAWL_LEAF, n, kind, NormalDistributionSpec(tuple(float(e) for e in spec)))
              for spec in normal_specs for kind in kinds]
-    err, se = _cell_errors(cells, (len(normal_specs), len(kinds)), trials, seed)
-    return {"normal_specs": list(normal_specs),
-            "distributions": kinds, "error_percent": 100.0 * err, "se": 100.0 * se}
+    err, se, leafy = _cell_errors(cells, (len(normal_specs), len(kinds)), trials, seed)
+    return {"normal_specs": list(normal_specs), "distributions": kinds,
+            "error_percent": 100.0 * err, "se": 100.0 * se, "leafy": leafy}

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from raycanopy import simulate as simulate_mod
 from raycanopy.cli import _build_config, _parser, main
 from raycanopy.pipeline import STAGE_NAMES, PipelineConfig
 from raycanopy.raycloud import load_raycloud, save_raycloud
@@ -90,6 +91,8 @@ def test_simulate_minimal_trials_writes_valid_csv(tmp_path):
                           skip_header=1)
     assert table.shape[0] == 7          # six configs plus the reference row
     assert np.isfinite(table[-1, 1:]).all()
+    se = np.genfromtxt(tmp_path / "triangle_bias_se.csv", delimiter=",", skip_header=1)
+    assert se.shape == (6, table.shape[1])   # no standard error for the reference row
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -109,6 +112,7 @@ def test_simulate_rejects_one_trial(tmp_path, capsys):
 def test_simulate_error_surface_outputs(tmp_path):
     assert main(["simulate", "error-surface", str(tmp_path), "--trials", "40"]) == 0
     assert (tmp_path / "error_surface.csv").exists()
+    assert (tmp_path / "error_surface_se.csv").exists()
     assert (tmp_path / "error_surface.png").read_bytes().startswith(b"\x89PNG")
 
 
@@ -117,8 +121,36 @@ def test_simulate_rerun_byte_identical(tmp_path):
         (tmp_path / tag).mkdir()
         assert main(["simulate", "trawl-vs-spin", str(tmp_path / tag),
                      "--trials", "20", "--seed", "6"]) == 0
-    assert (tmp_path / "a" / "trawl_vs_spin.csv").read_bytes() == \
-        (tmp_path / "b" / "trawl_vs_spin.csv").read_bytes()
+    for name in ("trawl_vs_spin.csv", "trawl_vs_spin_se.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _library_standard_errors(experiment: str, **kw) -> dict:
+    """Each table name of `raycanopy simulate EXPERIMENT` and the standard
+    errors the library gives for it."""
+    if experiment == "turbid-bias":
+        lam, ns = [0.1, 0.2, 0.5, 1.0, 2.0, 3.0], [2, 4, 8, 16, 32]
+        return {f"turbid_{e}": simulate_mod.bias_curves(lam, ns, estimator=e, **kw)[1]
+                for e in ("ml-mode", "debiased")}
+    run, name = {"triangle-bias": (simulate_mod.triangle_bias_experiment, "triangle_bias"),
+                 "error-surface": (simulate_mod.debiased_error_surface, "error_surface"),
+                 "trawl-vs-spin": (simulate_mod.trawl_vs_spin, "trawl_vs_spin")}[experiment]
+    return {name: run(**kw)["se"]}
+
+
+@pytest.mark.parametrize("experiment", ["turbid-bias", "triangle-bias", "error-surface",
+                                        "trawl-vs-spin"])
+def test_simulate_writes_each_standard_error_table(tmp_path, experiment):
+    # at 5 trials some error-surface cells have fewer than two trials with
+    # leaves, so their standard errors are written as nan
+    assert main(["simulate", experiment, str(tmp_path), "--trials", "5", "--seed", "5"]) == 0
+    for name, se in _library_standard_errors(experiment, trials=5, seed=5).items():
+        with open(tmp_path / f"{name}_se.csv") as f:
+            head = f.readline()
+            rows = [line.rstrip("\n").split(",")[1:] for line in f]
+        with open(tmp_path / f"{name}.csv") as f:
+            assert head == f.readline()
+        assert rows == [[f"{v:.9g}" for v in row] for row in np.atleast_2d(se)]
 
 
 def test_compare_reports_rrmse(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Monte Carlo simulator: turbid model, leaf geometry and ray casting."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from raycanopy import simulate
 from raycanopy.density import DEFAULT_G, estimate
-from raycanopy.simulate import (ERROR_SURFACE_SIDES, RAY_MODELS, SPIN_MAX_ANGLE_DEG,
-                                TABLE1_NORMAL_SPECS, TRIANGLE_AREA_FACTOR, VOXEL_WIDTH, NormalDistributionSpec,
-                                SimulationError, _first_hits, _leaf_bounds, _leaf_scenes,
-                                _moller, _rays_spinning, _rays_trawling, _rays_uniform_chords,
-                                _simulate_cell, bias_curves, clipped_area,
+from raycanopy.simulate import (ERROR_SURFACE_AREAS, ERROR_SURFACE_SIDES, RAY_MODELS,
+                                SPIN_MAX_ANGLE_DEG, TABLE1_NORMAL_SPECS, TRIANGLE_AREA_FACTOR,
+                                VOXEL_WIDTH, NormalDistributionSpec, SimulationError,
+                                _cell_errors, _first_hits, _leaf_bounds, _leaf_scenes,
+                                _rays_spinning, _rays_trawling, _rays_uniform_chords,
+                                _simulate_cell, _triangle_vertices, bias_curves, clipped_area,
                                 debiased_error_surface, make_rng, sample_turbid,
                                 trawl_vs_spin, triangle_bias_experiment)
 
@@ -42,6 +46,15 @@ class TestSampleTurbid:
             with pytest.raises(SimulationError):
                 sample_turbid(lam, n, y, 10, make_rng(0))
 
+    @pytest.mark.parametrize("y", [0.3, 1.0, np.inf])
+    def test_censoring_in_place_keeps_the_bytes(self, y):
+        m, x = sample_turbid(1.7, 9, y, 400, make_rng(21))
+        draws = make_rng(21).exponential(1.0 / 1.7, size=(400, 9))
+        intercepted = draws <= y
+        want_m = intercepted.sum(axis=1)
+        assert m.dtype == want_m.dtype and m.tobytes() == want_m.tobytes()
+        assert x.tobytes() == np.where(intercepted, draws, y).tobytes()
+
     def test_infinite_depth_intercepts_every_draw(self):
         m, x = sample_turbid(2.5, 7, np.inf, 300, make_rng(13))
         np.testing.assert_array_equal(m, np.full(300, 7))
@@ -53,6 +66,12 @@ class TestBiasCurves:
         err, se = bias_curves([0.5, 2.0, 5.0], [50], 20_000, "uncensored",
                               y=np.inf, seed=1)
         assert np.all(np.abs(err) < 0.01)
+
+    @pytest.mark.parametrize("y", [1.0, 50.0, np.nan])
+    def test_uncensored_estimator_needs_infinite_depth(self, y):
+        # censored draws would bias (n-1)/sum(x): +0.146 at lam=2, y=1
+        with pytest.raises(SimulationError, match="uncensored estimator needs y = inf"):
+            bias_curves([2.0], [50], 2000, "uncensored", y=y, seed=1)
 
     def test_ml_mode_underestimates_at_n2(self):
         err, _ = bias_curves([0.5, 1.0, 2.0], [2], 20_000, "ml-mode", seed=2)
@@ -79,7 +98,6 @@ class TestClippedArea:
         count = 30
         centres = rng.uniform(-0.02, w + 0.02, size=(count, 3))
         normals = NormalDistributionSpec().sample(count, make_rng(5))
-        from raycanopy.simulate import _triangle_vertices
         tris = _triangle_vertices(centres, normals, rng.uniform(0, 2 * np.pi, count),
                                   side=0.06)
         areas = clipped_area(tris, w)
@@ -133,6 +151,82 @@ class TestClippedArea:
         v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
         expected = 0.5 * np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
         assert clipped_area(tris, self.W).tobytes() == expected.tobytes()
+
+
+    def test_rounding_may_add_two_vertices_at_one_plane(self):
+        # rounded intersections make this clipped polygon cross y = 0 four
+        # times; the padded width must follow the vertex count
+        tri = np.array([[[-0.05, 0.03, -0.05], [0.0, 0.0, 0.1],
+                         [0.10000000000000002, 0.1, 0.10000000000000002]]])
+        with pytest.raises(IndexError):
+            _clipped_area_reference(tri, self.W)
+        area = clipped_area(tri, self.W)[0]
+        assert area ** 2 == pytest.approx(float(_exact_clipped_area_squared(tri[0], self.W)),
+                                          rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_padded_reference_on_lattice_triangles(self, seed):
+        # vertices on a lattice whose values lie on, and one ulp either side
+        # of, each face; a triangle is compared wherever the reference runs
+        w = self.W
+        faces = [v for f in (0.0, w) for v in (np.nextafter(f, -1.0), f, np.nextafter(f, 1.0))]
+        values = np.array(faces + [-0.05, 0.025, 0.05, 0.075, 0.15])
+        tris = make_rng(seed).choice(values, size=(3000, 3, 3))
+        got = clipped_area(tris, w)
+        compared = 0
+        for lo in range(0, len(tris), 100):
+            block = slice(lo, lo + 100)
+            try:
+                want = _clipped_area_reference(tris[block], w)
+            except IndexError:
+                for i in range(lo, min(lo + 100, len(tris))):
+                    try:
+                        want_i = _clipped_area_reference(tris[i:i + 1], w)
+                    except IndexError:
+                        exact = float(_exact_clipped_area_squared(tris[i], w))
+                        assert got[i] ** 2 == pytest.approx(exact, rel=1e-12, abs=1e-30), i
+                        continue
+                    assert got[i:i + 1].tobytes() == want_i.tobytes(), i
+                    compared += 1
+            else:
+                assert got[block].tobytes() == want.tobytes(), lo
+                compared += len(want)
+        assert compared > 2900
+        assert np.all(got >= 0.0) and np.any(got == 0.0) and np.any(got > 0.0)
+
+    def test_matches_the_padded_reference_on_leaf_scenes(self):
+        rng = make_rng(12)
+        for side in ERROR_SURFACE_SIDES:
+            centres = rng.uniform(-0.05, 0.15, size=(2000, 3))
+            normals = NormalDistributionSpec((1.0, 3.0, 1.0)).sample(2000, rng)
+            tris = _triangle_vertices(centres, normals, rng.uniform(0.0, 2 * np.pi, 2000), side)
+            assert clipped_area(tris, self.W).tobytes() == \
+                _clipped_area_reference(tris, self.W).tobytes()
+
+
+def _exact_clipped_area_squared(tri, w) -> Fraction:
+    """Squared clipped area of one triangle by Sutherland-Hodgman in exact
+    rational arithmetic on the given binary values."""
+    poly = [tuple(Fraction(c) for c in v) for v in tri]
+    for axis in range(3):
+        for bound, inside in ((Fraction(0), lambda p: p[axis] >= 0),
+                              (Fraction(w), lambda p: p[axis] <= Fraction(w))):
+            out = []
+            for i, p in enumerate(poly):
+                q = poly[(i + 1) % len(poly)]
+                if inside(p):
+                    out.append(p)
+                if inside(p) != inside(q):
+                    t = (bound - p[axis]) / (q[axis] - p[axis])
+                    out.append(tuple(a + (b - a) * t for a, b in zip(p, q)))
+            poly = out
+    total = [Fraction(0)] * 3
+    for i in range(1, len(poly) - 1):
+        a = [poly[i][k] - poly[0][k] for k in range(3)]
+        b = [poly[i + 1][k] - poly[0][k] for k in range(3)]
+        cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        total = [t + c for t, c in zip(total, cross)]
+    return sum(c * c for c in total) / 4
 
 
 class TestLeafScene:
@@ -227,6 +321,129 @@ class TestCastRays:
         assert hit.any()
 
 
+# ---------------------------------------------------------------------------
+# The engine as it was before cells were measured in batches, kept as the
+# oracle: the batched engine must reproduce every bit of it.
+
+
+def _moller_reference(starts, dirs, v0, v1, v2):
+    e1 = v1 - v0
+    e2 = v2 - v0
+    h = np.cross(dirs, e2)
+    det = np.einsum("ij,ij->i", e1, h)
+    ok = np.abs(det) > 1e-14
+    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    s = starts - v0
+    u = inv * np.einsum("ij,ij->i", s, h)
+    q = np.cross(s, e1)
+    v = inv * np.einsum("ij,ij->i", dirs, q)
+    t = inv * np.einsum("ij,ij->i", e2, q)
+    hit = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
+    return hit, t
+
+
+def _triangle_vertices_reference(centres, normals, phi, side):
+    ref = np.where(np.abs(normals[:, 2:3]) < 0.9,
+                   np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    u = np.cross(normals, ref)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.cross(normals, u)
+    r = side / np.sqrt(3.0)
+    angles = phi[:, None] + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])[None, :]
+    return (centres[:, None, :]
+            + r * (np.cos(angles)[..., None] * u[:, None, :]
+                   + np.sin(angles)[..., None] * v[:, None, :]))
+
+
+def _clipped_area_reference(triangles, w):
+    """Sutherland-Hodgman on padded (triangle, slot, axis) arrays, one slot
+    added per applied plane; raises IndexError when rounding adds more."""
+    n_tri = len(triangles)
+    polys = np.zeros((n_tri, 9, 3))
+    polys[:, :3] = triangles
+    counts = np.full(n_tri, 3, dtype=np.int64)
+    width = 3
+    for axis in range(3):
+        for sign, bound in ((1.0, 0.0), (-1.0, w)):
+            slots = np.arange(width)
+            valid = slots[None, :] < counts[:, None]
+            outside = valid & ~(sign * (polys[:, :width, axis] - bound) >= 0)
+            act = np.flatnonzero(outside.any(axis=1))
+            if not len(act):
+                continue
+            width += 1
+            slots = np.arange(width)
+            p = polys[act, :width]
+            c = counts[act]
+            valid = slots[None, :] < c[:, None]
+            nxt = slots[None, :] + 1
+            nxt = np.where(nxt >= c[:, None], 0, nxt)
+            v_next = p[np.arange(len(act))[:, None], nxt]
+            da = sign * (p[:, :, axis] - bound)
+            db = sign * (v_next[:, :, axis] - bound)
+            keep_v = valid & (da >= 0)
+            crossing = valid & ((da >= 0) != (db >= 0))
+            denom = np.where(crossing, da - db, 1.0)
+            inter = p + (v_next - p) * (da / denom)[..., None]
+            flags = np.stack([keep_v, crossing], axis=2).reshape(len(act), 2 * width)
+            cand = np.stack([p, inter], axis=2).reshape(len(act), 2 * width, 3)
+            pos = np.cumsum(flags, axis=1) - 1
+            out = np.zeros_like(p)
+            r_idx, c_idx = np.nonzero(flags)
+            out[r_idx, pos[r_idx, c_idx]] = cand[r_idx, c_idx]
+            polys[act, :width] = out
+            counts[act] = flags.sum(axis=1)
+    v0 = polys[:, 0]
+    cross_sum = np.zeros((n_tri, 3))
+    for i in range(1, width - 1):
+        mask = (i + 1) < counts
+        if not np.any(mask):
+            break
+        cross_sum[mask] += np.cross(polys[mask, i] - v0[mask], polys[mask, i + 1] - v0[mask])
+    return 0.5 * np.linalg.norm(cross_sum, axis=1)
+
+
+def _leaf_scenes_reference(w, side, area, trials, normals, rng):
+    mean_count = area / (TRIANGLE_AREA_FACTOR * side ** 2)
+    counts = rng.poisson(mean_count, trials)
+    total = int(counts.sum())
+    if not total:
+        return np.zeros((0, 3, 3)), counts, np.zeros(trials)
+    centres = rng.uniform(0.0, w, size=(total, 3))
+    n_vec = normals.sample(total, rng)
+    phi = rng.uniform(0.0, 2 * np.pi, total)
+    tris = _triangle_vertices_reference(centres, n_vec, phi, side)
+    trial_of_tri = np.repeat(np.arange(trials), counts)
+    rho = np.bincount(trial_of_tri, weights=_clipped_area_reference(tris, w),
+                      minlength=trials) / w ** 3
+    return tris, counts, rho
+
+
+def _simulate_cell_reference(w, side, area, n, trials, kind, normals, rng, debias=True):
+    tris, counts, rho = _leaf_scenes_reference(w, side, area, trials, normals, rng)
+    starts, dirs, chord = RAY_MODELS[kind](trials * n, w, rng)
+    trial_of_ray = np.repeat(np.arange(trials), n)
+    hit_mask, x = _first_hits_reference(starts, dirs, chord, tris, counts, trial_of_ray)
+    m = np.bincount(trial_of_ray, weights=hit_mask.astype(float), minlength=trials)
+    sum_x = np.bincount(trial_of_ray, weights=x, minlength=trials)
+    return estimate(n, m, sum_x, DEFAULT_G, debias=debias), rho
+
+
+def _cell_errors_reference(cells, shape, trials, seed, debias=True):
+    rng = make_rng(seed)
+    err = np.full(len(cells), np.nan)
+    se = np.full(len(cells), np.nan)
+    for i, (side, area, n, kind, normals) in enumerate(cells):
+        est, rho = _simulate_cell_reference(VOXEL_WIDTH, side, area, n, trials, kind, normals,
+                                            rng, debias=debias)
+        truth = rho.mean()
+        if truth:
+            err[i] = (est.mean() - truth) / truth
+            resid = est - est.mean() / truth * rho
+            se[i] = resid.std(ddof=1) / (np.sqrt(trials) * truth)
+    return err.reshape(shape), se.reshape(shape)
+
+
 def _first_hits_reference(starts: np.ndarray, dirs: np.ndarray, chord: np.ndarray,
                           tris: np.ndarray, counts: np.ndarray, trial_of_ray: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +463,8 @@ def _first_hits_reference(starts: np.ndarray, dirs: np.ndarray, chord: np.ndarra
     offs = np.arange(pairs_per_ray.sum()) - np.repeat(
         np.concatenate([[0], np.cumsum(pairs_per_ray)])[:-1], pairs_per_ray)
     tri_idx = tri_start[trial_of_ray[ray_idx]] + offs
-    hit, t = _moller(starts[ray_idx], dirs[ray_idx],
-                     tris[tri_idx, 0], tris[tri_idx, 1], tris[tri_idx, 2])
+    hit, t = _moller_reference(starts[ray_idx], dirs[ray_idx],
+                               tris[tri_idx, 0], tris[tri_idx, 1], tris[tri_idx, 2])
     valid = hit & (t >= 0.0) & (t <= chord[ray_idx])
     t_near = np.full(n_rays, np.inf)
     np.minimum.at(t_near, ray_idx, np.where(valid, t, np.inf))
@@ -546,6 +763,16 @@ class TestExperiments:
             assert res["se"].shape == res[key].shape
             assert np.all(res["se"] > 0)
 
+    def test_standard_error_needs_two_trials_with_leaves(self):
+        # at l = 0.1, A = 0.001 one trial in 20 holds a leaf: every estimate
+        # is then q times its truth, and the delta method's SD reads 0
+        res = debiased_error_surface(n=10, trials=20, seed=1)
+        assert res["leafy"].shape == res["error"].shape
+        assert res["leafy"].dtype.kind == "i" and np.all(res["leafy"] <= 20)
+        assert res["leafy"][-1, 0] == 1
+        assert np.isfinite(res["error"][-1, 0]) and np.isnan(res["se"][-1, 0])
+        np.testing.assert_array_equal(np.isnan(res["se"]), res["leafy"] < 2)
+
     def test_standard_error_matches_the_spread_over_seeds(self):
         res = [triangle_bias_experiment(configs=((0.05, 0.01),), n_values=[6], trials=200,
                                         seed=seed) for seed in range(30)]
@@ -609,3 +836,85 @@ class TestExperiments:
             want = estimate(10, m, sum_x, DEFAULT_G, debias=debias)
             assert (m > 0).any() and want.any()
             np.testing.assert_array_equal(got, want)
+
+
+# cells of all three ray models and unequal sizes, one whose trials hold no
+# leaves and two with few; at 30 trials their costs run from 120 to 2670
+BATCH_CELLS = [
+    (0.05, 0.01, 6, "uniform-random", NormalDistributionSpec()),
+    (0.1, 1e-6, 4, "trawling", NormalDistributionSpec()),
+    (0.025, 0.012, 3, "spinning", NormalDistributionSpec((1.0, 1.0, 10.0))),
+    (0.06, 0.02, 12, "trawling", NormalDistributionSpec((10.0, 1.0, 1.0))),
+    (0.1, 0.001, 5, "uniform-random", NormalDistributionSpec()),
+    (0.025, 0.001, 8, "spinning", NormalDistributionSpec()),
+    (0.1, 0.04, 2, "uniform-random", NormalDistributionSpec((1.0, 10.0, 1.0))),
+]
+
+
+class TestBatchOracle:
+    """Cells measured in batches must give every bit of the cell-by-cell
+    engine, wherever the batch boundaries fall."""
+
+    @staticmethod
+    def _assert_as_reference(res, want_err, want_se, err_key="error", scale=1.0):
+        assert res[err_key].tobytes() == (scale * want_err).tobytes()
+        want_se = np.where(res["leafy"] >= 2, scale * want_se, np.nan)
+        assert res["se"].tobytes() == want_se.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 1500, 1 << 20])
+    @pytest.mark.parametrize("debias", [True, False])
+    def test_cells_match_the_reference(self, monkeypatch, budget, debias):
+        batches = []
+        measure = simulate._measure
+
+        def counting(batch, *args):
+            batches.append(len(batch))
+            return measure(batch, *args)
+
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", budget)
+        monkeypatch.setattr(simulate, "_measure", counting)
+        shape = (len(BATCH_CELLS),)
+        err, se, leafy = _cell_errors(BATCH_CELLS, shape, 30, 5, debias)
+        want_err, want_se = _cell_errors_reference(BATCH_CELLS, shape, 30, 5, debias)
+        self._assert_as_reference({"error": err, "se": se, "leafy": leafy}, want_err, want_se)
+        assert sum(batches) == len(BATCH_CELLS)
+        if budget == 1:
+            assert batches == [1] * len(BATCH_CELLS)
+        elif budget == 1500:    # split mid-experiment, with batches of several cells
+            assert len(batches) > 2 and max(batches) > 1
+        else:
+            assert batches == [len(BATCH_CELLS)]
+        assert leafy[1] == 0 and np.isnan(err[1]) and np.isnan(se[1])
+        assert np.all(leafy[[0, 2, 3, 6]] >= 2) and not np.isnan(se[[0, 2, 3, 6]]).any()
+
+    def test_experiments_match_the_reference(self, monkeypatch):
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", 2000)
+        configs, n_values = ((0.05, 0.01), (0.025, 0.001), (0.1, 0.04)), [2, 5, 9]
+        res = triangle_bias_experiment(configs=configs, n_values=n_values, trials=24, seed=3)
+        cells = [(side, area, n, "uniform-random", NormalDistributionSpec())
+                 for side, area in configs for n in n_values]
+        self._assert_as_reference(res, *_cell_errors_reference(cells, (3, 3), 24, 3, False))
+
+        res = debiased_error_surface(n=6, trials=12, seed=4)
+        cells = [(float(side), float(area), 6, "uniform-random", NormalDistributionSpec())
+                 for side in ERROR_SURFACE_SIDES for area in ERROR_SURFACE_AREAS]
+        self._assert_as_reference(res, *_cell_errors_reference(cells, (7, 7), 12, 4))
+
+        specs = ((10, 1, 1), (1, 1, 1))
+        res = trawl_vs_spin(normal_specs=specs, n=15, trials=20, seed=6)
+        cells = [(0.06, 0.02, 15, kind, NormalDistributionSpec(tuple(float(e) for e in spec)))
+                 for spec in specs for kind in ("trawling", "spinning")]
+        self._assert_as_reference(res, *_cell_errors_reference(cells, (2, 2), 20, 6),
+                                  err_key="error_percent", scale=100.0)
+
+    @pytest.mark.parametrize("kind", list(RAY_MODELS))
+    def test_one_cell_matches_the_reference(self, kind):
+        for area in (0.02, 1e-6):     # leaves, then none
+            args = (VOXEL_WIDTH, 0.05, area, 7, 25, kind, NormalDistributionSpec((1.0, 2.0, 5.0)))
+            got = _simulate_cell(*args, make_rng(8))
+            want = _simulate_cell_reference(*args, make_rng(8))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        scenes = _leaf_scenes(VOXEL_WIDTH, 0.04, 0.03, 40, NormalDistributionSpec(), make_rng(2))
+        want = _leaf_scenes_reference(VOXEL_WIDTH, 0.04, 0.03, 40, NormalDistributionSpec(),
+                                      make_rng(2))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(scenes, want))
