@@ -117,8 +117,10 @@ def _cmd_simulate(args) -> int:
         for name, table in (("error_surface", res["error"]), ("error_surface_se", res["se"])):
             _write_table(out / f"{name}.csv", np.round(res["a_values"], 4),
                          np.round(res["l_values"], 4), table)
-        img = report_mod.DensityImage(values=np.abs(res["error"]), axis="z",
-                                      pixel_size=1.0)
+        # a cell without leaf area has no error; it is drawn black
+        finite = np.isfinite(res["error"])
+        img = report_mod.DensityImage(values=np.where(finite, np.abs(res["error"]), 0.0),
+                                      axis="z", pixel_size=1.0, observed=finite)
         report_mod.render_colormap(img, 0.10, out / "error_surface.png")
         print(f"error surface -> {out}")
     else:

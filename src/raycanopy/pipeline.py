@@ -2,12 +2,14 @@
 
 `STAGES` is the one table of stages: ground -> rows -> voxelize -> density ->
 integrate. Each entry names the config fields the stage reads; each stage
-reads its input back from the files of the stage before it. A stage's
-outputs are cached under a hash of the input file, the package source and
-the fields of that stage and every stage before it, so reruns skip unchanged
-upstream stages. manifest.json vouches only for files that a finished stage
-wrote: before a stage runs, its entry and every later one are removed from
-it. A failed stage aborts with its name and removes its new partial outputs.
+reads its input back from the files of the stage before it. The rows load
+also reads flattened.ply, the ground stage's output, and moves each band of
+it into the row frame that rows.json records. A stage's outputs are cached
+under a hash of the input file, the package source and the fields of that
+stage and every stage before it, so reruns skip unchanged upstream stages.
+manifest.json vouches only for files that a finished stage wrote: before a
+stage runs, its entry and every later one are removed from it. A failed
+stage aborts with its name and removes its new partial outputs.
 """
 
 from __future__ import annotations
@@ -139,41 +141,41 @@ def _load_ground(out: Path, outputs: list[str]) -> RayCloud:
 
 
 def _rows(flat: RayCloud, out: Path, c: PipelineConfig) -> list[str]:
-    """estimate the row direction and split the cloud into row bands"""
+    """estimate the row direction and record each row band in rows.json"""
     if c.direction is not None:
         direction = np.asarray(c.direction, dtype=float)
-        direction = direction / np.linalg.norm(direction)
     else:
         traj = rows_mod.Trajectory.from_raycloud(flat)
         traj.validate()
         direction = rows_mod.row_direction(traj)
     segments = rows_mod.split_rows(flat, direction, bin_width=c.bin_width)
-    meta = {"direction": [float(direction[0]), float(direction[1])], "rows": []}
-    for seg in segments:
-        name = f"row{seg.index:02d}.ply"
-        save_raycloud(rows_mod.to_row_coordinates(seg), out / name)
-        meta["rows"].append({"index": seg.index, "file": name,
-                             "interval": [seg.lateral_interval[0],
-                                          seg.lateral_interval[1]],
-                             "fallback": seg.fallback})
+    meta = {"direction": segments[0].direction.tolist(),
+            "rows": [{"index": s.index, "interval": list(s.lateral_interval),
+                      "fallback": s.fallback} for s in segments]}
     (out / "rows.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
-    return [m["file"] for m in meta["rows"]] + ["rows.json"]
+    return ["rows.json"]
 
 
-def _load_rows(out: Path, outputs: list[str]) -> list[tuple[dict, RayCloud]]:
-    rows = json.loads((out / "rows.json").read_text())["rows"]
-    return [(m, load_raycloud(out / m["file"])) for m in rows]
+def _load_rows(out: Path, outputs: list[str]) -> list[tuple[rows_mod.RowSegment, RayCloud]]:
+    """each row band of flattened.ply, moved into its row frame"""
+    flat = load_raycloud(out / "flattened.ply")
+    meta = json.loads((out / "rows.json").read_text())
+    direction = np.array(meta["direction"])
+    segments = [rows_mod.RowSegment(direction, tuple(m["interval"]), m["index"], m["fallback"])
+                for m in meta["rows"]]
+    return [(seg, rows_mod.to_row_coordinates(flat, seg)) for seg in segments]
 
 
-def _voxelize(rows: list[tuple[dict, RayCloud]], out: Path, c: PipelineConfig) -> list[str]:
+def _voxelize(rows: list[tuple[rows_mod.RowSegment, RayCloud]], out: Path,
+              c: PipelineConfig) -> list[str]:
     """accumulate per-voxel ray statistics for each row"""
     outputs = []
-    for meta, cloud in rows:
-        lo, hi = meta["interval"]
+    for seg, cloud in rows:
+        lo, hi = seg.lateral_interval
         half = (hi - lo) / 2
         try:
             grid = voxels_mod.build_grid(cloud, voxel_width=c.voxel_width,
-                                         row_index=meta["index"],
+                                         row_index=seg.index,
                                          lateral_bounds=(-half, half))
         except voxels_mod.VoxelGridError:
             continue   # band without canopy returns (lane or edge strip)
@@ -234,7 +236,7 @@ class Stage:
     `run(inputs, out_dir, config)` writes the stage's outputs and returns
     their file names. `inputs` is what the previous stage's
     `load(out_dir, names)` reads back from that stage's outputs, or the
-    scan's path for the first stage.
+    scan's path for the first stage. The rows load also reads flattened.ply.
     """
 
     name: str
@@ -271,8 +273,8 @@ def run_pipeline(input_path, out_dir, config: PipelineConfig | None = None,
                  until: str = "integrate") -> dict:
     """Run the stages up to and including `until`; returns the manifest dict.
 
-    Output files land in out_dir: ground mesh and flattened cloud, per-row
-    clouds and density fields, integrated images, series and panel CSVs,
+    Output files land in out_dir: ground mesh and flattened cloud, rows.json,
+    per-row voxel statistics and density fields, images, series and panel CSVs,
     manifest.json (deterministic) and timings.txt (wall-clock, separate so the
     manifest stays byte-identical across reruns). Each stage reads its input
     back from the previous stage's files, so a run that reuses cached stages,

@@ -1,15 +1,17 @@
-"""Row direction estimation and per-row segmentation of a ray cloud.
+"""Row direction estimation and per-row frames on a ray cloud.
 
 The sensor trajectory (deduplicated ray origins) is scanned for its longest
 straight run, which gives the row axis. Origin density perpendicular to that
-axis then shows one peak per drive line; the peaks split the cloud into one
-ray cloud per row.
+axis then shows one peak per drive line; the peaks cut the lateral axis into
+one band per row. A row is only its direction and lateral interval:
+`to_row_coordinates` selects a band's rays from the cloud and moves them into
+the row's frame.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,12 +73,11 @@ class Trajectory:
 
 @dataclass
 class RowSegment:
-    """One vineyard row band: direction, lateral interval and its ray cloud."""
+    """One vineyard row band: the row direction and the band's lateral interval."""
 
     direction: np.ndarray            # horizontal unit 2-vector
     lateral_interval: tuple[float, float]
     index: int
-    cloud: RayCloud                  # world coordinates until to_row_coordinates
     fallback: bool = False           # True when no drive-line peaks were found
 
 
@@ -156,21 +157,25 @@ def _principal_peaks(counts: np.ndarray) -> list[int]:
     return peaks
 
 
+def _lateral(cloud: RayCloud, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lateral (across-row) coordinate of each ray's origin and endpoint."""
+    perp = np.array([-direction[1], direction[0]])
+    return cloud.origins[:, :2] @ perp, cloud.endpoints[:, :2] @ perp
+
+
 def split_rows(cloud: RayCloud, direction: np.ndarray,
                bin_width: float = DEFAULT_BIN_WIDTH) -> list[RowSegment]:
-    """Split the cloud into row bands between drive-line density peaks.
+    """Cut the lateral axis into row bands between drive-line density peaks.
 
-    A ray is assigned to every band its segment overlaps, so long rays can
-    appear in more than one row. Bands are ordered by lateral coordinate;
-    half-bands beyond the outermost peaks keep the boundary vines.
+    Bands are ordered by lateral coordinate; half-bands beyond the outermost
+    peaks keep the boundary vines. Each segment carries the normalised
+    direction, which `to_row_coordinates` uses as it is.
     """
     if len(cloud) == 0:
         raise RowSegmentationError("cannot split an empty cloud")
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
-    perp = np.array([-d[1], d[0]])
-    lat_o = cloud.origins[:, :2] @ perp
-    lat_e = cloud.endpoints[:, :2] @ perp
+    lat_o, lat_e = _lateral(cloud, d)
 
     lo_all = float(min(lat_o.min(), lat_e.min()))
     hi_all = float(max(lat_o.max(), lat_e.max()))
@@ -194,28 +199,26 @@ def split_rows(cloud: RayCloud, direction: np.ndarray,
         bands.extend((cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1))
         if hi_all > cuts[-1]:
             bands.append((cuts[-1], hi_all))
-
-    ray_lo = np.minimum(lat_o, lat_e)
-    ray_hi = np.maximum(lat_o, lat_e)
-    segments = []
-    for idx, (lo, hi) in enumerate(bands):
-        overlap = (ray_lo < hi) & (ray_hi > lo)
-        # half-open bands partition the endpoints exactly
-        endpoint_in = (lat_e >= lo) & (lat_e < hi)
-        mask = overlap | endpoint_in
-        segments.append(RowSegment(direction=d, lateral_interval=(float(lo), float(hi)),
-                                   index=idx, cloud=cloud.select(mask), fallback=fallback))
-    return segments
+    return [RowSegment(direction=d, lateral_interval=(float(lo), float(hi)),
+                       index=idx, fallback=fallback)
+            for idx, (lo, hi) in enumerate(bands)]
 
 
-def to_row_coordinates(segment: RowSegment) -> RayCloud:
-    """Rigidly transform the segment cloud into row coordinates.
+def to_row_coordinates(cloud: RayCloud, segment: RowSegment) -> RayCloud:
+    """The segment's band of `cloud`, rigidly moved into row coordinates.
 
-    y runs along the row direction, x across it, z is unchanged (ground is
-    subtracted upstream). The band's lateral centre maps to x = 0 and the
-    minimum endpoint y to 0.
+    The band holds every ray whose segment overlaps the lateral interval, so
+    long rays can appear in more than one row, and every ray whose endpoint
+    lies in the half-open interval. y runs along the row direction, x across
+    it, z is unchanged (ground is subtracted upstream). The band's lateral
+    centre maps to x = 0 and the minimum endpoint y to 0.
     """
-    cloud = segment.cloud
+    lo, hi = segment.lateral_interval
+    lat_o, lat_e = _lateral(cloud, segment.direction)
+    overlap = (np.minimum(lat_o, lat_e) < hi) & (np.maximum(lat_o, lat_e) > lo)
+    # half-open bands partition the endpoints exactly
+    endpoint_in = (lat_e >= lo) & (lat_e < hi)
+    cloud = cloud.select(overlap | endpoint_in)
     if len(cloud) == 0:
         raise RowSegmentationError("row segment cloud is empty")
     dx, dy = segment.direction
@@ -225,7 +228,6 @@ def to_row_coordinates(segment: RowSegment) -> RayCloud:
                     [0.0, 0.0, 1.0]])
     origins = cloud.origins @ rot.T
     endpoints = cloud.endpoints @ rot.T
-    lo, hi = segment.lateral_interval
     # lateral coordinate used in split_rows is -x in this frame
     x_centre = -0.5 * (lo + hi)
     y_min = endpoints[:, 1].min()

@@ -13,7 +13,7 @@ ray/leaf pairs fit PAIR_BUDGET run together (`_measure`), with one
 a single (ray, triangle) pair list whose trial ids run across the cells,
 and one bincount per statistic; `estimate`, the mean and the standard
 error then run on each cell's slice. A batch is measured before the next
-cell is drawn, which bounds memory, and `_simulate_cell` is the one-cell
+cell is drawn, which bounds memory, and a single cell is a one-cell
 batch. No output bit depends on where batches end.
 Most pairs cannot hit, so `_first_hits` runs Möller–Trumbore only on the
 pairs whose ray passes through the leaf's padded centroid ball or runs
@@ -408,15 +408,6 @@ def _true_density(tris: np.ndarray, counts: np.ndarray, w: float) -> np.ndarray:
     return np.bincount(trial_of_tri, weights=clipped_area(tris, w), minlength=len(counts)) / w ** 3
 
 
-def _leaf_scenes(w: float, side: float, area: float, trials: int,
-                 normals: NormalDistributionSpec, rng: np.random.Generator
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leaf scenes of `trials` voxels with the requested expected leaf area:
-    the triangles, the leaf count per trial and each trial's true density."""
-    tris, counts = _draw_leaves(w, side, area, trials, normals, rng)
-    return tris, counts, _true_density(tris, counts, w)
-
-
 def _leaf_bounds(tris: np.ndarray) -> np.ndarray:
     """The cull's per-leaf rows: centroid (3), unit normal (3) and the squared
     padded radius of the centroid-centred ball that holds the leaf. A
@@ -523,17 +514,9 @@ def _measure(batch: list[tuple], w: float, debias: bool) -> list[tuple[np.ndarra
             for n, lo, hi in zip(ns, bounds, bounds[1:])]
 
 
-def _simulate_cell(w: float, side: float, area: float, n: int, trials: int,
-                   kind: str, normals: NormalDistributionSpec,
-                   rng: np.random.Generator,
-                   debias: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (estimated density, true density) of one cell; rays follow RAY_MODELS[kind]."""
-    return _measure([_draw_cell(w, side, area, n, trials, kind, normals, rng)], w, debias)[0]
-
-
 def _measured_cells(cells, trials: int, rng: np.random.Generator, debias: bool):
-    """Yield `_simulate_cell`'s (estimates, truths) for each of `cells` in
-    order, drawn from `rng` in that order.
+    """Yield the per-trial (estimated density, true density) of each of
+    `cells` in order, drawn from `rng` in that order.
 
     Consecutive cells are measured in one batch while their expected rays
     plus ray/leaf pairs stay within PAIR_BUDGET, and each batch is measured

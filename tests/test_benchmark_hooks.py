@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from raycanopy import pipeline
-from raycanopy.raycloud import load_raycloud, save_raycloud
+from raycanopy.raycloud import save_raycloud
 from raycanopy.synthetic import VineyardSpec, simulate_scan
 from raycanopy.voxels import accumulate, load_stats
 
@@ -95,10 +95,14 @@ def test_traced_pipeline_run_reads_every_count(tmp_path):
     # the expansion hook counts, by object identity, the voxels that keep
     # their own statistics: those with n >= n_min before expansion
     n_min = pipeline.PipelineConfig().n_min
+    out = tmp_path / "out"
+    rows = next(stage for stage in pipeline.STAGES if stage.name == "rows")
+    # the row clouds voxelize read: flattened.ply in the frames of rows.json
+    clouds = {seg.index: cloud for seg, cloud in rows.load(out, ["rows.json"])}
     own = 0
-    for path in sorted((tmp_path / "out").glob("row*_voxels.rcvs")):
+    for path in sorted(out.glob("row*_voxels.rcvs")):
         _, grid = load_stats(path)
-        stats = accumulate(load_raycloud(tmp_path / "out" / f"row{grid.row_index:02d}.ply"), grid)
+        stats = accumulate(clouds[grid.row_index], grid)
         own += sum(s.n >= n_min for s in stats.values())
     assert own > 0
     assert tracer.run_counts["run"]["_voxels.observed"] == own

@@ -4,6 +4,9 @@ import argparse
 import dataclasses
 import json
 import re
+import struct
+import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -114,6 +117,35 @@ def test_simulate_error_surface_outputs(tmp_path):
     assert (tmp_path / "error_surface.csv").exists()
     assert (tmp_path / "error_surface_se.csv").exists()
     assert (tmp_path / "error_surface.png").read_bytes().startswith(b"\x89PNG")
+
+
+def _png_pixels(path) -> np.ndarray:
+    """(H, W, 3) pixels of an 8-bit RGB PNG whose rows carry no filter."""
+    data, pos, idat = path.read_bytes(), 8, b""
+    while pos < len(data):
+        length, tag = struct.unpack(">I4s", data[pos:pos + 8])
+        if tag == b"IHDR":
+            w, h = struct.unpack(">2I", data[pos + 8:pos + 16])
+        elif tag == b"IDAT":
+            idat += data[pos + 8:pos + 8 + length]
+        pos += 12 + length
+    rows = np.frombuffer(zlib.decompress(idat), dtype=np.uint8).reshape(h, 1 + 3 * w)
+    assert not rows[:, 0].any()
+    return rows[:, 1:].reshape(h, w, 3)
+
+
+def test_simulate_error_surface_draws_cells_without_error_black(tmp_path):
+    # at 3 trials some cells draw no leaf area in any trial: their error is nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "error-surface", str(tmp_path), "--trials", "3",
+                     "--seed", "5"]) == 0
+    missing = np.isnan(simulate_mod.debiased_error_surface(trials=3, seed=5)["error"])
+    assert missing.any() and not missing.all()
+    pixels = _png_pixels(tmp_path / "error_surface.png")
+    black = ~pixels.any(axis=2)
+    # render_colormap draws the second array axis top-down
+    np.testing.assert_array_equal(black, missing.T[::-1])
 
 
 def test_simulate_rerun_byte_identical(tmp_path):
@@ -237,6 +269,12 @@ def test_malformed_flag_value_names_field(tmp_path, capsys, flag, value, field):
 def test_direction_override(scan_file, tmp_path):
     out = tmp_path / "rows"
     assert main(["rows", str(scan_file), str(out), "--direction", "0,1"]) == 0
-    assert len(list(out.glob("row[0-9][0-9].ply"))) >= 1
     assert not list(out.glob("*_voxels.rcvs"))   # stops after the rows stage
-    assert json.loads((out / "rows.json").read_text())["direction"] == [0.0, 1.0]
+    assert not list(out.glob("row*.ply"))   # rows are frames on flattened.ply
+    meta = json.loads((out / "rows.json").read_text())
+    assert meta["direction"] == [0.0, 1.0]
+    assert len(meta["rows"]) >= 1
+    assert [m["index"] for m in meta["rows"]] == list(range(len(meta["rows"])))
+    for m in meta["rows"]:
+        assert set(m) == {"index", "interval", "fallback"}
+        assert m["interval"][0] < m["interval"][1]

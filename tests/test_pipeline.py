@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from raycanopy import density, pipeline
+from raycanopy import rows as rows_mod
+from raycanopy import voxels as voxels_mod
 from raycanopy.pipeline import (STAGES, PipelineConfig, PipelineError, apply_overrides,
                                 load_config, run_pipeline)
 from raycanopy.raycloud import save_raycloud
@@ -146,6 +148,38 @@ class TestRunPipeline:
                 assert (out / f"row{idx:02d}{suffix}").exists()
         assert (out / "manifest.json").exists()
         assert (out / "timings.txt").exists()
+
+    def test_every_output_file_is_a_stage_output(self, scan_file, tmp_path):
+        out = tmp_path / "out"
+        manifest = run_pipeline(scan_file[1], out, PipelineConfig())
+        assert manifest["stages"]["rows"]["outputs"] == ["rows.json"]
+        listed = {name for stage in manifest["stages"].values() for name in stage["outputs"]}
+        on_disk = {p.name for p in out.iterdir()} - {"manifest.json", "timings.txt"}
+        assert on_disk == listed
+
+    def test_voxelize_gets_the_rows_stages_bands_bit_for_bit(self, scan_file, tmp_path,
+                                                             monkeypatch):
+        split, received = [], {}
+        split_rows, build_grid = rows_mod.split_rows, voxels_mod.build_grid
+
+        def recording_split(cloud, *args, **kwargs):
+            split.append((cloud, split_rows(cloud, *args, **kwargs)))
+            return split[-1][1]
+
+        def recording_grid(cloud, *args, row_index, **kwargs):
+            received[row_index] = cloud
+            return build_grid(cloud, *args, row_index=row_index, **kwargs)
+
+        monkeypatch.setattr(rows_mod, "split_rows", recording_split)
+        monkeypatch.setattr(voxels_mod, "build_grid", recording_grid)
+        run_pipeline(scan_file[1], tmp_path / "out", PipelineConfig())
+        (flat, segments), = split
+        assert sorted(received) == [seg.index for seg in segments]
+        for seg in segments:
+            want, got = rows_mod.to_row_coordinates(flat, seg), received[seg.index]
+            for name in ("origins", "endpoints", "times", "contact"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert (got.max_range, got.frame_id) == (want.max_range, want.frame_id)
 
     def test_row_direction_recovered(self, scan_file, tmp_path):
         spec, path = scan_file

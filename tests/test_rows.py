@@ -250,47 +250,67 @@ class TestSplitRows:
 
 
 def _contains_ray(segment: RowSegment, cloud, idx) -> bool:
-    target = cloud.endpoints[idx]
-    return any(np.array_equal(e, target) for e in segment.cloud.endpoints)
+    return cloud.times[idx] in to_row_coordinates(cloud, segment).times
+
+
+def _band(cloud, row):
+    """The rays of `cloud` that `row`, a band in row coordinates, holds, in
+    world coordinates (make_cloud gives each ray its own time)."""
+    return cloud.select(np.isin(cloud.times, row.times))
 
 
 class TestRowCoordinates:
     def test_axis_direction_is_swap_and_translation(self, rng):
         cloud = _three_row_cloud(rng)
         seg = split_rows(cloud, np.array([1.0, 0.0]))[1]
-        row = to_row_coordinates(seg)
+        row = to_row_coordinates(cloud, seg)
+        band = _band(cloud, row)
         lo, hi = seg.lateral_interval
         centre = 0.5 * (lo + hi)
         # direction (1,0): row y is world x, row x measures -(y - band centre)
         np.testing.assert_allclose(row.endpoints[:, 0],
-                                   centre - seg.cloud.endpoints[:, 1], atol=1e-9)
+                                   centre - band.endpoints[:, 1], atol=1e-9)
         assert row.endpoints[:, 1].min() == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(row.endpoints[:, 2], seg.cloud.endpoints[:, 2])
+        np.testing.assert_allclose(row.endpoints[:, 2], band.endpoints[:, 2])
 
     def test_rigid_transform_preserves_distances(self, rng):
         cloud = _three_row_cloud(rng, lanes=(0.0, 3.0, 6.0))
         d = np.array([0.6, 0.8])
         d /= np.linalg.norm(d)
         seg = split_rows(cloud, d)[0]
-        row = to_row_coordinates(seg)
-        pts_a = seg.cloud.endpoints
+        row = to_row_coordinates(cloud, seg)
+        band = _band(cloud, row)
+        pts_a = band.endpoints
         pts_b = row.endpoints
         k = min(len(pts_a), 60)
         da = np.linalg.norm(pts_a[:k, None] - pts_a[None, :k], axis=2)
         db = np.linalg.norm(pts_b[:k, None] - pts_b[None, :k], axis=2)
         np.testing.assert_allclose(db, da, atol=1e-9)
-        np.testing.assert_allclose(row.lengths, seg.cloud.lengths, atol=1e-9)
+        np.testing.assert_allclose(row.lengths, band.lengths, atol=1e-9)
 
     def test_round_trip_inverse(self, rng):
         cloud = _three_row_cloud(rng, lanes=(0.0, 3.0, 6.0))
         d = np.array([0.6, 0.8])
         d /= np.linalg.norm(d)
         seg = split_rows(cloud, d)[0]
-        row = to_row_coordinates(seg)
+        row = to_row_coordinates(cloud, seg)
+        band = _band(cloud, row)
         dx, dy = seg.direction
         rot = np.array([[dy, -dx, 0.0], [dx, dy, 0.0], [0.0, 0.0, 1.0]])
         lo, hi = seg.lateral_interval
         # invert: add back the shift, rotate back
-        y_min = (seg.cloud.endpoints @ rot.T)[:, 1].min()
+        y_min = (band.endpoints @ rot.T)[:, 1].min()
         restored = (row.endpoints + np.array([-0.5 * (lo + hi), y_min, 0.0])) @ rot
-        np.testing.assert_allclose(restored, seg.cloud.endpoints, atol=1e-9)
+        np.testing.assert_allclose(restored, band.endpoints, atol=1e-9)
+
+    def test_band_holds_overlapping_rays_and_endpoints_in_half_open_interval(self):
+        # direction (1, 0): the lateral coordinate is y, the band is 0 <= y < 1
+        seg = RowSegment(np.array([1.0, 0.0]), (0.0, 1.0), index=0)
+        origin_y = [-1.0, 0.5, 3.0, -2.0, 2.0]
+        endpoint_y = [2.0, 0.5, 1.0, 0.0, 3.0]
+        cloud = make_cloud([[i, y, 1.0] for i, y in enumerate(origin_y)],
+                           [[i, y, 0.0] for i, y in enumerate(endpoint_y)])
+        row = to_row_coordinates(cloud, seg)
+        # crosses the band; lies in it; ends on the open edge; ends on the
+        # closed edge; misses it
+        assert row.times.tolist() == [0.0, 1.0, 3.0]

@@ -10,9 +10,10 @@ from raycanopy.density import DEFAULT_G, estimate
 from raycanopy.simulate import (ERROR_SURFACE_AREAS, ERROR_SURFACE_SIDES, RAY_MODELS,
                                 SPIN_MAX_ANGLE_DEG, TABLE1_NORMAL_SPECS, TRIANGLE_AREA_FACTOR,
                                 VOXEL_WIDTH, NormalDistributionSpec, SimulationError,
-                                _cell_errors, _first_hits, _leaf_bounds, _leaf_scenes,
-                                _rays_spinning, _rays_trawling, _rays_uniform_chords,
-                                _simulate_cell, _triangle_vertices, bias_curves, clipped_area,
+                                _cell_errors, _draw_cell, _draw_leaves, _first_hits,
+                                _leaf_bounds, _measure, _rays_spinning, _rays_trawling,
+                                _rays_uniform_chords, _triangle_vertices, _true_density,
+                                bias_curves, clipped_area,
                                 debiased_error_surface, make_rng, sample_turbid,
                                 trawl_vs_spin, triangle_bias_experiment)
 
@@ -232,8 +233,9 @@ def _exact_clipped_area_squared(tri, w) -> Fraction:
 class TestLeafScene:
     def test_generated_scene_is_consistent(self):
         w, trials = 0.1, 50
-        tris, counts, rho = _leaf_scenes(w, 0.05, 0.01, trials, NormalDistributionSpec(),
-                                         make_rng(9))
+        tris, counts = _draw_leaves(w, 0.05, 0.01, trials, NormalDistributionSpec(),
+                                    make_rng(9))
+        rho = _true_density(tris, counts, w)
         assert counts.shape == rho.shape == (trials,)
         assert len(tris) == counts.sum()
         bounds = np.concatenate([[0], np.cumsum(counts)])
@@ -244,15 +246,16 @@ class TestLeafScene:
         assert np.all(rho >= 0)
 
     def test_zero_area_gives_empty_scene(self):
-        tris, counts, rho = _leaf_scenes(0.1, 0.05, 0.0, 5, NormalDistributionSpec(),
-                                         make_rng(0))
+        tris, counts = _draw_leaves(0.1, 0.05, 0.0, 5, NormalDistributionSpec(), make_rng(0))
+        rho = _true_density(tris, counts, 0.1)
         assert tris.shape == (0, 3, 3)
         assert not counts.any() and not rho.any()
 
     def test_mean_density_tracks_target(self):
         # realised mean over many scenes approaches target / volume
         w, area = 0.1, 0.02
-        _, _, rho = _leaf_scenes(w, 0.04, area, 400, NormalDistributionSpec(), make_rng(4))
+        rho = _true_density(*_draw_leaves(w, 0.04, area, 400, NormalDistributionSpec(),
+                                          make_rng(4)), w)
         # clipping removes leaf parts outside the box, so the mean sits below
         # the unclipped target but well within a factor of ~0.5
         target = area / w ** 3
@@ -285,8 +288,7 @@ class TestCastRays:
         np.testing.assert_allclose(chord, w, atol=1e-12)
 
     def test_dense_scene_intercepts_almost_everything(self):
-        tris, counts, _ = _leaf_scenes(0.1, 0.05, 0.6, 1, NormalDistributionSpec(),
-                                       make_rng(3))
+        tris, counts = _draw_leaves(0.1, 0.05, 0.6, 1, NormalDistributionSpec(), make_rng(3))
         starts, dirs, chord = _rays_uniform_chords(500, 0.1, make_rng(4))
         hit, _ = _first_hits(starts, dirs, chord, tris, counts,
                              np.zeros(500, dtype=np.int64))
@@ -297,8 +299,7 @@ class TestCastRays:
         # assigned to trials in no particular order: each ray must meet only
         # its own trial's block of triangles
         w = 0.1
-        tris, counts, _ = _leaf_scenes(w, 0.05, 0.03, 5, NormalDistributionSpec(),
-                                       make_rng(6))
+        tris, counts = _draw_leaves(w, 0.05, 0.03, 5, NormalDistributionSpec(), make_rng(6))
         counts = np.insert(counts, 2, 0)
         assert len(set(counts.tolist())) > 2 and counts[2] == 0
         n_rays = 900
@@ -519,7 +520,7 @@ def _oracle_scene(seed):
     normals = NormalDistributionSpec(TABLE1_NORMAL_SPECS[seed % 4])
     trials, n = 4, 12
     area = (2.0, 6.0, 15.0)[seed % 3] * TRIANGLE_AREA_FACTOR * side ** 2   # leaves per trial
-    tris, counts, _ = _leaf_scenes(VOXEL_WIDTH, side, area, trials, normals, rng)
+    tris, counts = _draw_leaves(VOXEL_WIDTH, side, area, trials, normals, rng)
     starts, dirs, chord = RAY_MODELS[kind](trials * n, VOXEL_WIDTH, rng)
     trial_of_ray = np.repeat(np.arange(trials), n)
     first = np.cumsum(counts) - counts
@@ -599,7 +600,7 @@ class TestCullOracle:
         # the padded ball hit; only the near-parallel rule keeps them. Each
         # leaf is a trial of its own, met only by the rays aimed at it.
         rng = make_rng(3)
-        tris, _, _ = _leaf_scenes(VOXEL_WIDTH, side, 0.05, 1, NormalDistributionSpec(), rng)
+        tris, _ = _draw_leaves(VOXEL_WIDTH, side, 0.05, 1, NormalDistributionSpec(), rng)
         aims = [(*a, i) for i, tri in enumerate(tris) for a in _adversarial_rays(tri, rng)]
         point, dirs, trial_of_ray = (np.array(a) for a in zip(*aims))
         starts = point - 0.05 * dirs
@@ -731,8 +732,8 @@ def _ray_tri(start, d, tri):
 
 class TestExperiments:
     def test_estimator_accurate_at_large_n(self):
-        est, rho = _simulate_cell(0.1, 0.05, 0.01, 50, 2000, "uniform-random",
-                                  NormalDistributionSpec(), make_rng(8))
+        est, rho = _measure([_draw_cell(0.1, 0.05, 0.01, 50, 2000, "uniform-random",
+                                        NormalDistributionSpec(), make_rng(8))], 0.1, True)[0]
         err = (est.mean() - rho.mean()) / rho.mean()
         assert abs(err) < 0.05
 
@@ -784,8 +785,8 @@ class TestExperiments:
         normals, trials = NormalDistributionSpec(), 50
         res = triangle_bias_experiment(configs=((0.05, 0.01),), n_values=[10], trials=trials,
                                        seed=21)
-        est, rho = _simulate_cell(0.1, 0.05, 0.01, 10, trials, "uniform-random", normals,
-                                  make_rng(21), debias=False)
+        est, rho = _measure([_draw_cell(0.1, 0.05, 0.01, 10, trials, "uniform-random",
+                                        normals, make_rng(21))], 0.1, False)[0]
         ratio = est.mean() / rho.mean()
         assert res["error"][0, 0] == (est.mean() - rho.mean()) / rho.mean()
         want = (est - ratio * rho).std(ddof=1) / (np.sqrt(trials) * rho.mean())
@@ -810,8 +811,8 @@ class TestExperiments:
 
     def test_unknown_ray_kind_rejected(self):
         with pytest.raises(SimulationError, match="unknown ray distribution 'sweeping'"):
-            _simulate_cell(0.1, 0.05, 0.01, 10, 5, "sweeping", NormalDistributionSpec(),
-                           make_rng(0))
+            _draw_cell(0.1, 0.05, 0.01, 10, 5, "sweeping", NormalDistributionSpec(),
+                       make_rng(0))
 
     def test_estimates_are_the_pipeline_estimator_on_the_same_draws(self):
         # the suite checks density.estimate itself, not a copy of its formula
@@ -824,10 +825,10 @@ class TestExperiments:
 
         normals, trials = NormalDistributionSpec(), 50
         for debias in (True, False):
-            got, _ = _simulate_cell(0.1, 0.05, 0.01, 10, trials, "uniform-random", normals,
-                                    make_rng(21), debias=debias)
+            got, _ = _measure([_draw_cell(0.1, 0.05, 0.01, 10, trials, "uniform-random",
+                                          normals, make_rng(21))], 0.1, debias)[0]
             rng = make_rng(21)
-            tris, counts, _ = _leaf_scenes(0.1, 0.05, 0.01, trials, normals, rng)
+            tris, counts = _draw_leaves(0.1, 0.05, 0.01, trials, normals, rng)
             starts, dirs, chord = _rays_uniform_chords(10 * trials, 0.1, rng)
             trial_of_ray = np.repeat(np.arange(trials), 10)
             hit, x = _first_hits(starts, dirs, chord, tris, counts, trial_of_ray)
@@ -911,10 +912,12 @@ class TestBatchOracle:
     def test_one_cell_matches_the_reference(self, kind):
         for area in (0.02, 1e-6):     # leaves, then none
             args = (VOXEL_WIDTH, 0.05, area, 7, 25, kind, NormalDistributionSpec((1.0, 2.0, 5.0)))
-            got = _simulate_cell(*args, make_rng(8))
+            got = _measure([_draw_cell(*args, make_rng(8))], VOXEL_WIDTH, True)[0]
             want = _simulate_cell_reference(*args, make_rng(8))
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-        scenes = _leaf_scenes(VOXEL_WIDTH, 0.04, 0.03, 40, NormalDistributionSpec(), make_rng(2))
+        tris, counts = _draw_leaves(VOXEL_WIDTH, 0.04, 0.03, 40, NormalDistributionSpec(),
+                                    make_rng(2))
+        scenes = tris, counts, _true_density(tris, counts, VOXEL_WIDTH)
         want = _leaf_scenes_reference(VOXEL_WIDTH, 0.04, 0.03, 40, NormalDistributionSpec(),
                                       make_rng(2))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(scenes, want))
