@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_mod
-from . import simulate as simulate_mod
 from .pipeline import (STAGE_NAMES, STAGES, PipelineConfig, apply_overrides,
                        load_config, run_pipeline)
 from .raycloud import load_raycloud, save_raycloud
@@ -93,6 +92,8 @@ def _write_table(path, col_names, row_names, table) -> None:
 
 def _cmd_simulate(args) -> int:
     """Each experiment's error table, and its standard errors in *_se.csv."""
+    from . import simulate as simulate_mod   # only this command loads the Monte Carlo suite
+
     kw = {"seed": args.seed}
     if args.trials is not None:   # otherwise each experiment's own default
         kw["trials"] = args.trials

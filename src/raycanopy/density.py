@@ -21,6 +21,7 @@ import numpy as np
 from .voxels import VoxelGrid, VoxelStats, read_grid_file, write_grid_header
 
 DEFAULT_G = 2.0
+ESTIMATORS = ("mean", "mode")   # the Gamma posterior's mean or mode
 
 
 class DensityError(ValueError):
@@ -50,7 +51,7 @@ def estimate(n, m, sum_x, g: float = DEFAULT_G, estimator: str = "mean",
     m / sum(x_i); `debias=False` drops the (n-1)/n factor. Voxels with m = 0
     get 0.
     """
-    if estimator not in ("mean", "mode"):
+    if estimator not in ESTIMATORS:
         raise DensityError(f"unknown estimator {estimator!r}")
     n, m, sum_x = np.broadcast_arrays(n, m, sum_x)
     hit = m > 0

@@ -86,8 +86,8 @@ def extract_ground(cloud: RayCloud, k: float = DEFAULT_CURVATURE) -> GroundMesh:
     hull triangles (outward normal z < -1e-9) are kept and un-lifted. Sky
     points (non-contact endpoints) are not terrain evidence and are excluded.
     """
-    if k <= 0:
-        raise GroundExtractionError("curvature k must be positive")
+    if not (np.isfinite(k) and k > 0):
+        raise GroundExtractionError(f"curvature k must be positive and finite, not {k!r}")
     pts = cloud.endpoints[cloud.contact]
     if len(pts) < 4:
         raise GroundExtractionError(f"need >= 4 contact endpoints, got {len(pts)}")

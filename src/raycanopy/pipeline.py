@@ -69,7 +69,7 @@ class PipelineConfig:
             if d.shape != (2,) or not np.all(np.isfinite(d)) or not np.any(d):
                 raise ValueError(f"direction must be two finite numbers, not both zero: "
                                  f"{self.direction!r}")
-        if self.estimator not in ("mean", "mode"):
+        if self.estimator not in density_mod.ESTIMATORS:
             raise ValueError(f"estimator must be 'mean' or 'mode', not {self.estimator!r}")
 
 

@@ -156,8 +156,8 @@ def colormap_rgb(values: np.ndarray, max_value: float,
 
     Unobserved pixels are black. Returns (H, W, 3) uint8.
     """
-    if max_value <= 0:
-        raise ReportError("max_value must be positive")
+    if not (np.isfinite(max_value) and max_value > 0):
+        raise ReportError(f"max_value must be positive and finite, not {max_value!r}")
     t = np.clip(values / max_value, 0.0, 1.0)
     rgb = np.zeros(values.shape + (3,), dtype=float)
     lo = t <= 0.5

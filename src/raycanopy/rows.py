@@ -4,8 +4,8 @@ The sensor trajectory (deduplicated ray origins) is scanned for its longest
 straight run, which gives the row axis. Origin density perpendicular to that
 axis then shows one peak per drive line; the peaks cut the lateral axis into
 one band per row. A row is only its direction and lateral interval:
-`to_row_coordinates` selects a band's rays from the cloud and moves them into
-the row's frame.
+`to_row_coordinates` moves its band of the cloud into the row's frame. All
+lengths and projections are elementwise multiply-adds, never BLAS calls.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ MIN_STEP = 0.05          # m, x-y move that makes a new trajectory position
 
 class RowSegmentationError(ValueError):
     pass
+
+
+def _length(v):   # of an x-y vector; np.linalg.norm of one vector calls BLAS ddot
+    return np.sqrt(v[0] * v[0] + v[1] * v[1])
 
 
 @dataclass
@@ -52,10 +56,9 @@ class Trajectory:
         # distance to the last kept position, so the first ray later than the
         # last kept time is kept, and the rest of its run lies 0 m from it.
         starts = np.flatnonzero(np.any(xy[1:] != xy[:-1], axis=1)) + 1
-        keep = [0]
-        last = xy[0]
+        keep, last = [0], xy[0]
         for s, e in zip(starts.tolist(), starts[1:].tolist() + [len(xy)]):
-            if not np.linalg.norm(xy[s] - last) >= MIN_STEP:
+            if not _length(xy[s] - last) >= MIN_STEP:
                 continue
             later = np.flatnonzero(times[s:e] > times[keep[-1]])
             if len(later):
@@ -85,14 +88,12 @@ def straightness_value(positions_2d: np.ndarray, i: int, j: int) -> float:
     """v = l^2 / w of the chord-aligned bounding rectangle of positions[i..j]."""
     pts = positions_2d[i:j + 1]
     chord = pts[-1] - pts[0]
-    norm = np.linalg.norm(chord)
+    norm = _length(chord)
     if norm < 1e-12:
         return 0.0
-    d = chord / norm
-    proj = pts @ d
-    perp = pts @ np.array([-d[1], d[0]])
-    l = proj.max() - proj.min()
-    w = max(perp.max() - perp.min(), MIN_RECT_WIDTH)
+    across, along = _frame(pts, chord / norm)
+    l = along.max() - along.min()
+    w = max(across.max() - across.min(), MIN_RECT_WIDTH)
     return l * l / w
 
 
@@ -107,7 +108,7 @@ def row_direction(traj: Trajectory) -> np.ndarray:
     n = len(pos2)
     if n < 2:
         raise RowSegmentationError("trajectory needs at least 2 positions")
-    if np.linalg.norm(pos2.max(axis=0) - pos2.min(axis=0)) < 1.0:
+    if _length(pos2.max(axis=0) - pos2.min(axis=0)) < 1.0:
         raise RowSegmentationError("trajectory spans less than 1 m")
 
     i, j = 0, 1
@@ -129,7 +130,7 @@ def row_direction(traj: Trajectory) -> np.ndarray:
 
 def _chord_direction(pos2: np.ndarray, i: int, j: int) -> np.ndarray:
     chord = pos2[j] - pos2[i]
-    norm = np.linalg.norm(chord)
+    norm = _length(chord)
     if norm < 1e-12:
         raise RowSegmentationError("zero-extent trajectory segment")
     return chord / norm
@@ -157,10 +158,15 @@ def _principal_peaks(counts: np.ndarray) -> list[int]:
     return peaks
 
 
-def _lateral(cloud: RayCloud, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lateral (across-row) coordinate of each ray's origin and endpoint."""
-    perp = np.array([-direction[1], direction[0]])
-    return cloud.origins[:, :2] @ perp, cloud.endpoints[:, :2] @ perp
+def _frame(points: np.ndarray, direction) -> tuple[np.ndarray, np.ndarray]:
+    """Across-row x and along-row y of each point's world x-y (right-handed, z up).
+
+    x = X*dy + Y*(-dx) and y = X*dx + Y*dy for direction (dx, dy), as plain
+    elementwise multiply-adds in that order, so no BLAS build can change them.
+    """
+    dx, dy = direction
+    X, Y = points[:, 0], points[:, 1]
+    return X * dy + Y * -dx, X * dx + Y * dy
 
 
 def split_rows(cloud: RayCloud, direction: np.ndarray,
@@ -173,9 +179,13 @@ def split_rows(cloud: RayCloud, direction: np.ndarray,
     """
     if len(cloud) == 0:
         raise RowSegmentationError("cannot split an empty cloud")
+    if not (np.isfinite(bin_width) and bin_width > 0):
+        raise RowSegmentationError(f"bin_width must be positive and finite, not {bin_width!r}")
     d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    lat_o, lat_e = _lateral(cloud, d)
+    if d.shape != (2,) or not np.all(np.isfinite(d)) or not np.any(d):
+        raise RowSegmentationError(f"direction must be finite and nonzero, not {direction!r}")
+    d = d / _length(d)
+    lat_o, lat_e = -_frame(cloud.origins, d)[0], -_frame(cloud.endpoints, d)[0]
 
     lo_all = float(min(lat_o.min(), lat_e.min()))
     hi_all = float(max(lat_o.max(), lat_e.max()))
@@ -190,18 +200,14 @@ def split_rows(cloud: RayCloud, direction: np.ndarray,
     fallback = len(split_points) < 2
     if fallback:
         log.warning("split_rows: no drive-line peaks found; returning a single row")
-        bands = [(lo_all, hi_all)]
+        bounds = [lo_all, hi_all]
     else:
         cuts = sorted(split_points)
-        bands = []
-        if lo_all < cuts[0]:
-            bands.append((lo_all, cuts[0]))
-        bands.extend((cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1))
-        if hi_all > cuts[-1]:
-            bands.append((cuts[-1], hi_all))
+        bounds = (([lo_all] if lo_all < cuts[0] else []) + cuts
+                  + ([hi_all] if hi_all > cuts[-1] else []))
     return [RowSegment(direction=d, lateral_interval=(float(lo), float(hi)),
                        index=idx, fallback=fallback)
-            for idx, (lo, hi) in enumerate(bands)]
+            for idx, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 def to_row_coordinates(cloud: RayCloud, segment: RowSegment) -> RayCloud:
@@ -214,23 +220,16 @@ def to_row_coordinates(cloud: RayCloud, segment: RowSegment) -> RayCloud:
     centre maps to x = 0 and the minimum endpoint y to 0.
     """
     lo, hi = segment.lateral_interval
-    lat_o, lat_e = _lateral(cloud, segment.direction)
+    x_o, y_o = _frame(cloud.origins, segment.direction)
+    x_e, y_e = _frame(cloud.endpoints, segment.direction)
+    lat_o, lat_e = -x_o, -x_e   # what split_rows cut the bands on
     overlap = (np.minimum(lat_o, lat_e) < hi) & (np.maximum(lat_o, lat_e) > lo)
     # half-open bands partition the endpoints exactly
-    endpoint_in = (lat_e >= lo) & (lat_e < hi)
-    cloud = cloud.select(overlap | endpoint_in)
-    if len(cloud) == 0:
+    keep = overlap | ((lat_e >= lo) & (lat_e < hi))
+    if not keep.any():
         raise RowSegmentationError("row segment cloud is empty")
-    dx, dy = segment.direction
-    # x across-row, y along-row, z up: right-handed
-    rot = np.array([[dy, -dx, 0.0],
-                    [dx, dy, 0.0],
-                    [0.0, 0.0, 1.0]])
-    origins = cloud.origins @ rot.T
-    endpoints = cloud.endpoints @ rot.T
-    # lateral coordinate used in split_rows is -x in this frame
-    x_centre = -0.5 * (lo + hi)
-    y_min = endpoints[:, 1].min()
-    shift = np.array([x_centre, y_min, 0.0])
-    return RayCloud(origins - shift, endpoints - shift, cloud.times, cloud.contact,
+    x_centre, y_min = -0.5 * (lo + hi), y_e[keep].min()
+    origins, endpoints = (np.column_stack([x[keep] - x_centre, y[keep] - y_min, p[keep, 2]])
+                          for x, y, p in ((x_o, y_o, cloud.origins), (x_e, y_e, cloud.endpoints)))
+    return RayCloud(origins, endpoints, cloud.times[keep], cloud.contact[keep],
                     cloud.max_range, cloud.frame_id)

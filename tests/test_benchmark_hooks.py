@@ -15,7 +15,9 @@ import re
 import sys
 from pathlib import Path
 
-from raycanopy import pipeline
+# Tracer.install looks up every TARGETS module in sys.modules, and the package
+# root imports none of them: load simulate here, as perfbench/workloads.py does
+from raycanopy import pipeline, simulate  # noqa: F401
 from raycanopy.raycloud import save_raycloud
 from raycanopy.synthetic import VineyardSpec, simulate_scan
 from raycanopy.voxels import accumulate, load_stats

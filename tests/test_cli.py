@@ -3,10 +3,14 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,19 @@ def test_simulate_minimal_trials_writes_valid_csv(tmp_path):
     assert np.isfinite(table[-1, 1:]).all()
     se = np.genfromtxt(tmp_path / "triangle_bias_se.csv", delimiter=",", skip_header=1)
     assert se.shape == (6, table.shape[1])   # no standard error for the reference row
+
+
+def test_cli_import_leaves_monte_carlo_modules_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, raycanopy.cli; "
+            "print(sorted(m for m in ('raycanopy.simulate', 'raycanopy.synthetic') "
+            "if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

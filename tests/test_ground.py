@@ -106,6 +106,10 @@ class TestExtractGround:
         with pytest.raises(GroundExtractionError):
             extract_ground(_random_terrain_cloud(rng, n=50), k=0.0)
 
+    def test_nan_curvature_rejected_by_name(self, rng):
+        with pytest.raises(GroundExtractionError, match="curvature k"):
+            extract_ground(_random_terrain_cloud(rng, n=50), k=float("nan"))
+
 
 class TestHeightAt:
     def test_outside_footprint_is_none(self, rng):

@@ -140,6 +140,11 @@ class TestColormap:
         with pytest.raises(ReportError):
             colormap_rgb(np.zeros((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("max_value", [float("nan"), float("inf")])
+    def test_nonfinite_max_rejected(self, max_value):
+        with pytest.raises(ReportError, match="max_value"):
+            colormap_rgb(np.zeros((2, 2)), max_value)
+
     def test_png_written_with_signature(self, tmp_path):
         img = DensityImage(values=np.linspace(0, 10, 12).reshape(3, 4), axis="x",
                            pixel_size=0.1)

@@ -7,6 +7,7 @@ from raycanopy.raycloud import RayCloud
 from raycanopy.rows import (MIN_STEP, RowSegment, RowSegmentationError, Trajectory,
                             _chord_direction, row_direction, split_rows,
                             straightness_value, to_row_coordinates)
+from raycanopy.synthetic import VineyardSpec, simulate_scan
 
 from conftest import make_cloud
 
@@ -248,6 +249,19 @@ class TestSplitRows:
         with pytest.raises(RowSegmentationError):
             split_rows(empty, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("direction, bin_width, name", [
+        ((1.0, 0.0), 0.0, "bin_width"),
+        ((1.0, 0.0), -1.0, "bin_width"),
+        ((1.0, 0.0), float("nan"), "bin_width"),
+        ((1.0, 0.0), float("inf"), "bin_width"),
+        ((0.0, 0.0), 0.2, "direction"),
+        ((float("nan"), 1.0), 0.2, "direction"),
+        ((float("inf"), 1.0), 0.2, "direction"),
+    ])
+    def test_bad_argument_rejected_by_name(self, rng, direction, bin_width, name):
+        with pytest.raises(RowSegmentationError, match=name):
+            split_rows(_three_row_cloud(rng, n_per=20), np.array(direction), bin_width)
+
 
 def _contains_ray(segment: RowSegment, cloud, idx) -> bool:
     return cloud.times[idx] in to_row_coordinates(cloud, segment).times
@@ -314,3 +328,49 @@ class TestRowCoordinates:
         # crosses the band; lies in it; ends on the open edge; ends on the
         # closed edge; misses it
         assert row.times.tolist() == [0.0, 1.0, 3.0]
+
+
+def _turned(cloud, degrees):
+    """`cloud` turned about the z axis by `degrees`."""
+    c, s = np.cos(np.radians(degrees)), np.sin(np.radians(degrees))
+
+    def turn(p):
+        return np.column_stack([c * p[:, 0] - s * p[:, 1], s * p[:, 0] + c * p[:, 1], p[:, 2]])
+    return RayCloud(turn(cloud.origins), turn(cloud.endpoints), cloud.times, cloud.contact,
+                    cloud.max_range, cloud.frame_id)
+
+
+def test_diagonal_row_frame_is_the_explicit_formula_bit_for_bit(monkeypatch):
+    """On a scan turned by 40 degrees, where products are not exact, the
+    direction split_rows stores, the lateral coordinates it bins, the rays each
+    band holds and their row-frame x and y are the explicit formulas: the
+    direction over sqrt(dx*dx + dy*dy), x = X*dy + Y*(-dx), y = X*dx + Y*dy."""
+    scan = simulate_scan(VineyardSpec(row_length=6, max_range=6), spacing=0.2,
+                         rays_per_position=30, seed=3)
+    cloud = _turned(scan, 40.0)
+    binned, histogram = [], np.histogram
+    monkeypatch.setattr(np, "histogram", lambda a, *args, **kwargs:
+                        binned.append(np.copy(a)) or histogram(a, *args, **kwargs))
+    d = 2.5 * np.array([-np.sin(np.radians(40.0)), np.cos(np.radians(40.0))])
+    segments = split_rows(cloud, d)
+    monkeypatch.undo()
+    dx, dy = segments[0].direction
+    assert segments[0].direction.tobytes() == (d / np.sqrt(d[0] * d[0] + d[1] * d[1])).tobytes()
+
+    def frame(p):
+        return p[:, 0] * dy + p[:, 1] * -dx, p[:, 0] * dx + p[:, 1] * dy
+    (x_o, y_o), (x_e, y_e) = frame(cloud.origins), frame(cloud.endpoints)
+    assert binned[0].tobytes() == (-x_o).tobytes()
+    assert len(segments) >= 3 and not segments[0].fallback
+    for seg in segments:
+        lo, hi = seg.lateral_interval
+        keep = ((np.minimum(-x_o, -x_e) < hi) & (np.maximum(-x_o, -x_e) > lo)) \
+            | ((-x_e >= lo) & (-x_e < hi))
+        row = to_row_coordinates(cloud, seg)
+        assert row.times.tobytes() == cloud.times[keep].tobytes()
+        y_min = y_e[keep].min()
+        for got, x, y, p in ((row.origins, x_o, y_o, cloud.origins),
+                             (row.endpoints, x_e, y_e, cloud.endpoints)):
+            assert got[:, 0].tobytes() == (x[keep] + 0.5 * (lo + hi)).tobytes()
+            assert got[:, 1].tobytes() == (y[keep] - y_min).tobytes()
+            assert got[:, 2].tobytes() == p[keep, 2].tobytes()
