@@ -21,6 +21,7 @@ from .pipeline import (STAGE_NAMES, STAGES, PipelineConfig, apply_overrides,
 from .raycloud import load_raycloud, save_raycloud
 
 EXPERIMENTS = ("turbid-bias", "triangle-bias", "error-surface", "trawl-vs-spin")
+EXTENT_TOL = 1e-9   # m; `compare` pairs panels whose start and length agree to this
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -139,13 +140,20 @@ def _cmd_compare(args) -> int:
     b = report_mod.load_series_csv(args.series_b)
     pa = report_mod.panel_aggregate(a, args.panel_length)
     pb = report_mod.panel_aggregate(b, args.panel_length)
-    count = min(len(pa), len(pb))
-    va = [p.integrated_density for p in pa[:count]]
-    vb = [p.integrated_density for p in pb[:count]]
+    # panel i pairs only when both cover the same stretch of row, so a short
+    # series' merged tail panel is never compared with a full-length one
+    paired = [i for i, (p, q) in enumerate(zip(pa, pb))
+              if abs(p.start - q.start) <= EXTENT_TOL and abs(p.length - q.length) <= EXTENT_TOL]
+    counts = (f"{len(paired)} panels paired, {max(len(pa), len(pb)) - len(paired)} skipped "
+              f"(no panel of the same start and length in the other series)")
+    if not paired:
+        raise report_mod.ReportError(f"no panels to compare: {counts}")
+    va = [pa[i].integrated_density for i in paired]
+    vb = [pb[i].integrated_density for i in paired]
     value = report_mod.rrmse(va, vb)
-    print(f"panel RRMSE over {count} panels: {value:.4f}")
+    print(f"panel RRMSE {value:.4f}; {counts}")
     if args.output:
-        report_mod.export_comparison_csv(range(count), va, vb, args.output)
+        report_mod.export_comparison_csv(paired, va, vb, args.output)
     return 0
 
 

@@ -8,14 +8,19 @@ it into the row frame that rows.json records. A stage's outputs are cached
 under a hash of the input file, the package source and the fields of that
 stage and every stage before it, so reruns skip unchanged upstream stages.
 manifest.json vouches only for files that a finished stage wrote: before a
-stage runs, its entry and every later one are removed from it. A failed
-stage aborts with its name and removes its new partial outputs.
+stage runs, its entry and every later one are removed from it. It is
+written to a temporary name and renamed into place, and one that cannot be
+read is reported and reruns every stage. A failed stage aborts with its
+name and removes its new partial outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
+import re
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -29,6 +34,11 @@ from . import report as report_mod
 from . import rows as rows_mod
 from . import voxels as voxels_mod
 from .raycloud import RayCloud, load_raycloud, save_raycloud
+
+log = logging.getLogger(__name__)
+
+# per-row clouds that versions before rows.json wrote; the rows stage removes them
+STALE_ROW_PLY = re.compile(r"row[0-9][0-9]\.ply")
 
 
 class PipelineError(RuntimeError):
@@ -269,6 +279,17 @@ def _stage_keys(input_hash: str, config: PipelineConfig) -> list[str]:
     return keys
 
 
+def _previous_stages(manifest_path: Path) -> dict:
+    """The stage entries of an earlier run's manifest; none if it cannot be read."""
+    if not manifest_path.exists():
+        return {}
+    try:
+        return json.loads(manifest_path.read_text())["stages"]
+    except (ValueError, KeyError, TypeError) as exc:   # cut, garbled or not a manifest
+        log.warning("%s is unreadable (%s); every stage reruns", manifest_path, exc)
+        return {}
+
+
 def run_pipeline(input_path, out_dir, config: PipelineConfig | None = None,
                  until: str = "integrate") -> dict:
     """Run the stages up to and including `until`; returns the manifest dict.
@@ -287,9 +308,8 @@ def run_pipeline(input_path, out_dir, config: PipelineConfig | None = None,
     input_path, out = Path(input_path), Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
-    previous = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
     manifest = {"input": input_path.name, "config": asdict(config),
-                "stages": previous.get("stages", {})}
+                "stages": _previous_stages(manifest_path)}
     keys = _stage_keys(_hash(input_path.read_bytes()), config)
 
     def cached(stage: Stage, key: str) -> bool:
@@ -298,7 +318,10 @@ def run_pipeline(input_path, out_dir, config: PipelineConfig | None = None,
                 and all((out / name).exists() for name in entry["outputs"]))
 
     def save_manifest() -> None:
-        manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        # a process killed mid-write leaves the temporary file, never a cut manifest
+        tmp = manifest_path.with_name(manifest_path.name + ".tmp")
+        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, manifest_path)
 
     first = next((i for i, s in enumerate(stages) if not cached(s, keys[i])), len(stages))
     timings = {s.name: 0.0 for s in stages[:first]}
@@ -309,6 +332,11 @@ def run_pipeline(input_path, out_dir, config: PipelineConfig | None = None,
     for i in range(first, len(stages)):
         stage, before = stages[i], stages[i - 1] if i else None
         start = time.perf_counter()
+        if stage.name == "rows":
+            listed = {name for e in manifest["stages"].values() for name in e["outputs"]}
+            for p in out.iterdir():
+                if STALE_ROW_PLY.fullmatch(p.name) and p.name not in listed:
+                    p.unlink()
         existing = {p.name for p in out.iterdir()}
         try:
             inputs = (before.load(out, manifest["stages"][before.name]["outputs"])

@@ -66,6 +66,7 @@ class PanelSummary:
 
     panel_index: int
     integrated_density: float   # m^2/m, mean leaf area per metre of row
+    start: float                # m, from the series' first step
     length: float               # m
     lai: float | None = None    # set only when row spacing is configured
 
@@ -107,7 +108,7 @@ def panel_aggregate(series: RowSeries,
         starts.pop()
     ends = starts[1:] + [count]
     return [PanelSummary(panel_index=idx, integrated_density=float(series.values[s:e].mean()),
-                         length=(e - s) * series.step)
+                         start=s * series.step, length=(e - s) * series.step)
             for idx, (s, e) in enumerate(zip(starts, ends))]
 
 

@@ -102,17 +102,37 @@ def test_simulate_minimal_trials_writes_valid_csv(tmp_path):
     assert se.shape == (6, table.shape[1])   # no standard error for the reference row
 
 
-def test_cli_import_leaves_monte_carlo_modules_unloaded():
+def _fresh_process(code: str) -> str:
+    """What `code` prints when run by a new interpreter on this checkout's package."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = ("import sys, raycanopy.cli; "
-            "print(sorted(m for m in ('raycanopy.simulate', 'raycanopy.synthetic') "
-            "if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_monte_carlo_modules_unloaded():
+    code = ("import sys, raycanopy.cli; "
+            "print(sorted(m for m in ('raycanopy.simulate', 'raycanopy.synthetic') "
+            "if m in sys.modules))")
+    assert _fresh_process(code) == "[]"
+
+
+def test_scipy_loads_only_when_the_ground_stage_runs(tmp_path):
+    code = ("import sys, raycanopy.cli, raycanopy.pipeline, raycanopy.simulate, "
+            "raycanopy.synthetic; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_process(code) == "[]"
+    cloud = simulate_scan(VineyardSpec(row_length=6, max_range=6), spacing=0.2,
+                          rays_per_position=30, seed=3)
+    save_raycloud(cloud, tmp_path / "scan.ply")
+    run = ("import sys; from raycanopy.pipeline import PipelineConfig, run_pipeline; "
+           f"run_pipeline({str(tmp_path / 'scan.ply')!r}, {str(tmp_path / 'out')!r}, "
+           "PipelineConfig(panel_length={})); print('scipy.spatial' in sys.modules)")
+    assert _fresh_process(run.format(5.0)) == "True"    # the check sees a ground run
+    assert _fresh_process(run.format(3.5)) == "False"   # ground cached: no Qhull
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -213,6 +233,28 @@ def test_compare_reports_rrmse(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "panel RRMSE" in out
     assert (tmp_path / "cmp.csv").read_text().count("\n") >= 4
+
+
+def _write_series(path, values, step=0.1) -> None:
+    lines = [f"{(i + 0.5) * step:.3f},{v:.6f}" for i, v in enumerate(values)]
+    path.write_text("y_m,density_m2_per_m\n" + "\n".join(lines) + "\n")
+
+
+def test_compare_pairs_only_panels_of_the_same_extent(tmp_path, capsys):
+    # agree on their first 12 m: 1 m^2/m for 10 m, then 3 m^2/m
+    _write_series(tmp_path / "a.csv", [1.0] * 100 + [3.0] * 20)
+    _write_series(tmp_path / "b.csv", [1.0] * 100 + [3.0] * 60)
+    # 10 m panels: a has one merged 12 m panel, b a 10 m and a 6 m one
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                 "--panel-length", "10"]) == 1
+    assert ("error: no panels to compare: 0 panels paired, 2 skipped"
+            in capsys.readouterr().err)
+    # 4 m panels: a's three all meet b's first three; b's fourth has no partner
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                 "--panel-length", "4", "--output", str(tmp_path / "cmp.csv")]) == 0
+    assert "panel RRMSE 0.0000; 3 panels paired, 1 skipped" in capsys.readouterr().out
+    assert [line.split(",")[0] for line in
+            (tmp_path / "cmp.csv").read_text().splitlines()[1:-1]] == ["0", "1", "2"]
 
 
 HEADER = "y_m,density_m2_per_m\n"

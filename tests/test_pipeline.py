@@ -352,6 +352,49 @@ class TestRunPipeline:
         for row, panel, mean, lai in lines:   # both printed to 9 digits
             assert float(lai) == pytest.approx(float(mean) / 2.5, rel=2e-8), (row, panel)
 
+    def test_truncated_manifest_reruns_every_stage(self, scan_file, tmp_path, caplog):
+        _, path = scan_file
+        out = tmp_path / "out"
+        run_pipeline(path, out, PipelineConfig())
+        manifest = out / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:100])   # a process killed mid-write
+        with caplog.at_level("WARNING", logger="raycanopy.pipeline"):
+            run_pipeline(path, out, PipelineConfig())
+        assert f"{manifest} is unreadable" in caplog.text
+        assert "every stage reruns" in caplog.text
+        timings = dict(line.split("\t") for line in
+                       (out / "timings.txt").read_text().splitlines())
+        assert list(timings) == [s.name for s in STAGES]
+        assert "0.000s" not in timings.values()
+        run_pipeline(path, tmp_path / "fresh", PipelineConfig())
+        assert _output_bytes(out) == _output_bytes(tmp_path / "fresh")
+
+    def test_manifest_replaced_whole_or_not_at_all(self, scan_file, tmp_path, monkeypatch):
+        _, path = scan_file
+        out = tmp_path / "out"
+        run_pipeline(path, out, PipelineConfig())
+        before = (out / "manifest.json").read_bytes()
+
+        def killed(src, dst):
+            raise OSError("killed between write and rename")
+
+        monkeypatch.setattr(pipeline.os, "replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            run_pipeline(path, out, PipelineConfig(g=1.5))
+        assert (out / "manifest.json").read_bytes() == before
+
+    def test_rows_stage_removes_only_old_row_clouds(self, scan_file, tmp_path):
+        # row00.ply is a per-row cloud as older versions wrote it
+        _, path = scan_file
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("row00.ply", "other.ply", "row00_notes.ply"):
+            (out / name).write_text("planted")
+        run_pipeline(path, out, PipelineConfig())
+        assert not (out / "row00.ply").exists()
+        assert (out / "other.ply").read_text() == "planted"
+        assert (out / "row00_notes.ply").read_text() == "planted"
+
     def test_manifest_records_config(self, scan_file, tmp_path):
         _, path = scan_file
         manifest = run_pipeline(path, tmp_path / "out",
