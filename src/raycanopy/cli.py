@@ -122,7 +122,7 @@ def _cmd_simulate(args) -> int:
         # a cell without leaf area has no error; it is drawn black
         finite = np.isfinite(res["error"])
         img = report_mod.DensityImage(values=np.where(finite, np.abs(res["error"]), 0.0),
-                                      axis="z", pixel_size=1.0, observed=finite)
+                                      pixel_size=1.0, observed=finite)
         report_mod.render_colormap(img, 0.10, out / "error_surface.png")
         print(f"error surface -> {out}")
     else:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import numbers
 import os
-import re
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -36,9 +36,6 @@ from . import voxels as voxels_mod
 from .raycloud import RayCloud, load_raycloud, save_raycloud
 
 log = logging.getLogger(__name__)
-
-# per-row clouds that versions before rows.json wrote; the rows stage removes them
-STALE_ROW_PLY = re.compile(r"row[0-9][0-9]\.ply")
 
 
 class PipelineError(RuntimeError):
@@ -68,6 +65,8 @@ class PipelineConfig:
         for name in ("voxel_width", "g", "curvature", "bin_width",
                      "panel_length", "max_density") + optional:
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, not {value!r}")
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, not {value!r}")
         if isinstance(self.n_min, bool) or not isinstance(self.n_min, (int, np.integer)):
@@ -80,7 +79,8 @@ class PipelineConfig:
                 raise ValueError(f"direction must be two finite numbers, not both zero: "
                                  f"{self.direction!r}")
         if self.estimator not in density_mod.ESTIMATORS:
-            raise ValueError(f"estimator must be 'mean' or 'mode', not {self.estimator!r}")
+            names = " or ".join(map(repr, density_mod.ESTIMATORS))
+            raise ValueError(f"estimator must be {names}, not {self.estimator!r}")
 
 
 def load_config(path) -> PipelineConfig:
@@ -119,10 +119,8 @@ def apply_overrides(config: PipelineConfig, values: dict) -> PipelineConfig:
                 if len(parts) != 2:
                     raise ValueError("expected two numbers dx,dy")
                 kwargs["direction"] = (float(parts[0]), float(parts[1]))
-            elif key == "n_min" and not isinstance(raw, str):
-                kwargs[key] = raw   # PipelineConfig rejects a non-integral count
-            else:
-                kwargs[key] = fields[key](raw) if not isinstance(raw, fields[key]) else raw
+            else:   # PipelineConfig checks the type of a value given as other than text
+                kwargs[key] = fields[key](raw) if isinstance(raw, str) else raw
         except ValueError as exc:
             raise ValueError(f"{exc} for {key}") from None
     return replace(config, **kwargs)
@@ -159,6 +157,8 @@ def _rows(flat: RayCloud, out: Path, c: PipelineConfig) -> list[str]:
         traj.validate()
         direction = rows_mod.row_direction(traj)
     segments = rows_mod.split_rows(flat, direction, bin_width=c.bin_width)
+    for old in out.glob("row[0-9][0-9].ply"):   # per-row clouds of versions before rows.json
+        old.unlink()
     meta = {"direction": segments[0].direction.tolist(),
             "rows": [{"index": s.index, "interval": list(s.lateral_interval),
                       "fallback": s.fallback} for s in segments]}
@@ -291,7 +291,7 @@ def _previous_stages(manifest_path: Path) -> dict:
 
 
 def run_pipeline(input_path, out_dir, config: PipelineConfig | None = None,
-                 until: str = "integrate") -> dict:
+                 until: str = STAGE_NAMES[-1]) -> dict:
     """Run the stages up to and including `until`; returns the manifest dict.
 
     Output files land in out_dir: ground mesh and flattened cloud, rows.json,
@@ -332,11 +332,6 @@ def run_pipeline(input_path, out_dir, config: PipelineConfig | None = None,
     for i in range(first, len(stages)):
         stage, before = stages[i], stages[i - 1] if i else None
         start = time.perf_counter()
-        if stage.name == "rows":
-            listed = {name for e in manifest["stages"].values() for name in e["outputs"]}
-            for p in out.iterdir():
-                if STALE_ROW_PLY.fullmatch(p.name) and p.name not in listed:
-                    p.unlink()
         existing = {p.name for p in out.iterdir()}
         try:
             inputs = (before.load(out, manifest["stages"][before.name]["outputs"])

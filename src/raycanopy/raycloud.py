@@ -104,21 +104,23 @@ class RayCloud:
         if np.any(np.diff(self.times) < 0):
             raise RayCloudError("rays are not sorted by time")
 
-    def select(self, mask: np.ndarray) -> "RayCloud":
-        return RayCloud(self.origins[mask], self.endpoints[mask], self.times[mask],
-                        self.contact[mask], self.max_range, self.frame_id)
-
 
 # ---------------------------------------------------------------------------
 # File I/O: binary little-endian PLY with endpoint + ray-vector channels,
-# plus a CSV fallback accepted on load.
+# plus a CSV fallback accepted on load. `_PLY_DTYPE` is the record layout
+# (raycloudtools'): the PLY property lines, the properties the reader accepts
+# and the CSV columns all come from it.
 
 _PLY_DTYPE = np.dtype([
     ("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
     ("nx", "<f8"), ("ny", "<f8"), ("nz", "<f8"),
     ("time", "<f8"), ("flags", "u1"),
 ])
-_CSV_COLUMNS = "x,y,z,nx,ny,nz,time,flags"
+_PLY_PROPS = [({"<f8": "double", "|u1": "uchar"}[_PLY_DTYPE[name].str], name)
+              for name in _PLY_DTYPE.names]
+_CSV_COLUMNS = ",".join(_PLY_DTYPE.names)
+_CSV_ROW = ",".join("%d" if _PLY_DTYPE[name].kind == "u" else "%.17g"
+                    for name in _PLY_DTYPE.names) + "\n"
 
 
 def _to_records(cloud: RayCloud) -> np.ndarray:
@@ -151,7 +153,7 @@ def save_raycloud(cloud: RayCloud, path) -> None:
             f.write(f"# max_range {cloud.max_range!r} frame_id {cloud.frame_id}\n")
             f.write(_CSV_COLUMNS + "\n")
             for r in rec:
-                f.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" % tuple(r))
+                f.write(_CSV_ROW % tuple(r))
         return
     header = (
         "ply\n"
@@ -159,11 +161,8 @@ def save_raycloud(cloud: RayCloud, path) -> None:
         f"comment max_range {cloud.max_range!r}\n"
         f"comment frame_id {cloud.frame_id}\n"
         f"element vertex {len(cloud)}\n"
-        "property double x\nproperty double y\nproperty double z\n"
-        "property double nx\nproperty double ny\nproperty double nz\n"
-        "property double time\n"
-        "property uchar flags\n"
-        "end_header\n"
+        + "".join(f"property {kind} {name}\n" for kind, name in _PLY_PROPS)
+        + "end_header\n"
     )
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
@@ -217,9 +216,7 @@ def _load_ply(path: Path) -> RayCloud:
         raise RayCloudParseError(f"{path}: no vertex element in header")
     if max_range is None:
         raise RayCloudParseError(f"{path}: no max_range comment in header")
-    expected = [("double", n) for n in ("x", "y", "z", "nx", "ny", "nz", "time")]
-    expected.append(("uchar", "flags"))
-    if props != expected:
+    if props != _PLY_PROPS:
         raise RayCloudParseError(f"{path}: unexpected vertex properties {props}")
     nbytes = count * _PLY_DTYPE.itemsize
     if len(body) < nbytes:
@@ -240,7 +237,7 @@ def _load_csv(path: Path) -> RayCloud:
     with open(path, "r") as f:
         for ln, line in enumerate(f, 1):
             line = line.strip()
-            if not line or line.replace(" ", "").lower().startswith("x,"):
+            if not line or line.replace(" ", "").lower().startswith(_PLY_DTYPE.names[0] + ","):
                 continue
             try:
                 if line.startswith("#"):
@@ -251,21 +248,17 @@ def _load_csv(path: Path) -> RayCloud:
                         frame_id = parts[parts.index("frame_id") + 1]
                     continue
                 vals = line.split(",")
-                if len(vals) != 8:
-                    raise ValueError(f"expected 8 columns, got {len(vals)}")
-                flags = int(vals[7])
+                if len(vals) != len(_PLY_DTYPE):
+                    raise ValueError(f"expected {len(_PLY_DTYPE)} columns, got {len(vals)}")
+                *values, flags = vals   # flags, the one integer column, comes last
+                flags = int(flags)
                 if not 0 <= flags <= 255:
                     raise ValueError(f"flags {flags} outside 0..255")
-                rows.append([float(v) for v in vals[:7]] + [flags])
+                rows.append((*map(float, values), flags))
             except (ValueError, IndexError) as exc:
                 detail = exc if isinstance(exc, ValueError) else "missing field"
                 raise RayCloudParseError(f"{path}:{ln}: {line!r}: {detail}") from None
-    rec = np.zeros(len(rows), dtype=_PLY_DTYPE)
-    if rows:
-        arr = np.asarray(rows)
-        for i, name in enumerate(("x", "y", "z", "nx", "ny", "nz", "time")):
-            rec[name] = arr[:, i]
-        rec["flags"] = arr[:, 7].astype(np.uint8)
+    rec = np.array(rows, dtype=_PLY_DTYPE)
     if max_range is None:
         if not rows:
             raise RayCloudParseError(f"{path}: empty CSV without max_range comment")

@@ -32,7 +32,6 @@ class DensityImage:
     """2D integrated canopy density, m^2/m^2."""
 
     values: np.ndarray
-    axis: str          # the axis integrated away
     pixel_size: float  # m
     observed: np.ndarray | None = None   # True where any voxel in the sum was observed
 
@@ -79,7 +78,7 @@ def integrate_axis(field: DensityField, axis: str) -> DensityImage:
     w = field.grid.voxel_width
     values = field.density.sum(axis=a) * w
     observed = field.observed.any(axis=a)
-    return DensityImage(values=values, axis=axis, pixel_size=w, observed=observed)
+    return DensityImage(values=values, pixel_size=w, observed=observed)
 
 
 def along_row_series(field: DensityField) -> RowSeries:

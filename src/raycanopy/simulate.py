@@ -116,14 +116,13 @@ def sample_turbid(lam: float, n: int, y: float, trials: int, rng: np.random.Gene
 
 
 def _turbid_estimates(m: np.ndarray, x: np.ndarray, estimator: str) -> np.ndarray:
-    sum_x = x.sum(axis=1)
-    n = x.shape[1]
-    if estimator == "uncensored":   # every ray intercepted: y = inf (bias_curves checks)
-        return (n - 1) / sum_x
-    if estimator not in ("debiased", "ml-mode"):
+    # "uncensored" is the debiased mean at y = inf (bias_curves checks), where
+    # every ray is intercepted: m = n, so it reads (n-1)/sum(x_i)
+    if estimator not in ("debiased", "uncensored", "ml-mode"):
         raise SimulationError(f"unknown estimator {estimator!r}")
-    debiased = estimator == "debiased"   # the debiased mean, or the raw mode
-    return estimate(n, m, sum_x, 1.0, "mean" if debiased else "mode", debias=debiased)
+    mode = estimator == "ml-mode"   # the raw mode, or else the debiased mean
+    return estimate(x.shape[1], m, x.sum(axis=1), 1.0, "mode" if mode else "mean",
+                    debias=not mode)
 
 
 def _check_counts(trials: int, n_name: str, n_values) -> None:

@@ -97,6 +97,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["voxel_width", "g", "row_spacing"])
+    @pytest.mark.parametrize("value", ["2", True, np.True_], ids=str)
+    def test_non_numbers_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number, not"):
+            PipelineConfig(**{field: value})
+        if not isinstance(value, str):   # text is parsed; any other value is checked as given
+            with pytest.raises(ValueError, match=f"{field} must be a number, not"):
+                apply_overrides(PipelineConfig(), {field: value})
+
     @pytest.mark.parametrize("direction", [(0.0, 0.0), (float("nan"), 1.0),
                                            (1.0, float("inf")), (1.0, 0.0, 0.0)])
     def test_degenerate_direction_rejected(self, direction):

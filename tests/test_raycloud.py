@@ -56,6 +56,28 @@ class TestFileRoundTrip:
         save_raycloud(cloud, tmp_path / "c.ply")
         self._assert_equal(cloud, load_raycloud(tmp_path / "c.ply"))
 
+    def test_written_headers_are_pinned(self, tmp_path):
+        # the raycloudtools layout; a drift in the record dtype must show here
+        cloud = make_cloud([[1, 2, 3], [0, 0, 0]], [[4, 5, 7], [0, 0, 30]],
+                           contact=[True, False], max_range=30.0, frame_id="veh")
+        save_raycloud(cloud, tmp_path / "c.ply")
+        header = (b"ply\n"
+                  b"format binary_little_endian 1.0\n"
+                  b"comment max_range 30.0\n"
+                  b"comment frame_id veh\n"
+                  b"element vertex 2\n"
+                  b"property double x\nproperty double y\nproperty double z\n"
+                  b"property double nx\nproperty double ny\nproperty double nz\n"
+                  b"property double time\n"
+                  b"property uchar flags\n"
+                  b"end_header\n")
+        data = (tmp_path / "c.ply").read_bytes()
+        assert data[:len(header)] == header and len(data) == len(header) + 2 * 57
+        save_raycloud(cloud, tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_text().splitlines() == [
+            "# max_range 30.0 frame_id veh", "x,y,z,nx,ny,nz,time,flags",
+            "4,5,7,-3,-3,-4,0,1", "0,0,30,0,0,-30,1,0"]
+
     def test_large_cloud_lossless(self, tmp_path, rng):
         n = 100_000
         origins = rng.uniform(-50, 50, size=(n, 3))

@@ -146,8 +146,7 @@ class TestColormap:
             colormap_rgb(np.zeros((2, 2)), max_value)
 
     def test_png_written_with_signature(self, tmp_path):
-        img = DensityImage(values=np.linspace(0, 10, 12).reshape(3, 4), axis="x",
-                           pixel_size=0.1)
+        img = DensityImage(values=np.linspace(0, 10, 12).reshape(3, 4), pixel_size=0.1)
         render_colormap(img, 10.0, tmp_path / "i.png")
         data = (tmp_path / "i.png").read_bytes()
         assert data.startswith(b"\x89PNG\r\n\x1a\n")
@@ -158,12 +157,12 @@ class TestColormap:
         assert (w, h) == (3, 4)
 
     def test_uppercase_png_suffix_writes_png(self, tmp_path):
-        img = DensityImage(values=np.ones((2, 2)), axis="x", pixel_size=0.1)
+        img = DensityImage(values=np.ones((2, 2)), pixel_size=0.1)
         render_colormap(img, 10.0, tmp_path / "i.PNG")
         assert (tmp_path / "i.PNG").read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
 
     def test_unknown_suffix_rejected(self, tmp_path):
-        img = DensityImage(values=np.ones((2, 2)), axis="x", pixel_size=0.1)
+        img = DensityImage(values=np.ones((2, 2)), pixel_size=0.1)
         with pytest.raises(ReportError, match=r"i\.jpg: unknown image suffix '\.jpg'"):
             render_colormap(img, 10.0, tmp_path / "i.jpg")
         assert not (tmp_path / "i.jpg").exists()
@@ -211,6 +210,6 @@ class TestCsvOutputs:
 class TestValidation:
     def test_negative_values_rejected(self):
         with pytest.raises(ReportError):
-            DensityImage(values=np.array([[-1.0]]), axis="x", pixel_size=0.1)
+            DensityImage(values=np.array([[-1.0]]), pixel_size=0.1)
         with pytest.raises(ReportError):
             RowSeries(values=np.array([-0.1]), step=0.1)

@@ -270,7 +270,9 @@ def _contains_ray(segment: RowSegment, cloud, idx) -> bool:
 def _band(cloud, row):
     """The rays of `cloud` that `row`, a band in row coordinates, holds, in
     world coordinates (make_cloud gives each ray its own time)."""
-    return cloud.select(np.isin(cloud.times, row.times))
+    keep = np.isin(cloud.times, row.times)
+    return RayCloud(cloud.origins[keep], cloud.endpoints[keep], cloud.times[keep],
+                    cloud.contact[keep], cloud.max_range, cloud.frame_id)
 
 
 class TestRowCoordinates:

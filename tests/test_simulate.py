@@ -13,6 +13,7 @@ from raycanopy.simulate import (ERROR_SURFACE_AREAS, ERROR_SURFACE_SIDES, RAY_MO
                                 _cell_errors, _draw_cell, _draw_leaves, _first_hits,
                                 _leaf_bounds, _measure, _rays_spinning, _rays_trawling,
                                 _rays_uniform_chords, _triangle_vertices, _true_density,
+                                _turbid_estimates,
                                 bias_curves, clipped_area,
                                 debiased_error_surface, make_rng, sample_turbid,
                                 trawl_vs_spin, triangle_bias_experiment)
@@ -73,6 +74,12 @@ class TestBiasCurves:
         # censored draws would bias (n-1)/sum(x): +0.146 at lam=2, y=1
         with pytest.raises(SimulationError, match="uncensored estimator needs y = inf"):
             bias_curves([2.0], [50], 2000, "uncensored", y=y, seed=1)
+
+    def test_uncensored_estimate_is_n_minus_1_over_sum_x(self):
+        # the debiased mean at y = inf, where m = n: (n-1)/n * n/sum(x)
+        m, x = sample_turbid(1.3, 6, np.inf, 5000, make_rng(17))
+        want = (6 - 1) / x.sum(axis=1)
+        np.testing.assert_array_max_ulp(_turbid_estimates(m, x, "uncensored"), want, maxulp=4)
 
     def test_ml_mode_underestimates_at_n2(self):
         err, _ = bias_curves([0.5, 1.0, 2.0], [2], 20_000, "ml-mode", seed=2)
