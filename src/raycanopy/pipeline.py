@@ -69,10 +69,13 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be a number, not {value!r}")
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, not {value!r}")
+            # equal configs must hash to equal stage keys (`_stage_keys` reads repr)
+            object.__setattr__(self, name, float(value))
         if isinstance(self.n_min, bool) or not isinstance(self.n_min, (int, np.integer)):
             raise ValueError(f"n_min must be an integer, not {self.n_min!r}")
         if self.n_min < 1:
             raise ValueError("n_min must be >= 1")
+        object.__setattr__(self, "n_min", int(self.n_min))
         if self.direction is not None:
             d = np.asarray(self.direction, dtype=float)
             if d.shape != (2,) or not np.all(np.isfinite(d)) or not np.any(d):

@@ -6,15 +6,19 @@ trawling (push-broom) versus spinning lidar ray distributions over
 anisotropic leaf-normal ellipsoids, all estimated with `density.estimate`.
 
 The triangular-leaf experiments run in two phases. Draw: each cell's leaf
-scenes, then its rays, come from the one generator in cell order
+scenes, then its rays, come whole from the one generator in cell order
 (`_draw_cell`). Measure: consecutive cells whose expected rays plus
-ray/leaf pairs fit PAIR_BUDGET run together (`_measure`), with one
-`clipped_area` call for their true densities, one `_first_hits` call over
-a single (ray, triangle) pair list whose trial ids run across the cells,
-and one bincount per statistic; `estimate`, the mean and the standard
-error then run on each cell's slice. A batch is measured before the next
-cell is drawn, which bounds memory, and a single cell is a one-cell
-batch. No output bit depends on where batches end.
+ray/leaf pairs fit PAIR_BUDGET form a batch (`_measure`), whose trial ids
+run across its cells. The batch's trials are measured in consecutive
+slices whose drawn rays plus pairs fit PAIR_BUDGET, so a cell larger than
+the budget is measured in several slices: per slice, one `clipped_area`
+call for the true densities, one `_first_hits` call over a single
+(ray, triangle) pair list and one bincount per statistic. `estimate`, the
+mean and the standard error then run on each whole cell. A batch is
+measured before the next cell is drawn, so memory follows the largest
+cell's draws and the budget, not the trial count. No output bit depends on
+where batches or slices end.
+The 1D bias curves likewise draw each cell in slices of TURBID_DRAWS draws.
 Most pairs cannot hit, so `_first_hits` runs Möller–Trumbore only on the
 pairs whose ray passes through the leaf's padded centroid ball or runs
 nearly parallel to the leaf; culling changes no output bit. `clipped_area`
@@ -55,17 +59,31 @@ TRAWL_LEAF = (0.06, 0.02)   # Table 1 leaves: (side length l [m], total leaf are
 # with |n̂·d̂| ≤ CULL_PARALLEL are always tested; for the rest that error is at
 # most 1.1e-9·(|s| + l). The relative margin covers the l part 200 times over,
 # and the absolute one covers |s| up to about 90 m, 900 voxel widths. The
-# cull's own distance has a rounding error near 1e-16 m² at these scales, far
-# below the padding (at least 2·CULL_REL_MARGIN·r²).
+# cull's own squared distance, |w|² − (w·d̂)² with w = centroid − start and
+# each dot product summed x, then y, then z as the pair's coordinates are
+# gathered, has a rounding error near 1e-16 m² at these scales, far below
+# the padding (at least 2·CULL_REL_MARGIN·r²).
 CULL_REL_MARGIN = 1e-6
 CULL_ABS_MARGIN = 1e-7      # m
 CULL_PARALLEL = 1e-6        # |n̂·d̂| at or below which a pair is always tested
-# The triangle-leaf experiments measure consecutive cells in one batch while
-# their expected rays plus ray/leaf pairs stay within this budget; a larger
-# cell is measured alone. It bounds a batch's memory and moves no output bit.
-# On the validation benchmark (2-vCPU VM) 1 << 16 raised the peak RSS by up
-# to 2.4 MB over measuring cell by cell; 1 << 15 did not.
+# The triangle-leaf experiments batch consecutive cells while their expected
+# rays plus ray/leaf pairs, trials·n·(1 + mean leaves), stay within this
+# budget, and measure each batch in trial slices whose drawn rays plus pairs
+# stay within it (one trial at least). A `_first_hits` call holds about 80 B
+# per pair at its peak (tracemalloc), so the budget bounds the measuring
+# memory whatever the trial count; it moves no output bit. Peak RSS on a
+# 2-vCPU VM, against measuring each large cell whole: criterion 1's
+# triangle_bias_experiment(trials=4000) 66–71 MB (was 264 MB), and with
+# TURBID_DRAWS and synthetic.MARCH_BUDGET the validation benchmark 48–50 MB
+# (was 65 MB).
 PAIR_BUDGET = 1 << 15
+# `bias_curves` draws and estimates each cell in slices of at most this many
+# draws (at least one trial); no output bit depends on it. A slice's 4 MB of
+# draws is the suite's largest short-lived array, and under glibc's malloc
+# freeing it lets later pair arrays reuse heap pages: a validation benchmark
+# iteration takes about 60 minor page faults, against 37k at 1 << 16, which
+# was slower in most paired runs (2-vCPU VM) for 0.3 MB less peak RSS.
+TURBID_DRAWS = 1 << 19
 
 
 class SimulationError(ValueError):
@@ -142,6 +160,11 @@ def bias_curves(lambda_grid, n_grid, trials: int = 100_000, estimator: str = "de
     """Mean normalised error (est - lam)/lam per (lambda, n) cell, with its
     standard error. `y = inf` disables censoring, which the "uncensored"
     estimator (n-1)/sum(x) needs.
+
+    Each cell is drawn and estimated in consecutive slices of at most
+    TURBID_DRAWS draws (at least one trial each), reading the generator in
+    the order of one whole-cell draw; every trial's row and error are as
+    from that draw, and the mean and SE run over all of the cell's errors.
     """
     _check_counts(trials, "n_grid", n_grid)
     if estimator == "uncensored" and y != np.inf:
@@ -153,8 +176,13 @@ def bias_curves(lambda_grid, n_grid, trials: int = 100_000, estimator: str = "de
     rng = make_rng(seed)
     for a, lam in enumerate(lambda_grid):
         for b, n in enumerate(n_grid):
-            m, x = sample_turbid(lam, int(n), y, trials, rng)
-            rel = (_turbid_estimates(m, x, estimator) - lam) / lam
+            step = max(1, TURBID_DRAWS // int(n))   # trials per slice
+            rel = np.empty(trials)
+            for lo in range(0, trials, step):
+                # the draws are freed here, before the next slice is drawn
+                est = _turbid_estimates(*sample_turbid(lam, int(n), y, min(step, trials - lo),
+                                                       rng), estimator)
+                rel[lo:lo + step] = (est - lam) / lam
             err[a, b] = rel.mean()
             se[a, b] = rel.std(ddof=1) / np.sqrt(trials)
     return err, se
@@ -456,16 +484,19 @@ def _first_hits(starts: np.ndarray, dirs: np.ndarray, chord: np.ndarray,
     tri_idx = np.arange(len(ray_idx)) - np.repeat(first_pair - first_tri[trial_of_ray],
                                                   pairs_per_ray)
 
-    # the cull works on one row per coordinate; np.take gathers rows fastest
-    ray = np.empty((6, n_rays))
-    ray[:3] = starts.T
-    ray[3:] = dirs.T / np.linalg.norm(dirs, axis=1)
-    leaf = np.take(_leaf_bounds(tris), tri_idx, axis=1)
-    ray = np.repeat(ray, pairs_per_ray, axis=1)
-    w = leaf[:3] - ray[:3]                       # centroid - start
-    wd = np.einsum("ij,ij->j", w, ray[3:])
-    nd = np.einsum("ij,ij->j", leaf[3:6], ray[3:])
-    near = np.einsum("ij,ij->j", w, w) - wd * wd <= leaf[6]
+    # the cull gathers and sums one coordinate at a time (x, then y, then z),
+    # so no pair-length array holds more than one coordinate
+    unit = dirs.T / np.linalg.norm(dirs, axis=1)
+    bounds = _leaf_bounds(tris)
+    wd, ww, nd = (np.zeros(len(ray_idx)) for _ in range(3))
+    for a in range(3):
+        d = np.take(unit[a], ray_idx)
+        w = np.take(bounds[a], tri_idx)          # centroid - start
+        w -= np.take(starts[:, a], ray_idx)
+        wd += w * d
+        ww += w * w
+        nd += np.take(bounds[3 + a], tri_idx) * d
+    near = ww - wd * wd <= np.take(bounds[6], tri_idx)
     keep = np.flatnonzero(near | (nd * nd <= CULL_PARALLEL ** 2))
     ray_idx, tri_idx = ray_idx[keep], tri_idx[keep]
 
@@ -493,21 +524,34 @@ def _measure(batch: list[tuple], w: float, debias: bool) -> list[tuple[np.ndarra
     """Per-trial (estimated density, true density) of each drawn cell in
     `batch`.
 
-    One `clipped_area`, one `_first_hits` and one bincount per statistic
-    run over the whole batch, with trial ids running across its cells. Each
-    result is per trial or per ray, and bincount adds each trial's values in
-    the same order, so every bit is as when each cell is measured alone.
-    `estimate` runs on each cell's slice.
+    Trial ids run across the batch's cells, and the trials are measured in
+    consecutive slices whose rays plus ray/leaf pairs, n·(1 + leaves) per
+    trial, stay within PAIR_BUDGET, with at least one trial per slice. Each
+    slice gets one `clipped_area`, one `_first_hits` and one bincount per
+    statistic. Each result is per trial or per ray, and bincount adds each
+    trial's values in the same order, so every bit is as when each cell is
+    measured alone and whole. `estimate` runs on each whole cell.
     """
     ns = [cell[0] for cell in batch]
     trials = [len(cell[2]) for cell in batch]
     tris, counts, starts, dirs, chord = (parts[0] if len(parts) == 1 else np.concatenate(parts)
                                          for parts in list(zip(*batch))[1:])
-    trial_of_ray = np.repeat(np.arange(len(counts)), np.repeat(ns, trials))
-    rho = _true_density(tris, counts, w)
-    hit_mask, x = _first_hits(starts, dirs, chord, tris, counts, trial_of_ray)
-    m = np.bincount(trial_of_ray, weights=hit_mask.astype(float), minlength=len(counts))
-    sum_x = np.bincount(trial_of_ray, weights=x, minlength=len(counts))
+    rays = np.repeat(ns, trials)
+    first_ray = np.concatenate([[0], np.cumsum(rays)])
+    first_tri = np.concatenate([[0], np.cumsum(counts)])
+    cost = np.concatenate([[0], np.cumsum(rays * (1 + counts))])
+    rho, m, sum_x = (np.empty(len(counts)) for _ in range(3))
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + PAIR_BUDGET, side="right")) - 1)
+        r, t = slice(first_ray[lo], first_ray[hi]), slice(first_tri[lo], first_tri[hi])
+        trial_of_ray = np.repeat(np.arange(hi - lo), rays[lo:hi])
+        rho[lo:hi] = _true_density(tris[t], counts[lo:hi], w)
+        hit_mask, x = _first_hits(starts[r], dirs[r], chord[r], tris[t], counts[lo:hi],
+                                  trial_of_ray)
+        m[lo:hi] = np.bincount(trial_of_ray, weights=hit_mask.astype(float), minlength=hi - lo)
+        sum_x[lo:hi] = np.bincount(trial_of_ray, weights=x, minlength=hi - lo)
+        lo = hi
     bounds = np.cumsum([0] + trials)
     return [(estimate(n, m[lo:hi], sum_x[lo:hi], DEFAULT_G, debias=debias), rho[lo:hi])
             for n, lo, hi in zip(ns, bounds, bounds[1:])]

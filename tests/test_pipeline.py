@@ -124,6 +124,23 @@ class TestConfig:
             with pytest.raises(ValueError, match="n_min must be an integer"):
                 PipelineConfig(n_min=n_min)
 
+    def test_equal_configs_give_equal_stage_keys(self, scan_file, tmp_path):
+        spelled = PipelineConfig(g=2, voxel_width=np.float64(0.12), panel_length=7,
+                                 row_spacing=np.float32(2.5), n_min=np.int64(10))
+        plain = PipelineConfig(g=2.0, voxel_width=0.12, panel_length=7.0, row_spacing=2.5,
+                               n_min=10)
+        assert spelled == plain
+        assert pipeline._stage_keys("x", spelled) == pipeline._stage_keys("x", plain)
+        assert [type(getattr(spelled, f.name)) for f in dataclasses.fields(PipelineConfig)
+                if f.name not in ("estimator", "direction")] == [float, int] + [float] * 6
+        _, path = scan_file
+        run_pipeline(path, tmp_path / "out", PipelineConfig(g=2), until="ground")
+        manifest = (tmp_path / "out" / "manifest.json").read_text()
+        assert '"g": 2.0,' in manifest and '"n_min": 10,' in manifest
+        # the defaults are already float and int, so default manifests keep their bytes
+        assert all(repr(getattr(PipelineConfig(), f.name)) == repr(f.default)
+                   for f in dataclasses.fields(PipelineConfig))
+
     def test_every_field_read_by_one_stage(self):
         read = [name for stage in STAGES for name in stage.fields]
         assert sorted(read) == sorted(f.name for f in dataclasses.fields(PipelineConfig))

@@ -90,6 +90,36 @@ class TestBiasCurves:
         b, _ = bias_curves([1.0], [4, 8], 2000, "debiased", seed=5)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("estimator, y", [("debiased", 1.0), ("ml-mode", 0.7),
+                                              ("uncensored", np.inf)])
+    def test_slices_move_no_bit(self, monkeypatch, estimator, y):
+        lams, ns, trials = (0.3, 2.0), (2, 5, 9), 23
+        rng = make_rng(4)     # each cell drawn whole, in cell order
+        want = np.zeros((2, len(lams), len(ns)))
+        for a, lam in enumerate(lams):
+            for b, n in enumerate(ns):
+                rel = (_turbid_estimates(*sample_turbid(lam, n, y, trials, rng), estimator)
+                       - lam) / lam
+                want[:, a, b] = rel.mean(), rel.std(ddof=1) / np.sqrt(trials)
+        calls = []
+        sample = simulate.sample_turbid
+
+        def counting(*args):
+            calls.append(args[3])
+            return sample(*args)
+
+        monkeypatch.setattr(simulate, "sample_turbid", counting)
+        # the default; slices of several trials, none dividing 23; below one trial's n
+        for draws in (simulate.TURBID_DRAWS, 45, 10, 4, 1):
+            monkeypatch.setattr(simulate, "TURBID_DRAWS", draws)
+            calls.clear()
+            got = bias_curves(lams, ns, trials, estimator, y, seed=4)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            steps = [max(1, draws // n) for n in ns]
+            assert calls == [min(s, trials - lo) for s in steps
+                             for lo in range(0, trials, s)] * len(lams)
+
 
 class TestClippedArea:
     def test_fully_inside_triangle_keeps_area(self):
@@ -914,6 +944,29 @@ class TestBatchOracle:
                  for spec in specs for kind in ("trawling", "spinning")]
         self._assert_as_reference(res, *_cell_errors_reference(cells, (2, 2), 20, 6),
                                   err_key="error_percent", scale=100.0)
+
+    @pytest.mark.parametrize("budget", [50, 500])
+    def test_large_cell_is_measured_in_bounded_slices(self, monkeypatch, budget):
+        calls = []
+        first_hits = simulate._first_hits
+
+        def recording(starts, dirs, chord, tris, counts, trial_of_ray):
+            pairs = np.bincount(trial_of_ray, minlength=len(counts)) * counts
+            calls.append((int(pairs.sum()), int(pairs.max())))
+            return first_hits(starts, dirs, chord, tris, counts, trial_of_ray)
+
+        monkeypatch.setattr(simulate, "PAIR_BUDGET", budget)
+        monkeypatch.setattr(simulate, "_first_hits", recording)
+        cells = [(0.025, 0.012, 6, "uniform-random", NormalDistributionSpec()),
+                 *BATCH_CELLS[:2]]
+        assert 40 * 6 * (1 + simulate._mean_leaves(0.025, 0.012)) >= 10 * budget
+        err, se, leafy = _cell_errors(cells, (3,), 40, 7)
+        self._assert_as_reference({"error": err, "se": se, "leafy": leafy},
+                                  *_cell_errors_reference(cells, (3,), 40, 7))
+        largest_trial = max(most for _, most in calls)
+        assert len(calls) >= 10
+        assert all(pairs <= max(budget, largest_trial) for pairs, _ in calls)
+        assert largest_trial > 50     # at budget 50 some trials are measured alone
 
     @pytest.mark.parametrize("kind", list(RAY_MODELS))
     def test_one_cell_matches_the_reference(self, kind):

@@ -227,6 +227,35 @@ class TestWindowedMarch:
             assert a.tobytes() == b.tobytes()
         _assert_windows_cover(spec, origins, dirs)
 
+    def test_step_budget_moves_no_bit(self, monkeypatch):
+        spec = VineyardSpec(row_length=4.0, max_range=6.0)
+        n_steps = int(np.ceil(spec.max_range / STEP))
+        positions, _ = scan_trajectory(spec, 0.25)
+        origins = np.repeat(positions, 4, axis=0)
+        dirs = np.random.default_rng(3).normal(size=origins.shape)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        full = _full_march_rays(spec, origins, dirs, np.random.default_rng(8))
+        chunks = []
+        step_windows = synthetic._step_windows
+
+        def recording(spec, o, d, n_steps):
+            k_lo, k_hi = step_windows(spec, o, d, n_steps)
+            chunks.append((len(o), int((k_hi - k_lo).sum())))
+            return k_lo, k_hi
+
+        monkeypatch.setattr(synthetic, "_step_windows", recording)
+        # the default, three rays per chunk, and budgets below one ray's window
+        for budget in (synthetic.MARCH_BUDGET, 3 * n_steps + 1, n_steps - 1, 1):
+            monkeypatch.setattr(synthetic, "MARCH_BUDGET", budget)
+            chunks.clear()
+            fast = _march_rays(spec, origins, dirs, np.random.default_rng(8))
+            for a, b in zip(fast, full):
+                assert a.tobytes() == b.tobytes()
+            rays = max(1, budget // n_steps)
+            assert [c for c, _ in chunks[:-1]] == [rays] * (len(chunks) - 1)
+            assert sum(c for c, _ in chunks) == len(origins)
+            assert max(s for _, s in chunks) <= max(budget, n_steps)
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize("fields", [
